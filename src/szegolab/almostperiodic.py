@@ -267,13 +267,25 @@ def convergent_error_bound(cf: ContinuedFraction, index: int) -> float:
 def check_approximation_bounds(cf: ContinuedFraction) -> bool:
     """Verify |alpha q_n - p_n| < 1/q_{n+1} at every interior index.
 
-    Checked in exact rational arithmetic on the binary value of alpha.
+    Checked in exact rational arithmetic on the binary value of alpha.  When
+    the last convergent p_N/q_N reproduces alpha to float precision, alpha is
+    that rational and the bound at the last interior index is an equality:
+    there it may be met with equality, up to the rounding of alpha.
     """
     exact = Fraction(cf.alpha)
+    if not cf.convergents:
+        return True
+    p_last, q_last = cf.convergents[-1]
+    terminal = p_last / q_last == cf.alpha
+    rounding = abs(exact - Fraction(p_last, q_last))
     for i in range(len(cf.convergents) - 1):
         p, q = cf.convergents[i]
         q_next = cf.convergents[i + 1][1]
-        if abs(exact * q - p) >= Fraction(1, q_next):
+        error = abs(exact * q - p)
+        if terminal and i == len(cf.convergents) - 2:
+            if error > Fraction(1, q_next) + q * rounding:
+                return False
+        elif error >= Fraction(1, q_next):
             return False
     return True
 

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra kernel.
+"""Complex linear algebra kernel.
 
 Log-scaled determinants, linear solves, eigenvalues and singular values of
-dense complex matrices.  Everything downstream (section determinants,
-spectral distribution means, stability probes) sits on these five
-operations.  All arithmetic is 64-bit floating point; determinants are only
-ever exposed in log-magnitude/phase form because section determinants grow
+dense complex matrices, plus the pivots of a band matrix factored without
+row swaps.  Everything downstream (section determinants, spectral
+distribution means, stability probes) sits on these operations.  All
+arithmetic is 64-bit floating point; dense determinants are only ever
+exposed in log-magnitude/phase form because section determinants grow
 geometrically with the section size.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg
@@ -43,6 +45,13 @@ PIVOT_UNDERFLOW = 1e-292
 
 # Entrywise tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-12
+
+# Threshold of the pivot test in band_lu_pivots: a pivot below this fraction
+# of the largest entry of its column in the active window fails.  Accepted
+# steps therefore have multipliers bounded by 1/PIVOT_THRESHOLD; a row of a
+# band matrix is updated by at most p earlier rows, so element growth without
+# row swaps stays below (1 + 1/PIVOT_THRESHOLD)^p whatever the matrix order.
+PIVOT_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,44 @@ def solve(m, rhs) -> np.ndarray:
     if smallest < PIVOT_UNDERFLOW:
         raise SingularMatrixError("matrix is numerically singular", smallest)
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:
+    """Pivots of the LU factorization without row swaps of an n x n band matrix.
+
+    ``diagonals`` maps offset d to a length-n vector v with v[j] = entry(j+d, j),
+    zero where j+d falls outside 0..n-1.  Pivot k is det(A_{k+1}) / det(A_k)
+    for the leading k x k sections A_k, so one pass yields every successive
+    determinant ratio.  Work is O(n p q) for lower and upper bandwidths p, q.
+
+    Returns (pivots, stop): ``stop`` is the first step (0-based) whose pivot
+    fails the test, n when none does, and ``pivots`` holds the ``stop``
+    accepted pivots.  A pivot fails when it is below PIVOT_UNDERFLOW or below
+    PIVOT_THRESHOLD times the largest entry of its column in the active window.
+    """
+    p = max(0, max(diagonals, default=0))
+    q = max(0, -min(diagonals, default=0))
+    width = n + max(p, q)  # zero padding keeps every window inside the array
+    ab = np.zeros((p + q + 1, width), dtype=np.complex128)
+    for d, v in diagonals.items():
+        ab[q + d, :n] = v
+    flat = ab.reshape(-1)
+    # entry (k+i, k+j) of the matrix sits at flat[window[i, j] + k]
+    i = np.arange(p + 1)[:, None]
+    j = np.arange(q + 1)[None, :]
+    window = (q + i - j) * width + j
+    trailing = window[1:, 1:]
+    pivots = np.empty(n, dtype=np.complex128)
+    for k in range(n):
+        block = flat[window + k]
+        pivot = block[0, 0]
+        limit = PIVOT_THRESHOLD * float(np.abs(block[:, 0]).max())
+        if not abs(pivot) >= max(PIVOT_UNDERFLOW, limit):  # also rejects NaN
+            return pivots[:k], k
+        pivots[k] = pivot
+        if p:
+            flat[trailing + k] = block[1:, 1:] - np.outer(block[1:, 0] / pivot, block[0, 1:])
+    return pivots, n
 
 
 def eigvals_hermitian(m) -> np.ndarray:

@@ -213,6 +213,20 @@ def band_ap_section(A: BandAPOperator, kind: str, n: int) -> DenseMatrix:
     )
 
 
+def band_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
+    """Section over 0..n-1 in diagonal storage: offset d -> vector v with
+    v[j] = entry(j+d, j) on the valid column range and 0 outside it."""
+    vectors: dict[int, np.ndarray] = {}
+    for d, f in A.diagonals.items():
+        if abs(d) >= n:
+            continue
+        v = np.zeros(n, dtype=np.complex128)
+        cols = np.arange(max(0, -d), n - max(0, d))
+        v[cols] = eval_ap(f, cols)
+        vectors[d] = v
+    return vectors
+
+
 def almost_mathieu(p: AlmostMathieuParams) -> BandAPOperator:
     """The almost Mathieu operator: ones off-diagonal, cosine main diagonal."""
     return BandAPOperator(

@@ -25,6 +25,7 @@ from .operators import (
     CompositeOperator,
     as_band_operator,
     band_ap_section,
+    band_diagonals,
     composite_sections,
     flip_section,
     reversed_section,
@@ -255,14 +256,14 @@ def _validate_sizes(n_range: Sequence[int]) -> list[int]:
     return sizes
 
 
-def _build_report(entries, predicted) -> SzegoReport:
+def _build_report(entries, predicted, skipped=()) -> SzegoReport:
     values = [v for _, v in entries]
     limit_estimate = values[-1]
     pred = complex(predicted) if predicted is not None else limit_estimate
     rows = tuple(
         ReportRow(n, v, pred, abs(v - pred)) for (n, v) in entries
     )
-    return SzegoReport(rows, pred, limit_estimate)
+    return SzegoReport(rows, pred, limit_estimate, tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +271,24 @@ def _build_report(entries, predicted) -> SzegoReport:
 
 
 def det_ratio_sequence(
-    sections: Callable[[int], DenseMatrix],
+    A,
     n_range: Sequence[int],
     predicted: complex | None = None,
 ) -> SzegoReport:
     """Ratios det(section n) / det(section n-1) over the size range.
 
-    Computed as exp(difference of log magnitudes) times the phase ratio, so
-    the ratio survives determinants far outside floating point range.
-    Singular sections are recorded and their ratios omitted.  Without an
-    explicit prediction the final ratio serves as the limit estimate.
+    ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
+    the largest size gives every ratio as a pivot, up to the first pivot that
+    fails the kernel's pivot test.  From that size on each ratio comes from
+    pivoted dense LU of the two sections, as exp(difference of log
+    magnitudes) times the phase ratio; singular sections are recorded and
+    their ratios omitted.  Without an explicit prediction the final ratio
+    serves as the limit estimate.
     """
     sizes = _validate_sizes(n_range)
+    band = as_band_operator(A)
+    top = sizes[-1]
+    pivots, stop = numkernel.band_lu_pivots(band_diagonals(band, top), top)
     entries: list[tuple[int, complex]] = []
     skipped: list[tuple[int, str]] = []
     cache: dict[int, LogDet] = {}
@@ -290,10 +297,13 @@ def det_ratio_sequence(
         if k == 0:
             return LogDet(0.0, 1 + 0j, False)
         if k not in cache:
-            cache[k] = lu_logdet(sections(k))
+            cache[k] = lu_logdet(band_ap_section(band, "P", k))
         return cache[k]
 
     for n in sizes:
+        if n <= stop:
+            entries.append((n, complex(pivots[n - 1])))
+            continue
         num = logdet_at(n)
         den = logdet_at(n - 1)
         if num.singular_flag or den.singular_flag:
@@ -304,8 +314,7 @@ def det_ratio_sequence(
         entries.append((n, ratio))
     if not entries:
         raise EmptyReportError("all requested sections were singular")
-    report = _build_report(entries, predicted)
-    return SzegoReport(report.rows, report.predicted, report.limit_estimate, tuple(skipped))
+    return _build_report(entries, predicted, skipped)
 
 
 def det_ratio_via_cramer(A, n: int) -> complex:
@@ -333,30 +342,61 @@ def g_limit_constant(A: BandAPOperator, m: int) -> complex:
     return 1.0 / v
 
 
+@dataclass(frozen=True, kw_only=True)
+class StrongSzegoReport(SzegoReport):
+    """A strong Szego report with the constants it was measured against:
+    G[a] and the tail bound of the truncated series for E[a]."""
+
+    geometric_mean: complex
+    tail_bound: float
+
+
 def strong_szego_ratio(
     a: TrigPolynomial,
     n_range: Sequence[int],
     truncation: int | None = None,
-) -> SzegoReport:
-    """det T_n(a) / G[a]^n against the truncated constant E[a]."""
+) -> StrongSzegoReport:
+    """det T_n(a) / G[a]^n against the truncated constant E[a].
+
+    log|det T_n| is the running sum of log|pivot| of one banded LU pass, and
+    its phase the running product of the pivot phases; from the first pivot
+    that fails the kernel's pivot test on, each determinant comes from
+    pivoted dense LU, and a singular section raises.
+    """
     sizes = _validate_sizes(n_range)
     grid = _default_grid(a.bandwidth)
     if truncation is None:
         truncation = grid // 4
     c0 = log_coefficients(a, grid, 0).coefficient(0)
     constant = strong_szego_constant(a, truncation)
+    top = sizes[-1]
+    pivots, stop = numkernel.band_lu_pivots(
+        band_diagonals(as_band_operator(a), top), top
+    )
+    log_abs = np.cumsum(np.log(np.abs(pivots)))
+    phases = np.cumprod(pivots / np.abs(pivots))
     entries = []
     for n in sizes:
-        ld = lu_logdet(toeplitz_section(a, n))
-        if ld.singular_flag:
-            raise numkernel.SingularMatrixError(
-                f"singular section at n={n}", 0.0
-            )
+        if n <= stop:
+            ld = LogDet(float(log_abs[n - 1]), complex(phases[n - 1]) / abs(phases[n - 1]))
+        else:
+            ld = lu_logdet(toeplitz_section(a, n))
+            if ld.singular_flag:
+                raise numkernel.SingularMatrixError(
+                    f"singular section at n={n}", 0.0
+                )
         d_n = cmath.exp(ld.log_abs - n * c0.real) * ld.phase * cmath.exp(
             -1j * n * c0.imag
         )
         entries.append((n, d_n))
-    return _build_report(entries, constant.value)
+    report = _build_report(entries, constant.value)
+    return StrongSzegoReport(
+        report.rows,
+        report.predicted,
+        report.limit_estimate,
+        geometric_mean=complex(np.exp(c0)),
+        tail_bound=constant.tail_bound,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +447,6 @@ def _symbol_of(A) -> TrigPolynomial:
     raise MethodError(f"no symbol for {type(A).__name__}")
 
 
-def _band_vectors(band: BandAPOperator, m: int) -> dict[int, np.ndarray]:
-    """Section over 0..m-1 in diagonal storage: offset d -> vector v with
-    v[j] = entry(j+d, j) on the valid column range and 0 outside it."""
-    vectors: dict[int, np.ndarray] = {}
-    for d, f in band.diagonals.items():
-        if abs(d) >= m:
-            continue
-        v = np.zeros(m, dtype=np.complex128)
-        cols = np.arange(max(0, -d), m - max(0, d))
-        v[cols] = np.atleast_1d(np.asarray(f(cols), dtype=np.complex128))
-        vectors[d] = v
-    return vectors
-
-
 def _band_matmul(
     a: dict[int, np.ndarray], b: dict[int, np.ndarray], m: int
 ) -> dict[int, np.ndarray]:
@@ -448,7 +474,7 @@ def _band_matmul(
 def _poly_band_diagonal(band: BandAPOperator, m: int, coeffs: np.ndarray) -> np.ndarray:
     """Main diagonal of p(section) using banded products; the k-th power of a
     bandwidth-w section has bandwidth k*w, so the cost stays linear in m."""
-    base = _band_vectors(band, m)
+    base = band_diagonals(band, m)
     diag = np.full(m, coeffs[0], dtype=np.complex128)
     power = None
     for k in range(1, len(coeffs)):
@@ -594,20 +620,26 @@ class Cluster:
 
 
 def cluster_partial_limits(values: Sequence[complex], gap: float = 1e-6) -> tuple[Cluster, ...]:
-    """Group accumulation values of a ratio sequence, deterministic greedy
-    clustering with the given gap threshold."""
+    """Group accumulation values of a ratio sequence on the complex distance.
+
+    Values are visited in (real, imag) order; each joins the group with the
+    nearest center when that center lies within ``gap`` and opens a new group
+    otherwise.  Groups are returned ordered by center.
+    """
     pts = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
     groups: list[list[complex]] = []
+    centers: list[complex] = []
     for v in pts:
-        if groups:
-            center = sum(groups[-1]) / len(groups[-1])
-            if abs(v - center) <= gap:
-                groups[-1].append(v)
+        if centers:
+            dist, i = min((abs(v - c), i) for i, c in enumerate(centers))
+            if dist <= gap:
+                groups[i].append(v)
+                centers[i] = sum(groups[i]) / len(groups[i])
                 continue
         groups.append([v])
+        centers.append(v)
     out = []
-    for grp in groups:
-        center = sum(grp) / len(grp)
+    for grp, center in zip(groups, centers):
         radius = max(abs(v - center) for v in grp)
         out.append(Cluster(center, radius, len(grp)))
-    return tuple(out)
+    return tuple(sorted(out, key=lambda c: (c.center.real, c.center.imag)))

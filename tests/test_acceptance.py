@@ -53,9 +53,7 @@ def test_criterion_01_first_szego_ratio():
     target = (2 + math.sqrt(3)) / 2
     sizes = [4, 8, 16, 32, 64, 128]
     start = time.perf_counter()
-    rep = det_ratio_sequence(
-        lambda n: toeplitz_section(TWO_PLUS_COS, n), sizes, target
-    )
+    rep = det_ratio_sequence(TWO_PLUS_COS, sizes, target)
     elapsed = time.perf_counter() - start
     resid = abs(rep.rows[-1].empirical - target)
     ok = resid <= 1e-6 and elapsed < 2.0
@@ -85,9 +83,7 @@ def test_criterion_03_cramer_cross_check():
     band = as_band_operator(TWO_PLUS_COS)
     worst = 0.0
     for n in (8, 32, 128):
-        rep = det_ratio_sequence(
-            lambda k: toeplitz_section(TWO_PLUS_COS, k), [n], None
-        )
+        rep = det_ratio_sequence(TWO_PLUS_COS, [n], None)
         beta = det_ratio_via_cramer(band, n)
         worst = max(worst, abs(beta * rep.rows[0].empirical - 1.0))
     ok = worst <= 1e-9
@@ -98,9 +94,7 @@ def test_criterion_04_partial_limit_set():
     up = APFunction([(0.0, 0.5), (0.5, 0.5)])
     down = APFunction([(0.0, 0.5), (0.5, -0.5)])
     op = BandAPOperator({0: APFunction.constant(2.0), 1: up, -1: down}, "Z")
-    rep = det_ratio_sequence(
-        lambda n: band_ap_section(op, "P", n), list(range(1, 17))
-    )
+    rep = det_ratio_sequence(op, list(range(1, 17)))
     clusters = cluster_partial_limits(rep.empirical_values())
     centers = sorted(c.center.real for c in clusters)
     radius = max(c.radius for c in clusters)

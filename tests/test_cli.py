@@ -86,6 +86,34 @@ def test_invalid_configs_field_paths(tmp_path):
         assert field in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"g": {"kind": "power", "k": True}}, "g.k"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"g": {"kind": "poly", "coeffs": [0.0, 1.0], "domain": "disk"}}, "g.domain"),
+        ({"g": {"kind": "poly", "coeffs": [0.0, "x"]}}, "g.coeffs[1]"),
+        ({"distinguished": {"rational": [1, 2, 3], "length": 3}}, "distinguished.rational"),
+        ({"symbol": {"a": [1.0, 0.0]}}, "symbol.a"),
+        ({"distinguished": {"alpha": 0.5, "length": 5}}, "distinguished.alpha"),
+        ({"predicted": ["a", "b"]}, "predicted"),
+        (
+            {"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": [1]}},
+            "operator",
+        ),
+        ({"experiment": "mathieu-dist", "alpha": True, "lambda": 1.0}, "alpha"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, overrides, field):
+    cfg = ratio_config(tmp_path, experiment="singular-dist", g={"kind": "power", "k": 2})
+    cfg.update(overrides)
+    assert main(["validate", write_config(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+    assert "Traceback" not in err
+
+
 def test_failing_tolerance_exit_code(tmp_path):
     cfg_path = write_config(
         tmp_path, "cfg.json", ratio_config(tmp_path, tolerance=1e-30)
@@ -120,6 +148,15 @@ def test_cf_expand_rational(tmp_path):
     assert lines[2].startswith("2,2,2,5,")
     summary = json.loads((tmp_path / "cf.json").read_text())
     assert summary["terminated"] == "rational"
+    assert summary["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("alpha", [2 / 9, 3 / 8, 5 / 16, (math.sqrt(5) - 1) / 2])
+def test_cf_expand_verdict_passes(tmp_path, alpha):
+    # a terminating expansion meets its last interior bound with equality
+    cfg = {"experiment": "cf-expand", "alpha": alpha, "output": str(tmp_path / "cf")}
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 0
+    summary = json.loads((tmp_path / "cf.json").read_text())
     assert summary["verdict"] == "pass"
 
 

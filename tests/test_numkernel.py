@@ -11,6 +11,7 @@ from szegolab.numkernel import (
     DimensionError,
     SingularMatrixError,
     SymmetryError,
+    band_lu_pivots,
     eigvals_general,
     eigvals_hermitian,
     lu_logdet,
@@ -174,3 +175,55 @@ def test_solve_roundtrip_well_conditioned():
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = solve(a, rhs)
         assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def _dense_from_diagonals(diagonals, n):
+    """Dense rows of the band matrix with entry (j+d, j) = diagonals[d][j]."""
+    rows = [[0] * n for _ in range(n)]
+    for d, v in diagonals.items():
+        for j in range(max(0, -d), n - max(0, d)):
+            rows[j + d][j] = v[j]
+    return rows
+
+
+def test_band_lu_pivots_exact_minor_ratios():
+    # lower bandwidth 2, upper bandwidth 1; pivot k = det A_{k+1} / det A_k
+    rng = np.random.default_rng(23)
+    n = 7
+    diagonals = {d: [int(x) for x in rng.integers(-2, 3, n)] for d in (-1, 1, 2)}
+    diagonals[0] = [6] * n
+    rows = _dense_from_diagonals(diagonals, n)
+    for d, v in diagonals.items():  # zero outside the valid column range
+        diagonals[d] = [v[j] if 0 <= j + d < n else 0 for j in range(n)]
+    pivots, stop = band_lu_pivots(
+        {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}, n
+    )
+    assert stop == n and len(pivots) == n
+    minors = [Fraction(1)] + [
+        exact_det([[Fraction(x) for x in r[:k]] for r in rows[:k]]) for k in range(1, n + 1)
+    ]
+    for k in range(n):
+        assert pivots[k] == pytest.approx(float(minors[k + 1] / minors[k]), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "diagonals, n, stop",
+    [
+        ({0: [0.0, 0.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 0),  # zero pivot
+        ({0: [0.05, 2.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 0),  # below 0.1 of its column
+        ({0: [0.2, 2.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 2),  # multiplier 5 <= 10
+        ({0: [1e-3, 1.0], -1: [0.0, 5.0]}, 2, 2),  # upper triangular: no column below
+        ({0: [1.0] * 5, 1: [1.0] * 4 + [0.0], -1: [0.0] + [1.0] * 4}, 5, 1),  # det A_2 = 0
+        ({}, 3, 0),  # zero matrix
+    ],
+)
+def test_band_lu_pivots_stop(diagonals, n, stop):
+    arrays = {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}
+    pivots, got = band_lu_pivots(arrays, n)
+    assert got == stop and len(pivots) == stop
+    dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
+    for k in range(stop):
+        ratio = lu_logdet(dense[: k + 1, : k + 1]).value / (
+            lu_logdet(dense[:k, :k]).value if k else 1.0
+        )
+        assert pivots[k] == pytest.approx(ratio, rel=1e-12)

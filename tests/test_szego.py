@@ -1,12 +1,17 @@
 """Determinant ratios, distribution means, predictions, probes."""
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from szegolab.almostperiodic import APFunction, distinguished_sequence
+from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, lu_logdet
 from szegolab.operators import (
     AlmostMathieuParams,
     APMultiplier,
@@ -16,6 +21,7 @@ from szegolab.operators import (
     almost_mathieu,
     as_band_operator,
     band_ap_section,
+    band_diagonals,
     toeplitz_section,
 )
 from szegolab.symbols import TrigPolynomial, geometric_mean, strong_szego_constant
@@ -90,18 +96,14 @@ def test_testfunction_nonfinite_output():
 
 def test_det_ratio_constant_symbol():
     c = 3.5 - 1.0j
-    rep = det_ratio_sequence(
-        lambda n: toeplitz_section(TrigPolynomial.constant(c), n), [2, 3, 4], c
-    )
+    rep = det_ratio_sequence(TrigPolynomial.constant(c), [2, 3, 4], c)
     for row in rep.rows:
         assert row.empirical == pytest.approx(c, abs=1e-12)
 
 
 def test_det_ratio_block_operator_two_partial_limits():
     op = block_periodic_operator()
-    rep = det_ratio_sequence(
-        lambda n: band_ap_section(op, "P", n), list(range(1, 17))
-    )
+    rep = det_ratio_sequence(op, list(range(1, 17)))
     clusters = cluster_partial_limits(rep.empirical_values())
     assert len(clusters) == 2
     centers = sorted(c.center.real for c in clusters)
@@ -111,16 +113,141 @@ def test_det_ratio_block_operator_two_partial_limits():
 
 
 def test_det_ratio_exp_cos_tends_to_one():
-    rep = det_ratio_sequence(
-        lambda n: toeplitz_section(EXP_COS, n), [64], 1.0
-    )
+    rep = det_ratio_sequence(EXP_COS, [64], 1.0)
     assert rep.rows[0].residual <= 1e-10
 
 
 def test_det_ratio_all_singular_raises():
     z = TrigPolynomial({1: 1.0})
     with pytest.raises(EmptyReportError):
-        det_ratio_sequence(lambda n: toeplitz_section(z, n), [2, 4, 8])
+        det_ratio_sequence(z, [2, 4, 8])
+
+
+def dense_ratio_route(op, sizes):
+    """Per-size pivoted dense LU of sections n and n-1: (rows, skipped) in the
+    form det_ratio_sequence reports them."""
+    band = as_band_operator(op)
+
+    def logdet(k):
+        return lu_logdet(band_ap_section(band, "P", k)) if k else LogDet(0.0, 1 + 0j)
+
+    rows, skipped = [], []
+    for n in sizes:
+        num, den = logdet(n), logdet(n - 1)
+        if num.singular_flag or den.singular_flag:
+            which = "n" if num.singular_flag else "n-1"
+            skipped.append((n, f"singular section at {which}"))
+            continue
+        rows.append((n, cmath.exp(num.log_abs - den.log_abs) * (num.phase / den.phase)))
+    return rows, tuple(skipped)
+
+
+def assert_matches_dense(rep, op, sizes, rel):
+    rows, skipped = dense_ratio_route(op, sizes)
+    assert rep.skipped == skipped
+    assert [r.n for r in rep.rows] == [n for n, _ in rows]
+    for r, (_, value) in zip(rep.rows, rows):
+        assert abs(r.empirical - value) <= rel * abs(value)
+
+
+def breakdown_step(op, n):
+    band = as_band_operator(op)
+    return band_lu_pivots(band_diagonals(band, n), n)[1]
+
+
+_coefficient = st.one_of(
+    st.integers(-2, 2).map(complex),
+    st.builds(
+        complex,
+        st.floats(-1, 1, allow_subnormal=False),
+        st.floats(-1, 1, allow_subnormal=False),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    coeffs=st.dictionaries(st.integers(-3, 3), _coefficient, min_size=1),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True).map(sorted),
+)
+def test_det_ratio_banded_sweep_matches_dense_route(coeffs, sizes):
+    # non-dominant symbols included: the banded pass stops at the first pivot
+    # that fails the kernel test and the dense route takes over from there
+    a = TrigPolynomial(coeffs)
+    rows, skipped = dense_ratio_route(a, sizes)
+    if not rows:
+        with pytest.raises(EmptyReportError):
+            det_ratio_sequence(a, sizes)
+        return
+    assert_matches_dense(det_ratio_sequence(a, sizes), a, sizes, 1e-11)
+
+
+def test_det_ratio_breakdown_at_step_two_skips_as_dense():
+    a = TrigPolynomial({0: 1.0, 1: 1.0, -1: 1.0})  # det T_n: 1, 0, -1, -1, 0, 1, ...
+    assert breakdown_step(a, 30) == 1
+    sizes = list(range(1, 31))
+    rep = det_ratio_sequence(a, sizes)
+    assert rep.skipped and rep.skipped[0] == (2, "singular section at n")
+    assert_matches_dense(rep, a, sizes, 1e-12)
+
+
+def test_det_ratio_breakdown_at_step_twelve_agrees_on_both_sides():
+    a = TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3})
+    assert breakdown_step(a, 40) == 11
+    sizes = list(range(1, 41))
+    rep = det_ratio_sequence(a, sizes)
+    assert_matches_dense(rep, a, sizes, 1e-11)
+    assert {r.n for r in rep.rows} >= {11, 12, 13}
+
+
+def _mp_det(op, n):
+    band = as_band_operator(op)
+    m = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(max(0, i - band.bandwidth), min(n, i + band.bandwidth + 1)):
+            m[i, j] = mpmath.mpc(band.entry(i, j))
+    return mpmath.det(m)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        TrigPolynomial({0: 3.0 - 1.0j, 1: 0.7 + 0.2j, -1: -0.4j, 2: 0.5, -3: 0.25}),
+        TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3}),  # pivot test fails at n = 12
+        almost_mathieu(AlmostMathieuParams(GOLDEN, 2.5, 0.3)),
+    ],
+)
+def test_det_ratio_mpmath_oracle(op):
+    sizes = list(range(1, 13))
+    rep = det_ratio_sequence(op, sizes)
+    with mpmath.workdps(40):
+        dets = [mpmath.mpf(1)] + [_mp_det(op, n) for n in sizes]
+        for r in rep.rows:
+            exact = complex(dets[r.n] / dets[r.n - 1])
+            assert abs(r.empirical - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "coeffs, sizes",
+    [
+        ({0: 3.0 - 1.0j, 1: 0.7 + 0.2j, -1: -0.4j, 2: 0.5, -3: 0.25}, list(range(1, 13))),
+        ({0: 1.0, 1: 1.0, -1: 1.0}, [1, 3, 4]),  # det T_2 = 0: dense LU from n = 2 on
+    ],
+)
+def test_strong_szego_ratio_mpmath_oracle(coeffs, sizes):
+    a = TrigPolynomial(coeffs)
+    g = geometric_mean(a)
+    rep = strong_szego_ratio(a, sizes)
+    assert rep.geometric_mean == g
+    with mpmath.workdps(40):
+        for r in rep.rows:
+            exact = complex(_mp_det(a, r.n) / mpmath.mpc(g) ** r.n)
+            assert abs(r.empirical - exact) <= 1e-12 * abs(exact)
+
+
+def test_strong_szego_ratio_singular_section_raises():
+    with pytest.raises(SingularMatrixError):
+        strong_szego_ratio(TrigPolynomial({0: 1.0, 1: 1.0, -1: 1.0}), [1, 2, 3])
 
 
 def test_det_ratio_via_cramer_examples():
@@ -132,9 +259,7 @@ def test_det_ratio_via_cramer_examples():
 
 
 def test_cramer_cross_method_consistency():
-    rep = det_ratio_sequence(
-        lambda n: toeplitz_section(TWO_PLUS_COS, n), [32], geometric_mean(TWO_PLUS_COS)
-    )
+    rep = det_ratio_sequence(TWO_PLUS_COS, [32], geometric_mean(TWO_PLUS_COS))
     beta = det_ratio_via_cramer(as_band_operator(TWO_PLUS_COS), 32)
     assert abs(beta * rep.rows[0].empirical - 1.0) <= 1e-9
 
@@ -371,8 +496,8 @@ def test_scaling_invariance():
     op = almost_mathieu(AlmostMathieuParams(0.4142, 1.5, 0.1))
     c = 2.3 - 1.1j
     scaled = op.scaled(c)
-    base = det_ratio_sequence(lambda n: band_ap_section(op, "P", n), [4, 8, 16])
-    big = det_ratio_sequence(lambda n: band_ap_section(scaled, "P", n), [4, 8, 16])
+    base = det_ratio_sequence(op, [4, 8, 16])
+    big = det_ratio_sequence(scaled, [4, 8, 16])
     for x, y in zip(base.empirical_values(), big.empirical_values()):
         assert y == pytest.approx(c * x, rel=1e-10)
     shifted = op + BandAPOperator({0: APFunction.constant(-5.0)}, "Z")
@@ -388,3 +513,13 @@ def test_cluster_partial_limits():
     single = cluster_partial_limits([1.0, 1.0 + 1e-8])
     assert len(single) == 1 and single[0].count == 2
     assert isinstance(single[0], Cluster)
+
+
+def test_cluster_partial_limits_interleaved_complex():
+    # lexicographic order alternates between the two limits 1 + i and 1 - i
+    values = [1 + 1j, 1 + 1e-9 - 1j, 1 + 2e-9 + 1j, 1 + 3e-9 - 1j]
+    clusters = sorted(cluster_partial_limits(values), key=lambda c: c.center.imag)
+    assert [c.count for c in clusters] == [2, 2]
+    assert clusters[0].center == pytest.approx(1 - 1j, abs=1e-8)
+    assert clusters[1].center == pytest.approx(1 + 1j, abs=1e-8)
+    assert max(c.radius for c in clusters) <= 1e-8

@@ -221,8 +221,9 @@ def expand_cf(alpha: float, max_terms: int = 32, q_cap: int = DEFAULT_Q_CAP) -> 
     """Floor-and-invert continued fraction expansion of alpha in (0, 1).
 
     Stops at ``max_terms`` quotients, when a denominator would exceed
-    ``q_cap``, or when the residual drops below the rational-detection
-    threshold; the stop reason is recorded, never silent.
+    ``q_cap``, or as ``"rational"`` when the residual drops below the
+    rational-detection threshold or the convergent reproduces alpha; the stop
+    reason is recorded, never silent.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -232,11 +233,17 @@ def expand_cf(alpha: float, max_terms: int = 32, q_cap: int = DEFAULT_Q_CAP) -> 
     convergents: list[tuple[int, int]] = []
     p_prev, p_curr = 1, 0  # p_0 = 0 with p_{-1} = 1
     q_prev, q_curr = 0, 1  # q_0 = 1 with q_{-1} = 0
-    x = float(alpha)
+    x = target = float(alpha)
     terminated = "max-terms"
     for _ in range(max_terms):
         inv = 1.0 / x
         b = int(math.floor(inv))
+        # float noise can leave 1/x just below the last quotient of a rational,
+        # so the nearest integer is tried as that quotient first
+        last = round(inv)
+        exact = (last * p_curr + p_prev) / (last * q_curr + q_prev) == target
+        if exact:
+            b = last
         p_next = b * p_curr + p_prev
         q_next = b * q_curr + q_prev
         if q_next > q_cap:
@@ -248,7 +255,7 @@ def expand_cf(alpha: float, max_terms: int = 32, q_cap: int = DEFAULT_Q_CAP) -> 
         q_prev, q_curr = q_curr, q_next
         residual = inv - b
         # threshold scaled by the reciprocal: division noise grows with 1/x
-        if residual < RATIONAL_RESIDUAL * max(1.0, inv):
+        if exact or residual < RATIONAL_RESIDUAL * max(1.0, inv):
             terminated = "rational"
             break
         x = residual

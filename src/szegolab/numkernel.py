@@ -2,11 +2,12 @@
 
 Log-scaled determinants, linear solves, eigenvalues and singular values of
 dense complex matrices, plus the pivots of a band matrix factored without
-row swaps.  Everything downstream (section determinants, spectral
-distribution means, stability probes) sits on these operations.  All
-arithmetic is 64-bit floating point; dense determinants are only ever
-exposed in log-magnitude/phase form because section determinants grow
-geometrically with the section size.
+row swaps (compiled LAPACK band LU, with an elimination loop in Python from
+the first row swap LAPACK makes).  Everything downstream (section
+determinants, spectral distribution means, stability probes) sits on these
+operations.  All arithmetic is 64-bit floating point; dense determinants are
+only ever exposed in log-magnitude/phase form because section determinants
+grow geometrically with the section size.
 """
 
 from __future__ import annotations
@@ -176,6 +177,43 @@ def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndar
     fails the test, n when none does, and ``pivots`` holds the ``stop``
     accepted pivots.  A pivot fails when it is below PIVOT_UNDERFLOW or below
     PIVOT_THRESHOLD times the largest entry of its column in the active window.
+
+    The band is factored once by LAPACK's partially pivoted band LU
+    (``zgbtrf``).  Up to its first row swap that factorization is the one
+    without swaps, and a step it does not swap has cabs1(pivot) >= cabs1 of
+    every entry below in its computed column, where cabs1(z) = |Re z| + |Im z|
+    lies in [|z|, sqrt(2) |z|]; so |pivot| is at least 1/sqrt(2) of the
+    column's largest entry and passes the threshold test.  Only the underflow
+    test is left to apply there.  When LAPACK swaps a row before any pivot
+    underflows, ``_band_lu_loop`` redoes the sweep with the threshold test.
+    """
+    p = max(0, max(diagonals, default=0))
+    q = max(0, -min(diagonals, default=0))
+    # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take fill
+    ab = np.zeros((2 * p + q + 1, n), dtype=np.complex128, order="F")
+    for d, v in diagonals.items():
+        ab[p + q + d] = v
+    lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, p, q, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"zgbtrf rejected argument {-info}")
+    swaps = np.flatnonzero(ipiv != np.arange(n))
+    unswapped = int(swaps[0]) if swaps.size else n
+    pivots = lu[p + q, :unswapped]
+    failed = np.flatnonzero(~(np.abs(pivots) >= PIVOT_UNDERFLOW))  # also NaN
+    if failed.size:
+        stop = int(failed[0])
+        return pivots[:stop].copy(), stop
+    if unswapped < n:
+        return _band_lu_loop(diagonals, n)
+    return pivots.copy(), n
+
+
+def _band_lu_loop(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:
+    """band_lu_pivots by elimination in Python, one step per pivot.
+
+    Each step gathers the (p+1) x (q+1) active window, applies the pivot
+    test and makes the rank-1 update.  It is the only code with the
+    PIVOT_THRESHOLD test, so it runs for bands on which LAPACK swaps rows.
     """
     p = max(0, max(diagonals, default=0))
     q = max(0, -min(diagonals, default=0))

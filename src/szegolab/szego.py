@@ -405,12 +405,11 @@ def strong_szego_ratio(
 
 def eigen_sample(matrix: DenseMatrix) -> SpectrumSample:
     """Eigenvalues of a section; Hermitian input takes the self-adjoint path."""
-    arr = np.asarray(matrix)
-    if arr.size and float(np.max(np.abs(arr - arr.conj().T))) <= numkernel.HERMITIAN_TOL:
+    try:
         vals = numkernel.eigvals_hermitian(matrix)
-    else:
+    except numkernel.SymmetryError:
         vals = numkernel.eigvals_general(matrix)
-    return SpectrumSample(arr.shape[0], vals, "eigen")
+    return SpectrumSample(len(vals), vals, "eigen")
 
 
 def singular_sample(matrix: DenseMatrix) -> SpectrumSample:
@@ -629,15 +628,18 @@ def cluster_partial_limits(values: Sequence[complex], gap: float = 1e-6) -> tupl
     pts = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
     groups: list[list[complex]] = []
     centers: list[complex] = []
+    totals: list[complex] = []  # running sum(group), started from 0 as sum() is
     for v in pts:
         if centers:
             dist, i = min((abs(v - c), i) for i, c in enumerate(centers))
             if dist <= gap:
                 groups[i].append(v)
-                centers[i] = sum(groups[i]) / len(groups[i])
+                totals[i] += v
+                centers[i] = totals[i] / len(groups[i])
                 continue
         groups.append([v])
         centers.append(v)
+        totals.append(0 + v)
     out = []
     for grp, center in zip(groups, centers):
         radius = max(abs(v - center) for v in grp)

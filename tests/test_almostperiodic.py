@@ -30,6 +30,32 @@ def test_expand_cf_rational():
     assert cf.terminated == "rational"
 
 
+@pytest.mark.parametrize(
+    "p, q, quotients",
+    [
+        (3, 8, (2, 1, 2)),
+        (5, 16, (3, 5)),
+        (3, 10, (3, 3)),
+        (5, 11, (2, 5)),
+        (7, 12, (1, 1, 2, 2)),
+        (5, 13, (2, 1, 1, 2)),
+    ],
+)
+def test_expand_cf_exact_rationals(p, q, quotients):
+    # float noise leaves 1/x just off the last quotient; the convergent decides
+    cf = expand_cf(p / q)
+    assert cf.quotients == quotients
+    assert cf.convergents[-1] == (p, q)
+    assert cf.terminated == "rational"
+
+
+def test_expand_cf_quadratic_irrationals_at_default_cap():
+    golden = expand_cf(GOLDEN)
+    assert golden.quotients == (1,) * 29 and golden.terminated == "q-cap"
+    pell = expand_cf(math.sqrt(2) - 1)
+    assert pell.quotients == (2,) * 15 and pell.terminated == "q-cap"
+
+
 def test_expand_cf_golden_fibonacci():
     cf = expand_cf(GOLDEN, 16)
     assert cf.quotients[:10] == (1,) * 10

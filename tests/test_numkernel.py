@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from szegolab import numkernel
 from szegolab.numkernel import (
     DenseMatrix,
     DimensionError,
+    LogDet,
     SingularMatrixError,
     SymmetryError,
+    _band_lu_loop,
     band_lu_pivots,
     eigvals_general,
     eigvals_hermitian,
@@ -227,3 +230,91 @@ def test_band_lu_pivots_stop(diagonals, n, stop):
             lu_logdet(dense[:k, :k]).value if k else 1.0
         )
         assert pivots[k] == pytest.approx(ratio, rel=1e-12)
+
+
+def _random_band(seed, n, p, q, diagonal):
+    """Band with entries of |re|, |im| <= 0.5 and ``diagonal`` added on offset 0."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(n)
+    diagonals = {}
+    for d in range(-q, p + 1):
+        v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        v[(j + d < 0) | (j + d >= n)] = 0
+        diagonals[d] = v
+    diagonals[0] = diagonals[0] + diagonal
+    return diagonals
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Count the runs of the Python elimination loop behind band_lu_pivots."""
+    calls = []
+
+    def counted(diagonals, n):
+        calls.append(n)
+        return _band_lu_loop(diagonals, n)
+
+    monkeypatch.setattr(numkernel, "_band_lu_loop", counted)
+    return calls
+
+
+def test_band_lu_pivots_keeps_complex_pivot_below_column_max(loop_calls):
+    # |0.7+0.7i| = 0.99 < 1.2 below it, but |re| + |im| = 1.4 >= 1.2: LAPACK
+    # keeps the pivot, and 0.99 >= 0.1 * 1.2 passes the threshold test too
+    diagonals = {0: [0.7 + 0.7j, 2], 1: [1.2, 0], -1: [0, 1]}
+    arrays = {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}
+    pivots, stop = band_lu_pivots(arrays, 2)
+    assert stop == 2 and loop_calls == []
+    a00 = 0.7 + 0.7j
+    assert pivots[0] == a00
+    assert pivots[1] == pytest.approx((a00 * 2 - 1.2 * 1) / a00, rel=1e-15)
+
+
+def test_band_lu_pivots_blocked_lapack_route(loop_calls):
+    # LAPACK factors blockwise when kl >= 32 and ku > 64 (block size 32 from
+    # the reference ILAENV for xGBTRF)
+    n, p, q = 160, 40, 66
+    diagonals = _random_band(5, n, p, q, 2.0 * (p + q + 1))
+    ref, ref_stop = _band_lu_loop(diagonals, n)
+    pivots, stop = band_lu_pivots(diagonals, n)
+    assert stop == ref_stop == n and loop_calls == []
+    np.testing.assert_allclose(pivots, ref, rtol=1e-12)
+    dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
+    logdets = [LogDet(0.0, 1 + 0j)] + [lu_logdet(dense[:k, :k]) for k in range(1, n + 1)]
+    ratios = [
+        math.exp(b.log_abs - a.log_abs) * b.phase / a.phase for a, b in zip(logdets, logdets[1:])
+    ]
+    np.testing.assert_allclose(pivots, ratios, rtol=1e-10)
+
+
+def _set_entries(diagonals, k, value, offsets=(0,)):
+    """Copy of ``diagonals`` with entry k of each listed offset set to value."""
+    out = {d: v.copy() for d, v in diagonals.items()}
+    for d in offsets:
+        out[d][k] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "diagonals, n, stop, loop_runs",
+    [
+        # small pivot late in a dominant band: LAPACK swaps, the loop stops there
+        (_set_entries(_random_band(7, 60, 2, 2, 6.0), 45, 1e-3), 60, 45, 1),
+        # the same in the blocked factorization
+        (_set_entries(_random_band(8, 150, 33, 65, 200.0), 120, 1e-3), 150, 120, 1),
+        # zero column: an exact zero pivot without a swap ends the LAPACK route
+        (_set_entries(_random_band(9, 50, 2, 2, 6.0), 30, 0, range(-2, 3)), 50, 30, 0),
+        # p = 0: upper triangular, no elimination, a small pivot passes
+        (_set_entries(_random_band(10, 20, 0, 3, 0.0), 5, 1e-3), 20, 20, 0),
+        # q = 0: lower triangular, the small pivot is swapped and then fails
+        (_set_entries(_random_band(11, 20, 3, 0, 4.0), 5, 1e-3), 20, 5, 1),
+        ({0: np.array([3 + 1j])}, 1, 1, 0),
+        ({0: np.array([0j])}, 1, 0, 0),
+    ],
+)
+def test_band_lu_pivots_matches_loop(diagonals, n, stop, loop_runs, loop_calls):
+    ref, ref_stop = _band_lu_loop(diagonals, n)
+    pivots, got = band_lu_pivots(diagonals, n)
+    assert got == ref_stop == stop and len(pivots) == stop
+    np.testing.assert_allclose(pivots, ref, rtol=1e-12)
+    assert len(loop_calls) == loop_runs

@@ -523,3 +523,44 @@ def test_cluster_partial_limits_interleaved_complex():
     assert clusters[0].center == pytest.approx(1 - 1j, abs=1e-8)
     assert clusters[1].center == pytest.approx(1 + 1j, abs=1e-8)
     assert max(c.radius for c in clusters) <= 1e-8
+
+
+def _cluster_quadratic(values, gap=1e-6):
+    """Reference: cluster_partial_limits re-summing a group on every join."""
+    pts = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    groups, centers = [], []
+    for v in pts:
+        if centers:
+            dist, i = min((abs(v - c), i) for i, c in enumerate(centers))
+            if dist <= gap:
+                groups[i].append(v)
+                centers[i] = sum(groups[i]) / len(groups[i])
+                continue
+        groups.append([v])
+        centers.append(v)
+    out = []
+    for grp, center in zip(groups, centers):
+        radius = max(abs(v - center) for v in grp)
+        out.append(Cluster(center, radius, len(grp)))
+    return tuple(sorted(out, key=lambda c: (c.center.real, c.center.imag)))
+
+
+def _cluster_bits(clusters):
+    return [
+        (c.center.real.hex(), c.center.imag.hex(), c.radius.hex(), c.count) for c in clusters
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_partial_limits_matches_quadratic_reference(seed):
+    rng = np.random.default_rng(seed)
+    limits = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    picks = limits[rng.integers(0, 4, 300)]
+    values = list(picks + 1e-7 * (rng.standard_normal(300) + 1j * rng.standard_normal(300)))
+    # real limits with -0.0 imaginary parts, and the interleaved 1 +- i pair
+    values += [complex(x, -0.0) for x in (-0.0, 0.0, 2.5, 2.5 + 1e-9, -1e-9)]
+    values += [1 + 1j, 1 + 1e-9 - 1j, 1 + 2e-9 + 1j, 1 + 3e-9 - 1j]
+    rng.shuffle(values)
+    got = cluster_partial_limits(values)
+    assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values))
+    assert sum(c.count for c in got) == len(values)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,97 @@ from szegolab.cli import (
     validate_config,
 )
 from szegolab.szego import ReportRow, SzegoReport
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_ALPHA = (math.sqrt(5) - 1) / 2
+TWO_PLUS_COS = {"0": [2.0, 0.0], "1": [0.5, 0.0], "-1": [0.5, 0.0]}
+X2 = {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}
+
+# One small config per experiment kind (plus the eigen-dist twin of the
+# mathieu-dist config); tests/golden holds the CSV and JSON each one wrote.
+GOLDEN_CONFIGS = {
+    "szego-ratio": {
+        "experiment": "szego-ratio",
+        "symbol": TWO_PLUS_COS,
+        "n_range": {"kind": "geometric", "start": 1, "stop": 32},
+    },
+    "strong-szego": {
+        "experiment": "strong-szego",
+        "symbol": {"0": [3.0, 0.0], "1": [1.0, 0.5], "-1": [0.5, 0.0], "2": [0.25, 0.0]},
+        "n_range": [2, 5, 9, 17, 32],
+        "tolerance": 1e-3,
+    },
+    "eigen-dist-toeplitz": {
+        "experiment": "eigen-dist",
+        "operator": {"kind": "toeplitz", "symbol": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}},
+        "g": X2,
+        "n_range": [4, 16, 32],
+        "tolerance": 0.1,
+    },
+    "eigen-dist-band-ap": {
+        "experiment": "eigen-dist",
+        "operator": {
+            "kind": "band-ap",
+            "diagonals": {
+                "0": [
+                    {"freq": 0.0, "re": 1.0, "im": 0.0},
+                    {"freq": 0.3, "re": 0.25, "im": 0.0},
+                    {"freq": 0.7, "re": 0.25, "im": 0.0},
+                ],
+                "1": [{"freq": 0.0, "re": 1.0, "im": 0.0}],
+                "-1": [{"freq": 0.0, "re": 1.0, "im": 0.0}],
+            },
+        },
+        "g": {"kind": "named", "name": "exp"},
+        "n_range": {"kind": "geometric", "start": 2, "stop": 32},
+        "prediction": {"m": 40, "window": 10},
+        "tolerance": 0.5,
+    },
+    "mathieu-dist": {
+        "experiment": "mathieu-dist",
+        "alpha": GOLDEN_ALPHA,
+        "lambda": 1.5,
+        "theta": 0.3,
+        "g": X2,
+        "distinguished": {"length": 7},
+        "tolerance": 0.2,
+    },
+    "eigen-dist-almost-mathieu": {
+        "experiment": "eigen-dist",
+        "operator": {"kind": "almost-mathieu", "alpha": GOLDEN_ALPHA, "lambda": 1.5, "theta": 0.3},
+        "g": X2,
+        "distinguished": {"alpha": GOLDEN_ALPHA, "length": 7},
+        "tolerance": 0.2,
+    },
+    "singular-dist": {
+        "experiment": "singular-dist",
+        "symbol": {"0": [1.0, 0.0], "1": [1.0, 0.0]},
+        "g": {"kind": "power", "k": 4},
+        "n_range": [3, 8, 32],
+        "tolerance": 0.5,
+    },
+    "cf-expand": {"experiment": "cf-expand", "alpha": math.sqrt(2) - 1, "max_terms": 12},
+    "folner": {
+        "experiment": "folner",
+        "operator": {
+            "kind": "composite",
+            "products": [
+                [
+                    {"kind": "toeplitz", "symbol": {"-1": [1.0, 0.0], "0": [0.5, 0.0]}},
+                    {"kind": "ap-multiplier", "terms": [{"freq": GOLDEN_ALPHA, "re": 1.0, "im": 0.0}]},
+                    {"kind": "toeplitz", "symbol": {"1": [1.0, 0.0]}},
+                ]
+            ],
+        },
+        "n_range": [4, 16, 32],
+        "tolerance": 0.5,
+    },
+    "stability": {
+        "experiment": "stability",
+        "operator": {"kind": "almost-mathieu", "alpha": GOLDEN_ALPHA, "lambda": 3.0},
+        "n_range": [2, 4, 8, 16, 32],
+    },
+}
 
 
 def write_config(tmp_path, name, cfg):
@@ -32,6 +124,24 @@ def ratio_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_artifacts(tmp_path, name):
+    cfg = dict(GOLDEN_CONFIGS[name], output=str(tmp_path / name))
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 0
+    for ext in ("csv", "json"):
+        written = (tmp_path / f"{name}.{ext}").read_bytes()
+        assert written == (GOLDEN_DIR / f"{name}.{ext}").read_bytes(), ext
+
+
+def test_mathieu_dist_is_eigen_dist_over_almost_mathieu():
+    csv = (GOLDEN_DIR / "mathieu-dist.csv").read_bytes()
+    assert csv == (GOLDEN_DIR / "eigen-dist-almost-mathieu.csv").read_bytes()
+    mathieu = json.loads((GOLDEN_DIR / "mathieu-dist.json").read_text())
+    eigen = json.loads((GOLDEN_DIR / "eigen-dist-almost-mathieu.json").read_text())
+    assert mathieu.pop("sequence_source") == "cf-denominators"
+    assert mathieu == dict(eigen, experiment="mathieu-dist")
 
 
 def test_szego_ratio_run_and_artifacts(tmp_path):

@@ -23,7 +23,6 @@ from .symbols import (
     log_coefficients,
     strong_szego_constant,
     symbol_average,
-    winding_number,
 )
 from .almostperiodic import (
     APFunction,
@@ -47,7 +46,6 @@ from .operators import (
     band_ap_section,
     composite_sections,
     flip_section,
-    main_diagonal,
     reversed_section,
     toeplitz_section,
 )

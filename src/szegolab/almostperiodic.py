@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -342,30 +342,6 @@ def distinguished_sequence(freq_base, length: int) -> DistinguishedSequence:
             f"{len(values)} distinct denominators (terminated: {cf.terminated})"
         )
     return DistinguishedSequence(tuple(values), "cf-denominators")
-
-
-def common_base_frequency(freqs: Sequence[float], tol: float = 1e-9, max_multiple: int = 64):
-    """A base alpha such that every frequency is k*alpha mod 1 for integer k.
-
-    Candidates are the given frequencies and their mod-1 reflections; the
-    smallest workable candidate is returned.  Raises if the frequencies mix
-    rationally independent bases.
-    """
-    nonzero = sorted({float(f) % 1.0 for f in freqs} - {0.0})
-    if not nonzero:
-        raise ValueError("no nonzero frequencies to derive a base from")
-    candidates = sorted({f for g in nonzero for f in (g, 1.0 - g)})
-    multiples = [k for k in range(-max_multiple, max_multiple + 1) if k]
-    for cand in candidates:
-        if cand <= tol:
-            continue
-        ok = all(
-            any(_circle_distance(k * cand, g) <= tol for k in multiples)
-            for g in nonzero
-        )
-        if ok:
-            return cand
-    raise ValueError(f"frequencies {nonzero} share no common base (tol {tol})")
 
 
 def ap_to_json(a: APFunction) -> list:

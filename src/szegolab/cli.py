@@ -27,9 +27,7 @@ from .almostperiodic import (
     expand_cf,
 )
 from .operators import (
-    AlmostMathieuParams,
     CompositeOperator,
-    almost_mathieu,
     as_band_operator,
     band_ap_section,
     operator_from_json,
@@ -40,6 +38,7 @@ from .szego import (
     ReportRow,
     SzegoReport,
     TestFunction,
+    _build_report,
     cluster_partial_limits,
     det_ratio_sequence,
     eigen_mean,
@@ -265,14 +264,23 @@ def _parse_symbol(obj, path="symbol") -> TrigPolynomial:
     return symbol_from_json(obj)
 
 
-def _parse_operator(raw, path="operator"):
+def _check_almost_mathieu(obj, prefix):
+    """alpha, lambda and theta, where given, must be finite real numbers."""
+    for name in ("alpha", "lambda", "theta"):
+        if name in obj and not _is_number(obj[name]):
+            raise ConfigError(f"{prefix}{name}: must be a finite number")
+
+
+def _parse_operator(raw):
     obj = _require(raw, "operator")
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: must be an object")
+        raise ConfigError("operator: must be an object")
+    if obj.get("kind") == "almost-mathieu":
+        _check_almost_mathieu(obj, "operator.")
     try:
         return operator_from_json(obj)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"operator: {exc}") from exc
 
 
 def validate_config(raw) -> ExperimentConfig:
@@ -328,25 +336,23 @@ def validate_config(raw) -> ExperimentConfig:
         symbol = _parse_symbol(_require(raw, "symbol"))
         if not symbol.coeffs:
             raise ConfigError("symbol: must have at least one nonzero coefficient")
-        sizes, source = _parse_sizes(raw)
-    if kind == "singular-dist":
-        g = _parse_g(_require(raw, "g"))
-    if kind == "eigen-dist":
+    if kind in ("eigen-dist", "folner", "stability"):
         operator = _parse_operator(raw)
-        if isinstance(operator, CompositeOperator):
-            raise ConfigError("operator: eigen-dist needs a sectionable operator, not a composite")
-        g = _parse_g(_require(raw, "g"))
-        sizes, source = _parse_sizes(raw)
     if kind == "mathieu-dist":
-        alpha_v = _require(raw, "alpha")
-        lam = _require(raw, "lambda")
-        theta = raw.get("theta", 0.0)
-        for name, v in (("alpha", alpha_v), ("lambda", lam), ("theta", theta)):
-            if not _is_number(v):
-                raise ConfigError(f"{name}: must be a finite number")
-        operator = AlmostMathieuParams(float(alpha_v), float(lam), float(theta))
+        _require(raw, "alpha")
+        _require(raw, "lambda")
+        _check_almost_mathieu(raw, "")
+        operator = operator_from_json({**raw, "kind": "almost-mathieu"})
+    if kind in ("eigen-dist", "stability") and isinstance(operator, CompositeOperator):
+        raise ConfigError(f"operator: {kind} needs a sectionable operator, not a composite")
+    if kind == "folner" and not isinstance(operator, CompositeOperator):
+        raise ConfigError("operator: folner needs a composite operator")
+    if kind == "stability" and as_band_operator(operator).domain != "Z":
+        raise ConfigError(
+            "operator.domain: stability needs an operator over all integers ('Z')"
+        )
+    if kind in ("eigen-dist", "mathieu-dist", "singular-dist"):
         g = _parse_g(_require(raw, "g"))
-        sizes, source = _parse_sizes(raw, alpha_hint=float(alpha_v))
     if kind == "cf-expand":
         alpha = _require(raw, "alpha")
         if not _is_number(alpha) or not 0.0 < alpha < 1.0:
@@ -358,16 +364,23 @@ def validate_config(raw) -> ExperimentConfig:
         if not _is_int(q_cap) or q_cap < 1:
             raise ConfigError("q_cap: must be a positive integer")
         sizes = (1,)  # unused; CSV rows come from the expansion itself
-    if kind == "folner":
-        operator = _parse_operator(raw)
-        if not isinstance(operator, CompositeOperator):
-            raise ConfigError("operator: folner needs a composite operator")
-        sizes, source = _parse_sizes(raw)
-    if kind == "stability":
-        operator = _parse_operator(raw)
-        if isinstance(operator, CompositeOperator):
-            raise ConfigError("operator: stability needs a sectionable operator, not a composite")
-        sizes, source = _parse_sizes(raw)
+    else:
+        alpha_hint = float(raw["alpha"]) if kind == "mathieu-dist" else None
+        sizes, source = _parse_sizes(raw, alpha_hint)
+    if (
+        kind in ("eigen-dist", "mathieu-dist")
+        and predicted_override is None
+        and not isinstance(operator, TrigPolynomial)
+    ):
+        # the central window of the computed prediction must fit in its section
+        prediction_m = prediction_m or 4 * max(sizes)
+        if prediction_window is None and prediction_m < 2:
+            raise ConfigError("prediction.m: must be at least 2 to hold the default window m // 2")
+        if prediction_window is not None and 2 * prediction_window > prediction_m:
+            raise ConfigError(
+                f"prediction.window: window {prediction_window} does not fit centrally "
+                f"in m = {prediction_m} (needs 2 * window <= m)"
+            )
 
     return ExperimentConfig(
         kind=kind,
@@ -389,11 +402,6 @@ def validate_config(raw) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # experiment execution
-
-
-def _annotate(exc: Exception, n: int):
-    exc.args = (f"n={n}: {exc}",)
-    return exc
 
 
 def _run_szego_ratio(cfg: ExperimentConfig):
@@ -419,69 +427,53 @@ def _run_strong_szego(cfg: ExperimentConfig):
     return report, summary
 
 
-def _distribution_report(band, g, sizes, predicted) -> SzegoReport:
-    rows = []
+def _sweep(sizes, measure, predicted) -> SzegoReport:
+    """The per-size loop: measure(n) at every size against one prediction."""
+    entries = []
     for n in sizes:
         try:
-            sample = eigen_sample(band_ap_section(band, "P", n))
-            emp = eigen_mean(sample, g)
+            entries.append((n, measure(n)))
         except Exception as exc:  # carry the failing size with the error
-            raise _annotate(exc, n)
-        rows.append(ReportRow(n, emp, predicted, abs(emp - predicted)))
-    return SzegoReport(tuple(rows), predicted, rows[-1].empirical)
-
-
-def _resolve_prediction(cfg: ExperimentConfig, band) -> complex:
-    if cfg.predicted_override is not None:
-        return cfg.predicted_override
-    if isinstance(cfg.operator, TrigPolynomial):
-        return limit_prediction(
-            cfg.operator, cfg.g, "toeplitz-symbol", 0, cfg.prediction_window or 4096
-        )
-    m = cfg.prediction_m or 4 * max(cfg.sizes)
-    return limit_prediction(band, cfg.g, "diagonal-of-g", m, cfg.prediction_window)
+            exc.args = (f"n={n}: {exc}",)
+            raise
+    return _build_report(entries, predicted)
 
 
 def _run_eigen_dist(cfg: ExperimentConfig):
+    """eigen-dist, and mathieu-dist over the almost Mathieu operator."""
     band = as_band_operator(cfg.operator)
-    predicted = _resolve_prediction(cfg, band)
-    report = _distribution_report(band, cfg.g, cfg.sizes, predicted)
+    if cfg.predicted_override is not None:
+        predicted = cfg.predicted_override
+    elif isinstance(cfg.operator, TrigPolynomial):
+        predicted = limit_prediction(
+            cfg.operator, cfg.g, "toeplitz-symbol", 0, cfg.prediction_window or 4096
+        )
+    else:
+        predicted = limit_prediction(
+            band, cfg.g, "diagonal-of-g", cfg.prediction_m, cfg.prediction_window
+        )
+    report = _sweep(
+        cfg.sizes,
+        lambda n: eigen_mean(eigen_sample(band_ap_section(band, "P", n)), cfg.g),
+        predicted,
+    )
+    if cfg.kind == "mathieu-dist":
+        return report, {"sequence_source": cfg.sequence_source}
     return report, {}
 
 
-def _run_mathieu_dist(cfg: ExperimentConfig):
-    band = almost_mathieu(cfg.operator)
-    predicted = _resolve_prediction(cfg, band)
-    report = _distribution_report(band, cfg.g, cfg.sizes, predicted)
-    summary = {"sequence_source": cfg.sequence_source}
-    return report, summary
-
-
 def _run_singular_dist(cfg: ExperimentConfig):
-    moduli = np.abs(sample_circle(cfg.symbol, 4096))
-    predicted = complex(np.mean(cfg.g.apply(moduli)))
-    rows = []
-    for n in cfg.sizes:
-        try:
-            sample = singular_sample(toeplitz_section(cfg.symbol, n))
-            emp = complex(singular_mean(sample, cfg.g))
-        except Exception as exc:
-            raise _annotate(exc, n)
-        rows.append(ReportRow(n, emp, predicted, abs(emp - predicted)))
-    report = SzegoReport(tuple(rows), predicted, rows[-1].empirical)
+    predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, 4096))))
+    report = _sweep(
+        cfg.sizes,
+        lambda n: complex(singular_mean(singular_sample(toeplitz_section(cfg.symbol, n)), cfg.g)),
+        predicted,
+    )
     return report, {}
 
 
 def _run_folner(cfg: ExperimentConfig):
-    rows = []
-    for n in cfg.sizes:
-        try:
-            d = folner_discrepancy(cfg.operator, n)
-        except Exception as exc:
-            raise _annotate(exc, n)
-        rows.append(ReportRow(n, complex(d), 0j, d))
-    report = SzegoReport(tuple(rows), 0j, rows[-1].empirical)
-    return report, {}
+    return _sweep(cfg.sizes, lambda n: complex(folner_discrepancy(cfg.operator, n)), 0j), {}
 
 
 def _run_stability(cfg: ExperimentConfig):
@@ -534,7 +526,7 @@ _RUNNERS = {
     "szego-ratio": _run_szego_ratio,
     "strong-szego": _run_strong_szego,
     "eigen-dist": _run_eigen_dist,
-    "mathieu-dist": _run_mathieu_dist,
+    "mathieu-dist": _run_eigen_dist,
     "singular-dist": _run_singular_dist,
     "folner": _run_folner,
     "stability": _run_stability,

@@ -267,11 +267,6 @@ def reversed_section(A: BandAPOperator, n: int) -> DenseMatrix:
     )
 
 
-def main_diagonal(A: BandAPOperator) -> APFunction:
-    """The offset-0 almost periodic diagonal (zero function if absent)."""
-    return A.main_diagonal()
-
-
 def _factor_section(f: Factor, size: int) -> np.ndarray:
     if isinstance(f, ToeplitzFactor):
         return np.asarray(toeplitz_section(f.symbol, size))
@@ -313,14 +308,6 @@ def composite_sections(
     product_of_sections = _assemble(E, n)
     section_of_product = _assemble(E, m)[:n, :n]
     return DenseMatrix(product_of_sections), DenseMatrix(section_of_product)
-
-
-def section_to_csv(m: DenseMatrix) -> str:
-    """Matrix as CSV text, one complex entry per cell, for debugging."""
-    lines = []
-    for row in np.asarray(m):
-        lines.append(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-    return "\n".join(lines) + "\n"
 
 
 def operator_to_json(op) -> dict:

@@ -199,16 +199,6 @@ def _phase_increments(samples: np.ndarray) -> np.ndarray:
     return np.angle(ratios)
 
 
-def winding_number(a: TrigPolynomial, grid: int) -> int:
-    """Winding number of a around the origin from grid phase accumulation."""
-    samples = sample_circle(a, grid)
-    _check_zero_proximity(samples)
-    increments = _phase_increments(samples)
-    closing = float(np.angle(samples[0] / samples[-1]))
-    total = float(np.sum(increments)) + closing
-    return int(round(total / (2.0 * np.pi)))
-
-
 def _grid_coefficients(samples: np.ndarray, max_offset: int) -> dict[int, complex]:
     """DFT coefficients for |k| <= max_offset; conjugate symmetry is forced
     exactly when the samples are real."""

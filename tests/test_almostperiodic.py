@@ -11,7 +11,6 @@ from szegolab.almostperiodic import (
     ap_from_json,
     ap_to_json,
     check_approximation_bounds,
-    common_base_frequency,
     distinguished_sequence,
     empirical_mean,
     eval_ap,
@@ -202,14 +201,6 @@ def test_apfunction_arithmetic():
     b = a * 2.0
     assert mean_value(b) == pytest.approx(4.0)
     assert b.sup_bound == pytest.approx(2 * a.sup_bound)
-
-
-def test_common_base_frequency():
-    a = APFunction.cosine(1.0, GOLDEN, 0.3)
-    base = common_base_frequency(a.frequencies)
-    assert base == pytest.approx(min(GOLDEN, 1 - GOLDEN), abs=1e-9)
-    with pytest.raises(ValueError):
-        common_base_frequency([GOLDEN, 0.5 * math.sqrt(2)])
 
 
 def test_ap_json_roundtrip():

@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegolab.cli import (
     CSV_HEADER,
@@ -20,6 +22,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_ALPHA = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = {"0": [2.0, 0.0], "1": [0.5, 0.0], "-1": [0.5, 0.0]}
 X2 = {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}
+MATHIEU = {"kind": "almost-mathieu", "alpha": GOLDEN_ALPHA, "lambda": 1.0}
+ZPLUS_OPERATOR = {
+    "kind": "band-ap",
+    "domain": "Z+",
+    "diagonals": {"0": [{"freq": 0.0, "re": 1.0, "im": 0.0}]},
+}
 
 # One small config per experiment kind (plus the eigen-dist twin of the
 # mathieu-dist config); tests/golden holds the CSV and JSON each one wrote.
@@ -212,6 +220,16 @@ def test_invalid_configs_field_paths(tmp_path):
             "operator",
         ),
         ({"experiment": "mathieu-dist", "alpha": True, "lambda": 1.0}, "alpha"),
+        ({"experiment": "eigen-dist", "operator": {**MATHIEU, "lambda": True}}, "operator.lambda"),
+        ({"experiment": "eigen-dist", "operator": {**MATHIEU, "lambda": "0.5"}}, "operator.lambda"),
+        ({"experiment": "eigen-dist", "operator": {**MATHIEU, "theta": math.inf}}, "operator.theta"),
+        ({"experiment": "stability", "operator": {**MATHIEU, "lambda": math.inf}}, "operator.lambda"),
+        ({"experiment": "stability", "operator": ZPLUS_OPERATOR}, "operator.domain"),
+        (
+            {"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 16, "window": 12}},
+            "prediction.window",
+        ),
+        ({"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 1}}, "prediction.m"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -222,6 +240,36 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, overrides, fiel
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
+
+
+MISSING = object()
+FUZZ_POOL = (True, math.nan, math.inf, "0.5", [1.0], {"a": 1}, -3, MISSING)
+
+
+def _field_paths(obj, prefix=()):
+    """Every key (and list index) path in a config, nested ones included."""
+    for key, val in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _field_paths(val, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(GOLDEN_CONFIGS)), data=st.data())
+def test_validate_fuzzed_config_exits_0_or_2(tmp_path_factory, name, data):
+    cfg = json.loads(json.dumps(dict(GOLDEN_CONFIGS[name], output="out")))
+    path = data.draw(st.sampled_from(list(_field_paths(cfg))))
+    value = data.draw(st.sampled_from(FUZZ_POOL))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    cfg_path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["validate", str(cfg_path)]) in (0, 2)
 
 
 def test_failing_tolerance_exit_code(tmp_path):

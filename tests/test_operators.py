@@ -20,11 +20,9 @@ from szegolab.operators import (
     band_ap_section,
     composite_sections,
     flip_section,
-    main_diagonal,
     operator_from_json,
     operator_to_json,
     reversed_section,
-    section_to_csv,
     toeplitz_section,
     toeplitz_symbol,
 )
@@ -157,11 +155,11 @@ def test_reversed_section_determinant_matches():
 
 def test_main_diagonal():
     band = as_band_operator(TWO_PLUS_COS)
-    assert main_diagonal(band) == APFunction.constant(2.0)
+    assert band.main_diagonal() == APFunction.constant(2.0)
     op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.5, 0.2))
-    assert main_diagonal(op) == APFunction.cosine(1.5, GOLDEN, 0.2)
+    assert op.main_diagonal() == APFunction.cosine(1.5, GOLDEN, 0.2)
     combined = op + BandAPOperator({0: APFunction.constant(3.0)}, "Z")
-    assert main_diagonal(combined) == APFunction.cosine(1.5, GOLDEN, 0.2) + 3.0
+    assert combined.main_diagonal() == APFunction.cosine(1.5, GOLDEN, 0.2) + 3.0
 
 
 def test_composite_single_factor_identical():
@@ -234,12 +232,6 @@ def test_inverse_corner_reflection_identity():
         x = solve(toeplitz_section(TWO_PLUS_COS, n), e0)
         y = solve(toeplitz_section(TWO_PLUS_COS.reversed(), n), e0)
         assert abs(x[0] - y[0]) <= 1e-10
-
-
-def test_section_csv():
-    text = section_to_csv(toeplitz_section(TrigPolynomial({0: 1.0}), 2))
-    assert text.splitlines()[0].startswith("1")
-    assert len(text.splitlines()) == 2
 
 
 def test_operator_json_roundtrips():

@@ -17,7 +17,6 @@ from szegolab.symbols import (
     symbol_average,
     symbol_from_json,
     symbol_to_json,
-    winding_number,
 )
 from szegolab.szego import TestFunction
 
@@ -41,15 +40,17 @@ def test_evaluate_real_symbol_exactly_real():
 
 
 def test_winding_number_examples():
-    assert winding_number(TrigPolynomial({1: 1.0}), 256) == 1
-    assert winding_number(TWO_PLUS_COS, 256) == 0
-    assert winding_number(TrigPolynomial({-2: 1.0}), 256) == -2
+    # log_coefficients computes the winding number and names a nonzero one
+    for a, winding in ((TrigPolynomial({1: 1.0}), 1), (TrigPolynomial({-2: 1.0}), -2)):
+        with pytest.raises(BranchError, match=f"winding number {winding}$"):
+            log_coefficients(a, 256, 0)
+    log_coefficients(TWO_PLUS_COS, 256, 0)  # winding number 0: no BranchError
 
 
 def test_winding_zero_proximity():
     # |1 + e^{it}| vanishes at t = pi, which the even grid hits exactly
     with pytest.raises(ZeroProximityError):
-        winding_number(TrigPolynomial({0: 1.0, 1: 1.0}), 256)
+        log_coefficients(TrigPolynomial({0: 1.0, 1: 1.0}), 256, 0)
 
 
 def test_log_coefficients_exp_cos():

@@ -265,7 +265,10 @@ def _parse_symbol(obj, path="symbol") -> TrigPolynomial:
 
 
 def _check_almost_mathieu(obj, prefix):
-    """alpha, lambda and theta, where given, must be finite real numbers."""
+    """alpha and lambda are required; they and theta, where given, must be
+    finite real numbers."""
+    _require(obj, "alpha", prefix)
+    _require(obj, "lambda", prefix)
     for name in ("alpha", "lambda", "theta"):
         if name in obj and not _is_number(obj[name]):
             raise ConfigError(f"{prefix}{name}: must be a finite number")
@@ -301,6 +304,7 @@ def validate_config(raw) -> ExperimentConfig:
 
     symbol = None
     operator = None
+    mathieu = None  # the object holding almost Mathieu alpha/lambda/theta
     g = None
     alpha = None
     sizes: tuple[int, ...] = ()
@@ -338,9 +342,10 @@ def validate_config(raw) -> ExperimentConfig:
             raise ConfigError("symbol: must have at least one nonzero coefficient")
     if kind in ("eigen-dist", "folner", "stability"):
         operator = _parse_operator(raw)
+        if raw["operator"].get("kind") == "almost-mathieu":
+            mathieu = raw["operator"]
     if kind == "mathieu-dist":
-        _require(raw, "alpha")
-        _require(raw, "lambda")
+        mathieu = raw
         _check_almost_mathieu(raw, "")
         operator = operator_from_json({**raw, "kind": "almost-mathieu"})
     if kind in ("eigen-dist", "stability") and isinstance(operator, CompositeOperator):
@@ -365,7 +370,7 @@ def validate_config(raw) -> ExperimentConfig:
             raise ConfigError("q_cap: must be a positive integer")
         sizes = (1,)  # unused; CSV rows come from the expansion itself
     else:
-        alpha_hint = float(raw["alpha"]) if kind == "mathieu-dist" else None
+        alpha_hint = float(mathieu["alpha"]) if mathieu is not None else None
         sizes, source = _parse_sizes(raw, alpha_hint)
     if (
         kind in ("eigen-dist", "mathieu-dist")

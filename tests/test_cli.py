@@ -1,5 +1,6 @@
 """End-to-end runs of the experiment CLI."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -139,8 +140,27 @@ def test_golden_artifacts(tmp_path, name):
     cfg = dict(GOLDEN_CONFIGS[name], output=str(tmp_path / name))
     assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 0
     for ext in ("csv", "json"):
+        golden = GOLDEN_DIR / f"{name}.{ext}"
         written = (tmp_path / f"{name}.{ext}").read_bytes()
-        assert written == (GOLDEN_DIR / f"{name}.{ext}").read_bytes(), ext
+        if written != golden.read_bytes():
+            pytest.fail(_first_difference(golden, written), pytrace=False)
+
+
+def _first_difference(golden: Path, written: bytes) -> str:
+    """The golden file's name and its first line that the run wrote differently."""
+    pairs = itertools.zip_longest(
+        golden.read_bytes().splitlines(keepends=True),
+        written.splitlines(keepends=True),
+        fillvalue=b"<no line>",
+    )
+    for number, (want, got) in enumerate(pairs, 1):
+        if want != got:
+            break
+    return (
+        f"tests/golden/{golden.name} differs at line {number}:\n"
+        f"  golden:  {want.decode('ascii', 'replace')!r}\n"
+        f"  written: {got.decode('ascii', 'replace')!r}"
+    )
 
 
 def test_mathieu_dist_is_eigen_dist_over_almost_mathieu():
@@ -230,6 +250,8 @@ def test_invalid_configs_field_paths(tmp_path):
             "prediction.window",
         ),
         ({"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 1}}, "prediction.m"),
+        ({"experiment": "eigen-dist", "operator": {"kind": "almost-mathieu", "alpha": 0.5}}, "operator.lambda"),
+        ({"experiment": "stability", "operator": {"kind": "almost-mathieu", "lambda": 1.0}}, "operator.alpha"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -240,6 +262,19 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, overrides, fiel
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["eigen-dist", "stability"])
+def test_distinguished_sizes_fall_back_on_operator_alpha(kind):
+    # without distinguished.alpha the almost Mathieu operator's alpha sets
+    # the sizes, as mathieu-dist's top-level alpha does
+    twin = validate_config(dict(GOLDEN_CONFIGS["mathieu-dist"], output="out"))
+    cfg = dict(GOLDEN_CONFIGS["eigen-dist-almost-mathieu"], experiment=kind, output="out")
+    cfg["distinguished"] = {"length": 7}
+    assert validate_config(cfg).sizes == twin.sizes == (1, 2, 3, 5, 8, 13, 21)
+    cfg["operator"] = GOLDEN_CONFIGS["eigen-dist-band-ap"]["operator"]
+    with pytest.raises(ConfigError, match="^distinguished.alpha: missing"):
+        validate_config(cfg)
 
 
 MISSING = object()

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,9 +11,11 @@ from szegolab.symbols import (
     BranchError,
     TrigPolynomial,
     ZeroProximityError,
+    _tail_extrapolation,
     evaluate,
     geometric_mean,
     log_coefficients,
+    sample_circle,
     strong_szego_constant,
     symbol_average,
     symbol_from_json,
@@ -26,6 +29,21 @@ EXP_COS = TrigPolynomial.from_function(lambda t: np.exp(np.cos(t)), 24)
 # (1/2pi) int log(2+cos t) dt has the closed form log((2+sqrt 3)/2)
 LOG_MEAN_2COS = math.log((2 + math.sqrt(3)) / 2)
 
+# the symbol of the strong-szego golden config (tests/golden)
+GOLDEN_STRONG = {0: 3.0, 1: 1 + 0.5j, -1: 0.5, 2: 0.25}
+_RNG = np.random.default_rng(5)
+SAMPLED_SYMBOLS = {
+    "2+cos": TWO_PLUS_COS,
+    "exp-cos-24": EXP_COS,
+    "real-complex-coeffs": TrigPolynomial(
+        {0: 2.0, 3: 0.3 - 0.4j, -3: 0.3 + 0.4j, -11: 0.1j, 11: -0.1j}
+    ),
+    "golden-strong": TrigPolynomial(GOLDEN_STRONG),
+    "random-complex": TrigPolynomial(
+        {k: complex(*_RNG.normal(size=2)) for k in range(-7, 13)}
+    ),
+}
+
 
 def test_evaluate_examples():
     a = TrigPolynomial({1: 1.0, -1: 1.0})
@@ -37,6 +55,21 @@ def test_evaluate_examples():
 def test_evaluate_real_symbol_exactly_real():
     samples = evaluate(TWO_PLUS_COS, np.linspace(0, 6, 100))
     assert np.all(samples.imag == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 32, 33, 64, 1024, 8192])
+@pytest.mark.parametrize("name", sorted(SAMPLED_SYMBOLS))
+def test_sample_circle_matches_direct_sum(name, n):
+    # grids at or below twice the bandwidth (n = 4..33 here) fold offsets
+    # into the same bin; the direct sum is the oracle
+    a = SAMPLED_SYMBOLS[name]
+    samples = sample_circle(a, n)
+    direct = evaluate(a, 2.0 * np.pi * np.arange(n) / n)
+    scale = sum(abs(c) for c in a.coeffs.values())
+    assert samples.shape == (n,) and samples.dtype == np.complex128
+    assert np.max(np.abs(samples - direct)) <= 1e-13 * scale
+    if a.is_real_valued:
+        assert np.all(samples.imag == 0.0)
 
 
 def test_winding_number_examples():
@@ -103,6 +136,62 @@ def test_strong_szego_constant_examples():
     )
     value_d, _ = strong_szego_constant(double, 16)
     assert value_d == pytest.approx(math.exp(0.75), abs=1e-10)
+
+
+def test_golden_strong_szego_constants_mpmath_oracle():
+    # Wiener-Hopf closed forms at 30 digits: z a(z) = 0.25 prod (z - r), one
+    # root r0 inside the unit disk, so G[a] = 0.25 prod_{|r|>1} (-r) and
+    # E[a] = prod_{|r|>1} 1 / (1 - r0 / r)
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots(
+            [mpmath.mpf("0.25"), mpmath.mpc(1, 0.5), 3, mpmath.mpf("0.5")],
+            maxsteps=200, extraprec=60,
+        )
+        inner = [r for r in roots if abs(r) < 1]
+        outer = [r for r in roots if abs(r) > 1]
+        assert len(inner) == 1 and len(outer) == 2
+        g_exact = complex(mpmath.mpf("0.25") * mpmath.fprod(-r for r in outer))
+        e_exact = complex(mpmath.fprod(1 / (1 - inner[0] / r) for r in outer))
+    a = TrigPolynomial(GOLDEN_STRONG)
+    assert abs(geometric_mean(a) - g_exact) <= 1e-13
+    value, tail = strong_szego_constant(a, 256)
+    assert abs(value - e_exact) <= 1e-13
+    assert tail <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "a, truncation",
+    [
+        (TrigPolynomial({0: 4.0, 1: 1.0}), 16),  # analytic: (log a)_{-k} = 0
+        (TrigPolynomial({0: 4.0, 1: 1.0}), 256),
+        (TWO_PLUS_COS, 16),
+        (TrigPolynomial({0: 3.0, 1: 0.5j, -1: 0.25, -2: 0.1 - 0.2j}), 16),
+    ],
+)
+def test_strong_szego_tail_bound_ignores_rounding_noise(a, truncation):
+    # the pairs at k = 2K are rounding noise (1e-30 and below); a geometric
+    # rate fitted to noise used to give inf
+    assert strong_szego_constant(a, truncation).tail_bound <= 1e-12
+
+
+def test_strong_szego_tail_bound_resolved_slow_decay():
+    # (1 + 0.99z)(1 + 0.99/z): (log a)_{+-k} = (-1)^{k+1} 0.99^k / k, pairs
+    # near 1e-10 at k = 512; E[a] = 1 / (1 - 0.9801), of which the
+    # truncation at K = 256 leaves out the remainder sum_{k>256} 0.9801^k / k
+    a = TrigPolynomial({0: 1.9801, 1: 0.99, -1: 0.99})
+    value, tail = strong_szego_constant(a, 256)
+    remainder = sum(0.9801**k / k for k in range(257, 5000))
+    assert value == pytest.approx(math.exp(-remainder) / (1.0 - 0.9801), rel=1e-12)
+    assert 0.0 < tail < math.inf
+    assert tail == pytest.approx(remainder, rel=1e-3)
+
+
+def test_tail_extrapolation_flat_pairs_stay_infinite():
+    # resolved pairs (far above the floor) that do not decay leave an
+    # unbounded remainder
+    flat = np.full(32, 1e-3 + 0j)
+    assert _tail_extrapolation(flat, flat, floor=1e-15) == math.inf
+    assert _tail_extrapolation(flat, flat, floor=1e-3) == 0.0
 
 
 def test_symbol_average_examples():

@@ -316,6 +316,11 @@ def validate_config(raw) -> ExperimentConfig:
     q_cap = 10**6
 
     if "predicted" in raw:
+        if kind not in ("eigen-dist", "mathieu-dist"):
+            raise ConfigError(
+                f"predicted: {kind} computes its own prediction; only eigen-dist "
+                "and mathieu-dist take a pinned one"
+            )
         val = raw["predicted"]
         if _is_number(val):
             predicted_override = complex(val)
@@ -588,7 +593,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="szegolab",
         description="Finite-section determinant and distribution experiments.",
@@ -599,7 +604,14 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="validate a config without running it")
     p_val.add_argument("config", help="path to a JSON experiment config")
     sub.add_parser("list-experiments", help="list available experiment kinds")
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.command == "list-experiments":
         for kind in EXPERIMENTS:

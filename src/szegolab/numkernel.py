@@ -1,9 +1,10 @@
 """Complex linear algebra kernel.
 
 Log-scaled determinants, linear solves, eigenvalues and singular values of
-dense complex matrices, plus the pivots of a band matrix factored without
-row swaps (compiled LAPACK band LU, with an elimination loop in Python from
-the first row swap LAPACK makes).  Everything downstream (section
+dense complex matrices, and determinants of the leading sections of a band
+matrix, all from LAPACK's partially pivoted band LU (``zgbtrf``): one
+factorization gives the successive ratios up to its first row swap, one
+more per size each larger determinant.  Everything downstream (section
 determinants, spectral distribution means, stability probes) sits on these
 operations.  All arithmetic is 64-bit floating point; dense determinants are
 only ever exposed in log-magnitude/phase form because section determinants
@@ -46,13 +47,6 @@ PIVOT_UNDERFLOW = 1e-292
 
 # Entrywise tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-12
-
-# Threshold of the pivot test in band_lu_pivots: a pivot below this fraction
-# of the largest entry of its column in the active window fails.  Accepted
-# steps therefore have multipliers bounded by 1/PIVOT_THRESHOLD; a row of a
-# band matrix is updated by at most p earlier rows, so element growth without
-# row swaps stays below (1 + 1/PIVOT_THRESHOLD)^p whatever the matrix order.
-PIVOT_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -130,22 +124,25 @@ def _lu(a: np.ndarray):
         return scipy.linalg.lu_factor(a, check_finite=False)
 
 
+def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
+    """LogDet of a pivoted LU factorization from the diagonal of U and the
+    0-based row interchanges; a pivot below PIVOT_UNDERFLOW is singular."""
+    absd = np.abs(diag)
+    if float(absd.min()) < PIVOT_UNDERFLOW:
+        return LogDet(-math.inf, 0j, True)
+    log_abs = float(np.sum(np.log(absd)))
+    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
+    phase = complex(np.prod(diag / absd)) * (-1.0) ** swaps
+    return LogDet(log_abs, phase / abs(phase), False)
+
+
 def lu_logdet(m) -> LogDet:
     """Log-magnitude and phase of det(m) from a pivoted LU factorization."""
     a = _as_square_array(m)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return LogDet(0.0, 1 + 0j, False)
     lu, piv = _lu(a)
-    diag = np.diagonal(lu)
-    absd = np.abs(diag)
-    smallest = float(absd.min())
-    if smallest < PIVOT_UNDERFLOW:
-        return LogDet(-math.inf, 0j, True)
-    log_abs = float(np.sum(np.log(absd)))
-    swaps = int(np.count_nonzero(piv != np.arange(n)))
-    phase = complex(np.prod(diag / absd)) * (-1.0) ** swaps
-    return LogDet(log_abs, phase / abs(phase), False)
+    return _logdet_from_lu(np.diagonal(lu), piv)
 
 
 def solve(m, rhs) -> np.ndarray:
@@ -165,79 +162,53 @@ def solve(m, rhs) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
+def _band_lu(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of U and 0-based row interchanges of LAPACK's partially
+    pivoted band LU (``zgbtrf``) of the leading n x n section."""
+    p = max(0, max(diagonals, default=0))
+    q = max(0, -min(diagonals, default=0))
+    # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take
+    # fill.  zgbtrf never reads the slots j+d >= n outside the section.
+    ab = np.zeros((2 * p + q + 1, n), dtype=np.complex128, order="F")
+    for d, v in diagonals.items():
+        ab[p + q + d] = v[:n]
+    lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, p, q, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"zgbtrf rejected argument {-info}")
+    return lu[p + q], ipiv
+
+
+def band_logdet(diagonals: Mapping[int, np.ndarray], n: int) -> LogDet:
+    """det of the leading n x n section of a band matrix (``diagonals`` as in
+    `band_lu_pivots`, vectors of length >= n) from its band LU in O(n w^2);
+    sign and singular test as in `lu_logdet`."""
+    if n == 0:
+        return LogDet(0.0, 1 + 0j, False)
+    return _logdet_from_lu(*_band_lu(diagonals, n))
+
+
 def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:
     """Pivots of the LU factorization without row swaps of an n x n band matrix.
 
     ``diagonals`` maps offset d to a length-n vector v with v[j] = entry(j+d, j),
     zero where j+d falls outside 0..n-1.  Pivot k is det(A_{k+1}) / det(A_k)
     for the leading k x k sections A_k, so one pass yields every successive
-    determinant ratio.  Work is O(n p q) for lower and upper bandwidths p, q.
+    determinant ratio.
 
-    Returns (pivots, stop): ``stop`` is the first step (0-based) whose pivot
-    fails the test, n when none does, and ``pivots`` holds the ``stop``
-    accepted pivots.  A pivot fails when it is below PIVOT_UNDERFLOW or below
-    PIVOT_THRESHOLD times the largest entry of its column in the active window.
-
-    The band is factored once by LAPACK's partially pivoted band LU
-    (``zgbtrf``).  Up to its first row swap that factorization is the one
-    without swaps, and a step it does not swap has cabs1(pivot) >= cabs1 of
-    every entry below in its computed column, where cabs1(z) = |Re z| + |Im z|
-    lies in [|z|, sqrt(2) |z|]; so |pivot| is at least 1/sqrt(2) of the
-    column's largest entry and passes the threshold test.  Only the underflow
-    test is left to apply there.  When LAPACK swaps a row before any pivot
-    underflows, ``_band_lu_loop`` redoes the sweep with the threshold test.
+    Returns (pivots, stop): ``stop`` is the first row swap of LAPACK's
+    partially pivoted band LU (``zgbtrf``) or its first pivot below
+    PIVOT_UNDERFLOW (or NaN), n when neither occurs, and ``pivots`` holds the
+    ``stop`` pivots before it.  Up to its first swap that factorization is
+    the one without swaps, with |multiplier| <= sqrt(2): partial pivoting
+    keeps cabs1(pivot) = |Re| + |Im| >= cabs1 of every entry below.
     """
-    p = max(0, max(diagonals, default=0))
-    q = max(0, -min(diagonals, default=0))
-    # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take fill
-    ab = np.zeros((2 * p + q + 1, n), dtype=np.complex128, order="F")
-    for d, v in diagonals.items():
-        ab[p + q + d] = v
-    lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, p, q, overwrite_ab=True)
-    if info < 0:
-        raise ValueError(f"zgbtrf rejected argument {-info}")
+    diag, ipiv = _band_lu(diagonals, n)
     swaps = np.flatnonzero(ipiv != np.arange(n))
-    unswapped = int(swaps[0]) if swaps.size else n
-    pivots = lu[p + q, :unswapped]
-    failed = np.flatnonzero(~(np.abs(pivots) >= PIVOT_UNDERFLOW))  # also NaN
+    stop = int(swaps[0]) if swaps.size else n
+    failed = np.flatnonzero(~(np.abs(diag[:stop]) >= PIVOT_UNDERFLOW))  # also NaN
     if failed.size:
         stop = int(failed[0])
-        return pivots[:stop].copy(), stop
-    if unswapped < n:
-        return _band_lu_loop(diagonals, n)
-    return pivots.copy(), n
-
-
-def _band_lu_loop(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:
-    """band_lu_pivots by elimination in Python, one step per pivot.
-
-    Each step gathers the (p+1) x (q+1) active window, applies the pivot
-    test and makes the rank-1 update.  It is the only code with the
-    PIVOT_THRESHOLD test, so it runs for bands on which LAPACK swaps rows.
-    """
-    p = max(0, max(diagonals, default=0))
-    q = max(0, -min(diagonals, default=0))
-    width = n + max(p, q)  # zero padding keeps every window inside the array
-    ab = np.zeros((p + q + 1, width), dtype=np.complex128)
-    for d, v in diagonals.items():
-        ab[q + d, :n] = v
-    flat = ab.reshape(-1)
-    # entry (k+i, k+j) of the matrix sits at flat[window[i, j] + k]
-    i = np.arange(p + 1)[:, None]
-    j = np.arange(q + 1)[None, :]
-    window = (q + i - j) * width + j
-    trailing = window[1:, 1:]
-    pivots = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        block = flat[window + k]
-        pivot = block[0, 0]
-        limit = PIVOT_THRESHOLD * float(np.abs(block[:, 0]).max())
-        if not abs(pivot) >= max(PIVOT_UNDERFLOW, limit):  # also rejects NaN
-            return pivots[:k], k
-        pivots[k] = pivot
-        if p:
-            flat[trailing + k] = block[1:, 1:] - np.outer(block[1:, 0] / pivot, block[0, 1:])
-    return pivots, n
+    return diag[:stop].copy(), stop
 
 
 def eigvals_hermitian(m) -> np.ndarray:

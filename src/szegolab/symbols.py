@@ -33,7 +33,7 @@ LOG_COEFFICIENT_FLOOR = 16.0
 
 
 class ZeroProximityError(ValueError):
-    """Symbol passes too close to zero on the sampling grid."""
+    """Symbol passes too close to zero on or between the sampling grid points."""
 
 
 class BranchError(ValueError):
@@ -255,6 +255,11 @@ def _log_samples(a: TrigPolynomial, grid: int, max_offset: int) -> np.ndarray:
     _check_zero_proximity(samples)
     increments = _phase_increments(samples)
     closing = float(np.angle(samples[0] / samples[-1]))
+    # Unwrapping needs steps well below pi: a real symbol changing sign steps
+    # by +-pi, and two such steps of opposite signed zero cancel in the winding.
+    largest = max(float(np.abs(increments).max()), abs(closing))
+    if largest >= np.pi / 2:
+        raise ZeroProximityError(f"phase of a turns by {largest:.3e} rad between grid points")
     winding = int(round((float(np.sum(increments)) + closing) / (2.0 * np.pi)))
     if winding != 0:
         raise BranchError(
@@ -273,8 +278,9 @@ def log_coefficients(a: TrigPolynomial, grid: int, max_offset: int) -> LogSymbol
     """Fourier coefficients of the continuous branch of log a.
 
     Requires a power-of-two grid with grid >= 4*max_offset, no zeros of a on
-    the grid, and winding number 0 (otherwise there is no continuous branch).
-    The branch is fixed by unwrapping the argument along the grid.
+    the grid, a phase step below pi/2 between neighbouring grid points, and
+    winding number 0 (otherwise there is no continuous branch).  The branch
+    is fixed by unwrapping the argument along the grid.
     """
     logs = _log_samples(a, grid, max_offset)
     return LogSymbolData(_grid_coefficients(logs, max_offset), grid)

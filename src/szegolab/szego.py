@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import numkernel
-from .numkernel import DenseMatrix, LogDet, lu_logdet, solve
+from .numkernel import DenseMatrix, LogDet, solve
 from .almostperiodic import DistinguishedSequence
 from .operators import (
     BandAPOperator,
@@ -29,7 +29,6 @@ from .operators import (
     composite_sections,
     flip_section,
     reversed_section,
-    toeplitz_section,
     toeplitz_symbol,
 )
 from .symbols import TrigPolynomial, log_coefficients, strong_szego_constant, symbol_average, _default_grid
@@ -278,34 +277,26 @@ def det_ratio_sequence(
     """Ratios det(section n) / det(section n-1) over the size range.
 
     ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
-    the largest size gives every ratio as a pivot, up to the first pivot that
-    fails the kernel's pivot test.  From that size on each ratio comes from
-    pivoted dense LU of the two sections, as exp(difference of log
-    magnitudes) times the phase ratio; singular sections are recorded and
-    their ratios omitted.  Without an explicit prediction the final ratio
-    serves as the limit estimate.
+    the largest size gives every ratio as a pivot, up to the pass's first
+    row swap or zero pivot (`numkernel.band_lu_pivots`).  From that size on
+    each ratio comes from the band LU of the two sections, as
+    exp(difference of log magnitudes) times the phase ratio; singular
+    sections are recorded and their ratios omitted.  Without an explicit
+    prediction the final ratio serves as the limit estimate.
     """
     sizes = _validate_sizes(n_range)
-    band = as_band_operator(A)
     top = sizes[-1]
-    pivots, stop = numkernel.band_lu_pivots(band_diagonals(band, top), top)
+    diagonals = band_diagonals(as_band_operator(A), top)
+    pivots, stop = numkernel.band_lu_pivots(diagonals, top)
     entries: list[tuple[int, complex]] = []
     skipped: list[tuple[int, str]] = []
-    cache: dict[int, LogDet] = {}
-
-    def logdet_at(k: int) -> LogDet:
-        if k == 0:
-            return LogDet(0.0, 1 + 0j, False)
-        if k not in cache:
-            cache[k] = lu_logdet(band_ap_section(band, "P", k))
-        return cache[k]
-
+    needed = {k for n in sizes if n > stop for k in (n - 1, n)}
+    logdets = {k: numkernel.band_logdet(diagonals, k) for k in needed}
     for n in sizes:
         if n <= stop:
             entries.append((n, complex(pivots[n - 1])))
             continue
-        num = logdet_at(n)
-        den = logdet_at(n - 1)
+        num, den = logdets[n], logdets[n - 1]
         if num.singular_flag or den.singular_flag:
             which = "n" if num.singular_flag else "n-1"
             skipped.append((n, f"singular section at {which}"))
@@ -359,9 +350,9 @@ def strong_szego_ratio(
     """det T_n(a) / G[a]^n against the truncated constant E[a].
 
     log|det T_n| is the running sum of log|pivot| of one banded LU pass, and
-    its phase the running product of the pivot phases; from the first pivot
-    that fails the kernel's pivot test on, each determinant comes from
-    pivoted dense LU, and a singular section raises.
+    its phase the running product of the pivot phases; from the pass's first
+    row swap or zero pivot on, each determinant comes from the band LU of its
+    own section, and a singular section raises.
     """
     sizes = _validate_sizes(n_range)
     grid = _default_grid(a.bandwidth)
@@ -370,9 +361,8 @@ def strong_szego_ratio(
     c0 = log_coefficients(a, grid, 0).coefficient(0)
     constant = strong_szego_constant(a, truncation)
     top = sizes[-1]
-    pivots, stop = numkernel.band_lu_pivots(
-        band_diagonals(as_band_operator(a), top), top
-    )
+    diagonals = band_diagonals(as_band_operator(a), top)
+    pivots, stop = numkernel.band_lu_pivots(diagonals, top)
     log_abs = np.cumsum(np.log(np.abs(pivots)))
     phases = np.cumprod(pivots / np.abs(pivots))
     entries = []
@@ -380,7 +370,7 @@ def strong_szego_ratio(
         if n <= stop:
             ld = LogDet(float(log_abs[n - 1]), complex(phases[n - 1]) / abs(phases[n - 1]))
         else:
-            ld = lu_logdet(toeplitz_section(a, n))
+            ld = numkernel.band_logdet(diagonals, n)
             if ld.singular_flag:
                 raise numkernel.SingularMatrixError(
                     f"singular section at n={n}", 0.0

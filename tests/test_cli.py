@@ -252,6 +252,7 @@ def test_invalid_configs_field_paths(tmp_path):
         ({"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 1}}, "prediction.m"),
         ({"experiment": "eigen-dist", "operator": {"kind": "almost-mathieu", "alpha": 0.5}}, "operator.lambda"),
         ({"experiment": "stability", "operator": {"kind": "almost-mathieu", "lambda": 1.0}}, "operator.alpha"),
+        ({"predicted": [1.0, 0.0]}, "predicted"),  # singular-dist computes its own
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -319,6 +320,14 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["run", cfg_path]) == 1
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_symbol_with_zeros_on_circle_exits_1(tmp_path, capsys):
+    # 1 + 2 cos t vanishes at t = 2 pi / 3 and 4 pi / 3: G[a] does not exist
+    cfg = ratio_config(tmp_path, symbol={"0": [1.0, 0.0], "1": [1.0, 0.0], "-1": [1.0, 0.0]})
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 1
+    assert "between grid points" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("ratio.*"))  # nothing reported
 
 
 def test_list_experiments(capsys):

@@ -6,14 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from szegolab import numkernel
+from szegolab import TrigPolynomial, numkernel
 from szegolab.numkernel import (
     DenseMatrix,
     DimensionError,
     LogDet,
     SingularMatrixError,
     SymmetryError,
-    _band_lu_loop,
+    band_logdet,
     band_lu_pivots,
     eigvals_general,
     eigvals_hermitian,
@@ -21,6 +21,7 @@ from szegolab.numkernel import (
     singular_values,
     solve,
 )
+from szegolab.operators import as_band_operator, band_diagonals
 
 
 def exact_det(rows):
@@ -213,8 +214,8 @@ def test_band_lu_pivots_exact_minor_ratios():
     "diagonals, n, stop",
     [
         ({0: [0.0, 0.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 0),  # zero pivot
-        ({0: [0.05, 2.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 0),  # below 0.1 of its column
-        ({0: [0.2, 2.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 2),  # multiplier 5 <= 10
+        ({0: [0.05, 2.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 0),  # larger entry below: LAPACK swaps
+        ({0: [1.0, 2.0], 1: [1.0, 0.0], -1: [0.0, 1.0]}, 2, 2),  # equal entry below: no swap
         ({0: [1e-3, 1.0], -1: [0.0, 5.0]}, 2, 2),  # upper triangular: no column below
         ({0: [1.0] * 5, 1: [1.0] * 4 + [0.0], -1: [0.0] + [1.0] * 4}, 5, 1),  # det A_2 = 0
         ({}, 3, 0),  # zero matrix
@@ -245,46 +246,43 @@ def _random_band(seed, n, p, q, diagonal):
     return diagonals
 
 
-@pytest.fixture
-def loop_calls(monkeypatch):
-    """Count the runs of the Python elimination loop behind band_lu_pivots."""
-    calls = []
+def assert_matches_dense_sections(diagonals, n, pivots):
+    """band_logdet of every leading section and the pivots of band_lu_pivots
+    against lu_logdet of the dense sections; singular flags must agree."""
+    dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
+    prev = LogDet(0.0, 1 + 0j)
+    for k in range(1, n + 1):
+        ref, got = lu_logdet(dense[:k, :k]), band_logdet(diagonals, k)
+        assert got.singular_flag == ref.singular_flag, k
+        if not ref.singular_flag:
+            assert got.log_abs == pytest.approx(ref.log_abs, rel=1e-12, abs=1e-12)
+            assert got.phase == pytest.approx(ref.phase, abs=1e-10)
+        if k <= len(pivots):
+            ratio = math.exp(ref.log_abs - prev.log_abs) * ref.phase / prev.phase
+            assert pivots[k - 1] == pytest.approx(ratio, rel=1e-10)
+        prev = ref
 
-    def counted(diagonals, n):
-        calls.append(n)
-        return _band_lu_loop(diagonals, n)
 
-    monkeypatch.setattr(numkernel, "_band_lu_loop", counted)
-    return calls
-
-
-def test_band_lu_pivots_keeps_complex_pivot_below_column_max(loop_calls):
+def test_band_lu_pivots_keeps_complex_pivot_below_column_max():
     # |0.7+0.7i| = 0.99 < 1.2 below it, but |re| + |im| = 1.4 >= 1.2: LAPACK
-    # keeps the pivot, and 0.99 >= 0.1 * 1.2 passes the threshold test too
+    # keeps the pivot without a row swap, so the pass runs through
     diagonals = {0: [0.7 + 0.7j, 2], 1: [1.2, 0], -1: [0, 1]}
     arrays = {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}
     pivots, stop = band_lu_pivots(arrays, 2)
-    assert stop == 2 and loop_calls == []
+    assert stop == 2
     a00 = 0.7 + 0.7j
     assert pivots[0] == a00
     assert pivots[1] == pytest.approx((a00 * 2 - 1.2 * 1) / a00, rel=1e-15)
 
 
-def test_band_lu_pivots_blocked_lapack_route(loop_calls):
+def test_band_lu_pivots_blocked_lapack_route():
     # LAPACK factors blockwise when kl >= 32 and ku > 64 (block size 32 from
     # the reference ILAENV for xGBTRF)
     n, p, q = 160, 40, 66
     diagonals = _random_band(5, n, p, q, 2.0 * (p + q + 1))
-    ref, ref_stop = _band_lu_loop(diagonals, n)
     pivots, stop = band_lu_pivots(diagonals, n)
-    assert stop == ref_stop == n and loop_calls == []
-    np.testing.assert_allclose(pivots, ref, rtol=1e-12)
-    dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
-    logdets = [LogDet(0.0, 1 + 0j)] + [lu_logdet(dense[:k, :k]) for k in range(1, n + 1)]
-    ratios = [
-        math.exp(b.log_abs - a.log_abs) * b.phase / a.phase for a, b in zip(logdets, logdets[1:])
-    ]
-    np.testing.assert_allclose(pivots, ratios, rtol=1e-10)
+    assert stop == n
+    assert_matches_dense_sections(diagonals, n, pivots)
 
 
 def _set_entries(diagonals, k, value, offsets=(0,)):
@@ -295,26 +293,37 @@ def _set_entries(diagonals, k, value, offsets=(0,)):
     return out
 
 
+def _toeplitz_band(coeffs, n):
+    return band_diagonals(as_band_operator(TrigPolynomial(coeffs)), n)
+
+
 @pytest.mark.parametrize(
-    "diagonals, n, stop, loop_runs",
+    "diagonals, n, stop, swapped",
     [
-        # small pivot late in a dominant band: LAPACK swaps, the loop stops there
+        # small pivot late in a dominant band: LAPACK swaps there
         (_set_entries(_random_band(7, 60, 2, 2, 6.0), 45, 1e-3), 60, 45, 1),
         # the same in the blocked factorization
         (_set_entries(_random_band(8, 150, 33, 65, 200.0), 120, 1e-3), 150, 120, 1),
-        # zero column: an exact zero pivot without a swap ends the LAPACK route
+        # zero column: an exact zero pivot without a swap; sections 31.. singular
         (_set_entries(_random_band(9, 50, 2, 2, 6.0), 30, 0, range(-2, 3)), 50, 30, 0),
         # p = 0: upper triangular, no elimination, a small pivot passes
         (_set_entries(_random_band(10, 20, 0, 3, 0.0), 5, 1e-3), 20, 20, 0),
-        # q = 0: lower triangular, the small pivot is swapped and then fails
+        # q = 0: lower triangular, the small pivot is swapped
         (_set_entries(_random_band(11, 20, 3, 0, 4.0), 5, 1e-3), 20, 5, 1),
         ({0: np.array([3 + 1j])}, 1, 1, 0),
         ({0: np.array([0j])}, 1, 0, 0),
+        # 1 + 2 cos t: det T_n = 1, 0, -1, -1, 0, 1, ...; sections 2, 5, 8 singular
+        (_toeplitz_band({0: 1.0, 1: 1.0, -1: 1.0}, 9), 9, 1, 1),
+        # det T_2 = 1 - 2 * 0.5 = 0 exactly; the swap at step 0 comes first
+        (_toeplitz_band({0: 1.0, 1: 2.0, -1: 0.5, 2: -6.0, -2: -6.0}, 12), 12, 0, 1),
     ],
 )
-def test_band_lu_pivots_matches_loop(diagonals, n, stop, loop_runs, loop_calls):
-    ref, ref_stop = _band_lu_loop(diagonals, n)
+def test_band_lu_pivots_matches_loop(diagonals, n, stop, swapped):
+    # the pass stops at LAPACK's first row swap or first zero pivot; the
+    # sizes past it take band_logdet, checked on every leading section.
+    # ``swapped``: LAPACK swaps some row in factoring the n x n band
     pivots, got = band_lu_pivots(diagonals, n)
-    assert got == ref_stop == stop and len(pivots) == stop
-    np.testing.assert_allclose(pivots, ref, rtol=1e-12)
-    assert len(loop_calls) == loop_runs
+    assert got == stop and len(pivots) == stop
+    _, ipiv = numkernel._band_lu(diagonals, n)
+    assert bool(np.any(ipiv != np.arange(n))) == bool(swapped)
+    assert_matches_dense_sections(diagonals, n, pivots)

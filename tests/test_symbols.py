@@ -84,6 +84,9 @@ def test_winding_zero_proximity():
     # |1 + e^{it}| vanishes at t = pi, which the even grid hits exactly
     with pytest.raises(ZeroProximityError):
         log_coefficients(TrigPolynomial({0: 1.0, 1: 1.0}), 256, 0)
+    # 1 + 2 cos t changes sign between grid points: two phase steps of +-pi
+    with pytest.raises(ZeroProximityError, match="between grid points"):
+        geometric_mean(TrigPolynomial({0: 1.0, 1: 1.0, -1: 1.0}))
 
 
 def test_log_coefficients_exp_cos():

@@ -193,7 +193,7 @@ def test_det_ratio_breakdown_at_step_two_skips_as_dense():
 
 def test_det_ratio_breakdown_at_step_twelve_agrees_on_both_sides():
     a = TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3})
-    assert breakdown_step(a, 40) == 11
+    assert breakdown_step(a, 40) == 0
     sizes = list(range(1, 41))
     rep = det_ratio_sequence(a, sizes)
     assert_matches_dense(rep, a, sizes, 1e-11)
@@ -213,7 +213,7 @@ def _mp_det(op, n):
     "op",
     [
         TrigPolynomial({0: 3.0 - 1.0j, 1: 0.7 + 0.2j, -1: -0.4j, 2: 0.5, -3: 0.25}),
-        TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3}),  # pivot test fails at n = 12
+        TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3}),  # LAPACK swaps at step 0
         almost_mathieu(AlmostMathieuParams(GOLDEN, 2.5, 0.3)),
     ],
 )
@@ -231,7 +231,7 @@ def test_det_ratio_mpmath_oracle(op):
     "coeffs, sizes",
     [
         ({0: 3.0 - 1.0j, 1: 0.7 + 0.2j, -1: -0.4j, 2: 0.5, -3: 0.25}, list(range(1, 13))),
-        ({0: 1.0, 1: 1.0, -1: 1.0}, [1, 3, 4]),  # det T_2 = 0: dense LU from n = 2 on
+        ({1: 1.0, 0: -0.2, -1: -0.99}, list(range(1, 13))),  # LAPACK swaps at step 0
     ],
 )
 def test_strong_szego_ratio_mpmath_oracle(coeffs, sizes):
@@ -247,7 +247,8 @@ def test_strong_szego_ratio_mpmath_oracle(coeffs, sizes):
 
 def test_strong_szego_ratio_singular_section_raises():
     with pytest.raises(SingularMatrixError):
-        strong_szego_ratio(TrigPolynomial({0: 1.0, 1: 1.0, -1: 1.0}), [1, 2, 3])
+        # det T_2 = 1 - 2 * 0.5 = 0 exactly
+        strong_szego_ratio(TrigPolynomial({0: 1.0, 1: 2.0, -1: 0.5, 2: -6.0, -2: -6.0}), [1, 2, 3])
 
 
 def test_det_ratio_via_cramer_examples():

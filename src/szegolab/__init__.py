@@ -36,13 +36,10 @@ from .almostperiodic import (
     shift_defect,
 )
 from .operators import (
-    AlmostMathieuParams,
-    APMultiplier,
     BandAPOperator,
     CompositeOperator,
-    ProjectionP,
-    ToeplitzFactor,
     almost_mathieu,
+    as_band_operator,
     band_ap_section,
     composite_sections,
     flip_section,

@@ -81,7 +81,7 @@ class APFunction:
                 continue
             if _circle_distance(2.0 * f, 0.0) <= 2.0 * FREQ_TOL:
                 # self-paired frequency (0 or 1/2): coefficient must be real
-                if abs(c.imag) > FREQ_TOL * max(1.0, abs(c)):
+                if c.imag != 0.0:
                     return None
                 if f == 0.0:
                     const += c.real
@@ -109,16 +109,8 @@ class APFunction:
         return self._real_form is not None
 
     @property
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(f for f, _ in self.terms)
-
-    @property
     def sup_bound(self) -> float:
         return float(sum(abs(c) for _, c in self.terms))
-
-    @property
-    def is_constant(self) -> bool:
-        return all(f == 0.0 for f, _ in self.terms)
 
     def __call__(self, n):
         return eval_ap(self, n)
@@ -342,11 +334,6 @@ def distinguished_sequence(freq_base, length: int) -> DistinguishedSequence:
             f"{len(values)} distinct denominators (terminated: {cf.terminated})"
         )
     return DistinguishedSequence(tuple(values), "cf-denominators")
-
-
-def ap_to_json(a: APFunction) -> list:
-    """JSON form [{freq, re, im}]."""
-    return [{"freq": f, "re": c.real, "im": c.imag} for f, c in a.terms]
 
 
 def ap_from_json(obj) -> APFunction:

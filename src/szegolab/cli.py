@@ -27,13 +27,13 @@ from .almostperiodic import (
     expand_cf,
 )
 from .operators import (
+    BandAPOperator,
     CompositeOperator,
     as_band_operator,
     band_ap_section,
     operator_from_json,
-    toeplitz_section,
 )
-from .symbols import TrigPolynomial, geometric_mean, sample_circle, symbol_from_json
+from .symbols import TrigPolynomial, geometric_mean, sample_circle, symbol_average, symbol_from_json
 from .szego import (
     ReportRow,
     SzegoReport,
@@ -65,6 +65,10 @@ EXPERIMENTS = (
 CSV_HEADER = "n,empirical_re,empirical_im,predicted_re,predicted_im,residual,flags"
 
 CF_CSV_HEADER = "n,b_n,p_n,q_n,error_bound"
+
+# Circle points of the symbol averages that predict Toeplitz distribution
+# means (eigen-dist over a Toeplitz operator, singular-dist).
+SYMBOL_GRID = 4096
 
 
 class ConfigError(ValueError):
@@ -117,8 +121,8 @@ class ExperimentConfig:
     output: str
     tolerance: float
     sizes: tuple[int, ...]
-    symbol: TrigPolynomial | None = None
-    operator: object | None = None
+    symbol: TrigPolynomial | None = None  # the symbol of a Toeplitz operator
+    operator: BandAPOperator | CompositeOperator | None = None
     g: TestFunction | None = None
     alpha: float | None = None
     max_terms: int = 32
@@ -349,6 +353,10 @@ def validate_config(raw) -> ExperimentConfig:
         operator = _parse_operator(raw)
         if raw["operator"].get("kind") == "almost-mathieu":
             mathieu = raw["operator"]
+        if isinstance(operator, TrigPolynomial):
+            symbol = operator
+    if symbol is not None and kind != "strong-szego":  # strong_szego_ratio takes the symbol
+        operator = as_band_operator(symbol)
     if kind == "mathieu-dist":
         mathieu = raw
         _check_almost_mathieu(raw, "")
@@ -357,7 +365,7 @@ def validate_config(raw) -> ExperimentConfig:
         raise ConfigError(f"operator: {kind} needs a sectionable operator, not a composite")
     if kind == "folner" and not isinstance(operator, CompositeOperator):
         raise ConfigError("operator: folner needs a composite operator")
-    if kind == "stability" and as_band_operator(operator).domain != "Z":
+    if kind == "stability" and operator.domain != "Z":
         raise ConfigError(
             "operator.domain: stability needs an operator over all integers ('Z')"
         )
@@ -377,10 +385,15 @@ def validate_config(raw) -> ExperimentConfig:
     else:
         alpha_hint = float(mathieu["alpha"]) if mathieu is not None else None
         sizes, source = _parse_sizes(raw, alpha_hint)
+    if kind == "eigen-dist" and symbol is not None and "prediction" in raw:
+        raise ConfigError(
+            "prediction: a Toeplitz operator is predicted by the circle average "
+            "of g over its symbol, which takes no m or window"
+        )
     if (
         kind in ("eigen-dist", "mathieu-dist")
         and predicted_override is None
-        and not isinstance(operator, TrigPolynomial)
+        and symbol is None
     ):
         # the central window of the computed prediction must fit in its section
         prediction_m = prediction_m or 4 * max(sizes)
@@ -416,7 +429,7 @@ def validate_config(raw) -> ExperimentConfig:
 
 def _run_szego_ratio(cfg: ExperimentConfig):
     predicted = geometric_mean(cfg.symbol)
-    report = det_ratio_sequence(cfg.symbol, cfg.sizes, predicted)
+    report = det_ratio_sequence(cfg.operator, cfg.sizes, predicted)
     clusters = cluster_partial_limits(report.empirical_values())
     summary = {
         "clusters": [
@@ -451,20 +464,17 @@ def _sweep(sizes, measure, predicted) -> SzegoReport:
 
 def _run_eigen_dist(cfg: ExperimentConfig):
     """eigen-dist, and mathieu-dist over the almost Mathieu operator."""
-    band = as_band_operator(cfg.operator)
     if cfg.predicted_override is not None:
         predicted = cfg.predicted_override
-    elif isinstance(cfg.operator, TrigPolynomial):
-        predicted = limit_prediction(
-            cfg.operator, cfg.g, "toeplitz-symbol", 0, cfg.prediction_window or 4096
-        )
+    elif cfg.symbol is not None:
+        predicted = symbol_average(cfg.symbol, cfg.g, SYMBOL_GRID)
     else:
         predicted = limit_prediction(
-            band, cfg.g, "diagonal-of-g", cfg.prediction_m, cfg.prediction_window
+            cfg.operator, cfg.g, cfg.prediction_m, cfg.prediction_window
         )
     report = _sweep(
         cfg.sizes,
-        lambda n: eigen_mean(eigen_sample(band_ap_section(band, "P", n)), cfg.g),
+        lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, "P", n)), cfg.g),
         predicted,
     )
     if cfg.kind == "mathieu-dist":
@@ -473,10 +483,10 @@ def _run_eigen_dist(cfg: ExperimentConfig):
 
 
 def _run_singular_dist(cfg: ExperimentConfig):
-    predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, 4096))))
+    predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, SYMBOL_GRID))))
     report = _sweep(
         cfg.sizes,
-        lambda n: complex(singular_mean(singular_sample(toeplitz_section(cfg.symbol, n)), cfg.g)),
+        lambda n: complex(singular_mean(singular_sample(band_ap_section(cfg.operator, "P", n)), cfg.g)),
         predicted,
     )
     return report, {}
@@ -494,7 +504,7 @@ def _run_stability(cfg: ExperimentConfig):
         flags = "section" if r.sigma_min_section <= r.sigma_min_flip else "flip"
         shortfall = max(0.0, probe.margin - value)
         rows.append(ReportRow(r.n, complex(value), complex(probe.margin), shortfall, flags))
-    report = SzegoReport(tuple(rows), complex(probe.margin), rows[-1].empirical)
+    report = SzegoReport(tuple(rows), complex(probe.margin))
     summary = {
         "verdict": probe.verdict,
         "margin": probe.margin,

@@ -80,10 +80,6 @@ class DenseMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @classmethod
-    def from_rows(cls, rows) -> "DenseMatrix":
-        return cls(np.array(rows, dtype=np.complex128))
-
     def __array__(self, dtype=None, copy=None):
         if dtype is not None and dtype != self.data.dtype:
             return self.data.astype(dtype)  # astype already copies

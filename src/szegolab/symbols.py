@@ -343,26 +343,10 @@ def _tail_extrapolation(positive: np.ndarray, negative: np.ndarray, floor: float
     return p_last * (last * q / (1.0 - q) + q / (1.0 - q) ** 2)
 
 
-def _apply_test_function(g, values: np.ndarray) -> np.ndarray:
-    if hasattr(g, "apply"):
-        return g.apply(values)
-    try:
-        out = g(values)
-    except TypeError:
-        out = np.asarray([g(v) for v in values])
-    return np.asarray(out, dtype=np.complex128)
-
-
 def symbol_average(a: TrigPolynomial, g, grid: int) -> complex:
-    """(1/N) sum_j g(a(e^{2 pi i j / N})), the trapezoid circle average."""
-    samples = sample_circle(a, grid)
-    values = _apply_test_function(g, samples)
-    return complex(np.mean(values))
-
-
-def symbol_to_json(a: TrigPolynomial) -> dict:
-    """JSON form {offset: [re, im]} with string keys."""
-    return {str(k): [c.real, c.imag] for k, c in a.coeffs.items()}
+    """(1/N) sum_j g(a(e^{2 pi i j / N})), the trapezoid circle average of
+    the `TestFunction` g."""
+    return complex(np.mean(g.apply(sample_circle(a, grid))))
 
 
 def symbol_from_json(obj: Mapping) -> TrigPolynomial:

@@ -29,9 +29,8 @@ from .operators import (
     composite_sections,
     flip_section,
     reversed_section,
-    toeplitz_symbol,
 )
-from .symbols import TrigPolynomial, log_coefficients, strong_szego_constant, symbol_average, _default_grid
+from .symbols import TrigPolynomial, log_coefficients, strong_szego_constant, _default_grid
 
 
 class DomainError(ValueError):
@@ -43,7 +42,7 @@ class DomainError(ValueError):
 
 
 class MethodError(ValueError):
-    """Prediction method does not apply to the given operator."""
+    """Prediction route does not apply to the given operator or test function."""
 
 
 class WindowError(ValueError):
@@ -226,7 +225,6 @@ class SzegoReport:
 
     rows: tuple[ReportRow, ...]
     predicted: complex
-    limit_estimate: complex
     skipped: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
@@ -256,13 +254,12 @@ def _validate_sizes(n_range: Sequence[int]) -> list[int]:
 
 
 def _build_report(entries, predicted, skipped=()) -> SzegoReport:
-    values = [v for _, v in entries]
-    limit_estimate = values[-1]
-    pred = complex(predicted) if predicted is not None else limit_estimate
+    """Rows against ``predicted``; without one, against the last value."""
+    pred = complex(predicted) if predicted is not None else entries[-1][1]
     rows = tuple(
         ReportRow(n, v, pred, abs(v - pred)) for (n, v) in entries
     )
-    return SzegoReport(rows, pred, limit_estimate, tuple(skipped))
+    return SzegoReport(rows, pred, tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,6 @@ def strong_szego_ratio(
     return StrongSzegoReport(
         report.rows,
         report.predicted,
-        report.limit_estimate,
         geometric_mean=complex(np.exp(c0)),
         tail_bound=constant.tail_bound,
     )
@@ -424,16 +420,6 @@ def singular_mean(sample: SpectrumSample, g: TestFunction) -> float:
 
 # ---------------------------------------------------------------------------
 # limit predictions
-
-
-def _symbol_of(A) -> TrigPolynomial:
-    if isinstance(A, TrigPolynomial):
-        return A
-    if isinstance(A, CompositeOperator):
-        return A.symbol()
-    if isinstance(A, BandAPOperator):
-        return toeplitz_symbol(A)
-    raise MethodError(f"no symbol for {type(A).__name__}")
 
 
 def _band_matmul(
@@ -488,37 +474,30 @@ def _spectral_diagonal(section: np.ndarray, g: TestFunction) -> np.ndarray:
 def limit_prediction(
     A,
     g: TestFunction,
-    method: str,
     m: int,
     window: int | None = None,
 ) -> complex:
-    """Predicted distribution mean.
+    """Predicted distribution mean: the diagonal of g(A) averaged.
 
-    'toeplitz-symbol': the circle average of g over the composite symbol
-    (rejected when almost periodic multipliers are involved).
-    'diagonal-of-g': assemble the m-section, form g of it (matrix polynomial,
-    or spectral calculus on Hermitian input), and average the main diagonal
-    over a central window, discarding boundary effects.
+    Assembles the m-section, forms g of it (matrix polynomial, or spectral
+    calculus on Hermitian input), and averages the main diagonal over a
+    central window (default m // 2), discarding boundary effects.  For a
+    Toeplitz operator the circle average `symbols.symbol_average` of g over
+    its symbol is the same limit.
     """
-    if method == "toeplitz-symbol":
-        sym = _symbol_of(A)
-        grid = max(1024, window or 0)
-        return symbol_average(sym, g, grid)
-    if method == "diagonal-of-g":
-        band = as_band_operator(A)
-        if window is None:
-            window = m // 2
-        if window < 1 or m < 2 * window:
-            raise WindowError(
-                f"window {window} does not fit centrally in truncation {m}"
-            )
-        if g.is_x_polynomial:
-            diag = _poly_band_diagonal(band, m, g.x_coefficients())
-        else:
-            diag = _spectral_diagonal(np.asarray(band_ap_section(band, "P", m)), g)
-        start = (m - window) // 2
-        return complex(np.mean(diag[start : start + window]))
-    raise MethodError(f"unknown prediction method {method!r}")
+    band = as_band_operator(A)
+    if window is None:
+        window = m // 2
+    if window < 1 or m < 2 * window:
+        raise WindowError(
+            f"window {window} does not fit centrally in truncation {m}"
+        )
+    if g.is_x_polynomial:
+        diag = _poly_band_diagonal(band, m, g.x_coefficients())
+    else:
+        diag = _spectral_diagonal(np.asarray(band_ap_section(band, "P", m)), g)
+    start = (m - window) // 2
+    return complex(np.mean(diag[start : start + window]))
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,11 @@ def test_invalid_configs_field_paths(tmp_path):
         ({"experiment": "eigen-dist", "operator": {"kind": "almost-mathieu", "alpha": 0.5}}, "operator.lambda"),
         ({"experiment": "stability", "operator": {"kind": "almost-mathieu", "lambda": 1.0}}, "operator.alpha"),
         ({"predicted": [1.0, 0.0]}, "predicted"),  # singular-dist computes its own
+        (  # a Toeplitz operator's prediction is its symbol average: no m or window
+            {"experiment": "eigen-dist", "operator": {"kind": "toeplitz", "symbol": {"1": 1.0}},
+             "prediction": {"m": 64}},
+            "prediction",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

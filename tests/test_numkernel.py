@@ -318,7 +318,7 @@ def _toeplitz_band(coeffs, n):
         (_toeplitz_band({0: 1.0, 1: 2.0, -1: 0.5, 2: -6.0, -2: -6.0}, 12), 12, 0, 1),
     ],
 )
-def test_band_lu_pivots_matches_loop(diagonals, n, stop, swapped):
+def test_band_lu_pivots_matches_dense_lu_logdet(diagonals, n, stop, swapped):
     # the pass stops at LAPACK's first row swap or first zero pivot; the
     # sizes past it take band_logdet, checked on every leading section.
     # ``swapped``: LAPACK swaps some row in factoring the n x n band

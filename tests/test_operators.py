@@ -4,16 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from szegolab.almostperiodic import APFunction
 from szegolab.numkernel import lu_logdet, solve
 from szegolab.operators import (
-    AlmostMathieuParams,
-    APMultiplier,
     BandAPOperator,
     CompositeOperator,
-    ProjectionP,
-    ToeplitzFactor,
     TruncationError,
     almost_mathieu,
     as_band_operator,
@@ -21,10 +18,8 @@ from szegolab.operators import (
     composite_sections,
     flip_section,
     operator_from_json,
-    operator_to_json,
     reversed_section,
     toeplitz_section,
-    toeplitz_symbol,
 )
 from szegolab.symbols import TrigPolynomial
 
@@ -43,11 +38,16 @@ def test_toeplitz_section_examples():
 
 
 def test_band_section_matches_toeplitz_exactly():
-    band = as_band_operator(TWO_PLUS_COS)
-    for n in (1, 2, 5, 17):
-        assert np.array_equal(
-            band_ap_section(band, "P", n).data, toeplitz_section(TWO_PLUS_COS, n).data
-        )
+    # the band section of the constant-diagonal operator is, bit for bit, the
+    # Toeplitz matrix of the coefficients; a tiny imaginary part is kept
+    for symbol in (TWO_PLUS_COS, TrigPolynomial({0: 2.0, 1: 0.5 + 1e-13j, -1: 0.5})):
+        band = as_band_operator(symbol)
+        for n in (1, 2, 5, 17):
+            col = [symbol.coefficient(k) for k in range(n)]
+            row = [symbol.coefficient(-k) for k in range(n)]
+            expected = scipy.linalg.toeplitz(col, row)
+            assert np.array_equal(band_ap_section(band, "P", n).data, expected)
+            assert np.array_equal(toeplitz_section(symbol, n).data, expected)
 
 
 def test_band_section_diagonal_only():
@@ -59,7 +59,7 @@ def test_band_section_diagonal_only():
 
 def test_band_section_r_kind_almost_mathieu():
     alpha = 0.3
-    op = almost_mathieu(AlmostMathieuParams(alpha, 1.0, 0.0))
+    op = almost_mathieu(alpha, 1.0, 0.0)
     r1 = band_ap_section(op, "R", 1).data
     expected = np.array(
         [[math.cos(2 * math.pi * (-alpha)), 1.0], [1.0, 1.0]], dtype=complex
@@ -68,20 +68,18 @@ def test_band_section_r_kind_almost_mathieu():
 
 
 def test_almost_mathieu_lambda_zero_is_toeplitz():
-    op = almost_mathieu(AlmostMathieuParams(0.37, 0.0, 0.5))
-    assert set(op.diagonals) == {1, -1}
-    sym = toeplitz_symbol(op)
-    assert sym == TrigPolynomial({1: 1.0, -1: 1.0})
+    op = almost_mathieu(0.37, 0.0, 0.5)
+    assert op == as_band_operator(TrigPolynomial({1: 1.0, -1: 1.0}))
 
 
 def test_almost_mathieu_diagonal_entry():
-    op = almost_mathieu(AlmostMathieuParams(0.25, 2.0, 0.0))
+    op = almost_mathieu(0.25, 2.0, 0.0)
     assert abs(op.entry(5, 5)) <= 1e-15  # 2 cos(2 pi 5/4) = 0
 
 
 def test_almost_mathieu_flip_invariance_theta_zero():
     # even diagonal: the section over -n..n-1 is symmetric about index 0
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.3, 0.0))
+    op = almost_mathieu(GOLDEN, 1.3, 0.0)
     s = band_ap_section(op, "R", 6).data
     sub = s[1:, 1:]  # drop index -n so the index set is symmetric
     assert np.array_equal(sub, sub[::-1, ::-1])
@@ -90,7 +88,7 @@ def test_almost_mathieu_flip_invariance_theta_zero():
 def test_almost_mathieu_offset_flip_at_half_alpha():
     # the reversal about the -1/2 center holds when theta = alpha/2
     alpha = 0.3721
-    op = almost_mathieu(AlmostMathieuParams(alpha, 1.0, alpha / 2))
+    op = almost_mathieu(alpha, 1.0, alpha / 2)
     s = band_ap_section(op, "R", 5).data
     assert np.max(np.abs(s - s[::-1, ::-1])) <= 1e-14
 
@@ -112,7 +110,7 @@ def test_flip_section_diagonal_multiplier():
 
 def test_flip_section_mathieu_direct_formula():
     alpha, lam = 0.3721, 1.0
-    op = almost_mathieu(AlmostMathieuParams(alpha, lam, 0.0))
+    op = almost_mathieu(alpha, lam, 0.0)
     f = flip_section(op, 4).data
     for i in range(4):
         for j in range(4):
@@ -139,13 +137,13 @@ def test_reversed_section_persymmetry():
 
 
 def test_reversed_section_n1():
-    op = almost_mathieu(AlmostMathieuParams(0.3, 2.0, 0.1))
+    op = almost_mathieu(0.3, 2.0, 0.1)
     r = reversed_section(op, 1).data
     assert r[0, 0] == op.entry(0, 0)
 
 
 def test_reversed_section_determinant_matches():
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.0, 0.3))
+    op = almost_mathieu(GOLDEN, 1.0, 0.3)
     for n in (3, 8, 21):
         ld_p = lu_logdet(band_ap_section(op, "P", n))
         ld_w = lu_logdet(reversed_section(op, n))
@@ -156,14 +154,14 @@ def test_reversed_section_determinant_matches():
 def test_main_diagonal():
     band = as_band_operator(TWO_PLUS_COS)
     assert band.main_diagonal() == APFunction.constant(2.0)
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.5, 0.2))
+    op = almost_mathieu(GOLDEN, 1.5, 0.2)
     assert op.main_diagonal() == APFunction.cosine(1.5, GOLDEN, 0.2)
     combined = op + BandAPOperator({0: APFunction.constant(3.0)}, "Z")
     assert combined.main_diagonal() == APFunction.cosine(1.5, GOLDEN, 0.2) + 3.0
 
 
 def test_composite_single_factor_identical():
-    e = CompositeOperator.of(ToeplitzFactor(TWO_PLUS_COS))
+    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS))
     prod, crop = composite_sections(e, 5)
     assert np.array_equal(prod.data, crop.data)
 
@@ -171,7 +169,7 @@ def test_composite_single_factor_identical():
 def test_composite_shift_pair_corner_defect():
     z = TrigPolynomial({1: 1.0})
     zinv = TrigPolynomial({-1: 1.0})
-    e = CompositeOperator.of(ToeplitzFactor(zinv), ToeplitzFactor(z))
+    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
     prod, crop = composite_sections(e, 4)
     diff = prod.data - crop.data
     expected = np.zeros((4, 4), dtype=complex)
@@ -180,32 +178,45 @@ def test_composite_shift_pair_corner_defect():
 
 
 def test_composite_projections_identity():
-    e = CompositeOperator.of(ProjectionP(), ProjectionP())
+    e = operator_from_json({"kind": "composite", "products": [[{"kind": "projection"}] * 2]})
     prod, crop = composite_sections(e, 4)
     assert np.array_equal(prod.data, np.eye(4))
     assert np.array_equal(crop.data, np.eye(4))
 
 
 def test_composite_truncation_error():
-    e = CompositeOperator.of(ToeplitzFactor(TWO_PLUS_COS), ToeplitzFactor(TWO_PLUS_COS))
+    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS), as_band_operator(TWO_PLUS_COS))
     with pytest.raises(TruncationError):
         composite_sections(e, 8, m=8)
 
 
-def test_composite_symbol_rejects_ap_multiplier():
-    e = CompositeOperator.of(
-        ToeplitzFactor(TWO_PLUS_COS), APMultiplier(APFunction.cosine(1.0, GOLDEN))
+def _parsed_factor(factor):
+    (parsed,) = operator_from_json({"kind": "composite", "products": [[factor]]}).products[0]
+    return parsed
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_composite_factor_kinds_section_exactly(n):
+    # each JSON factor kind parses to a band operator whose section is, bit
+    # for bit, the matrix the factor stands for
+    symbol = {"0": [2.0, -0.5], "1": [0.5, 1e-13], "-1": [0.5, 0.0], "3": [0.0, -0.25]}
+    coeffs = {int(k): complex(*v) for k, v in symbol.items()}
+    toeplitz = _parsed_factor({"kind": "toeplitz", "symbol": symbol})
+    col = [coeffs.get(k, 0j) for k in range(n)]
+    row = [coeffs.get(-k, 0j) for k in range(n)]
+    assert np.array_equal(
+        band_ap_section(toeplitz, "P", n).data, scipy.linalg.toeplitz(col, row)
     )
-    with pytest.raises(ValueError):
-        e.symbol()
-
-
-def test_composite_symbol_product():
-    z = TrigPolynomial({1: 1.0})
-    zinv = TrigPolynomial({-1: 1.0})
-    e = CompositeOperator(((ToeplitzFactor(z), ToeplitzFactor(zinv)), ((ProjectionP(),))))
-    sym = e.symbol()
-    assert sym.coefficient(0) == pytest.approx(2.0)  # z * z^{-1} + 1
+    f = APFunction([(GOLDEN, 0.7 - 0.2j), (0.0, 1.5)])
+    multiplier = _parsed_factor(
+        {"kind": "ap-multiplier", "terms": [{"freq": GOLDEN, "re": 0.7, "im": -0.2},
+                                            {"freq": 0.0, "re": 1.5}]}
+    )
+    assert np.array_equal(
+        band_ap_section(multiplier, "P", n).data, np.diag(f(np.arange(n)))
+    )
+    projection = _parsed_factor({"kind": "projection"})
+    assert np.array_equal(band_ap_section(projection, "P", n).data, np.eye(n))
 
 
 def test_hermitian_sections_exact():
@@ -218,7 +229,7 @@ def test_hermitian_sections_exact():
             coeffs[-k] = c.conjugate()
         sec = toeplitz_section(TrigPolynomial(coeffs), 9).data
         assert np.array_equal(sec, sec.conj().T)
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.7, 0.3))
+    op = almost_mathieu(GOLDEN, 1.7, 0.3)
     for kind in ("P", "R"):
         s = band_ap_section(op, kind, 8).data
         assert np.array_equal(s, s.conj().T)
@@ -232,21 +243,3 @@ def test_inverse_corner_reflection_identity():
         x = solve(toeplitz_section(TWO_PLUS_COS, n), e0)
         y = solve(toeplitz_section(TWO_PLUS_COS.reversed(), n), e0)
         assert abs(x[0] - y[0]) <= 1e-10
-
-
-def test_operator_json_roundtrips():
-    sym = operator_from_json(operator_to_json(TWO_PLUS_COS))
-    assert sym == TWO_PLUS_COS
-    mat = AlmostMathieuParams(GOLDEN, 1.0, 0.3)
-    back = operator_from_json(operator_to_json(mat))
-    assert back == almost_mathieu(mat)
-    band = BandAPOperator({0: APFunction.cosine(1.0, 0.3), 1: APFunction.constant(1.0)}, "Z")
-    back2 = operator_from_json(operator_to_json(band))
-    assert back2.diagonals == band.diagonals and back2.domain == band.domain
-    comp = CompositeOperator.of(
-        ToeplitzFactor(TWO_PLUS_COS),
-        APMultiplier(APFunction.cosine(1.0, GOLDEN)),
-        ProjectionP(),
-    )
-    back3 = operator_from_json(operator_to_json(comp))
-    assert back3 == comp

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -13,18 +14,15 @@ from scipy.integrate import quad
 from szegolab.almostperiodic import APFunction, distinguished_sequence
 from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, lu_logdet
 from szegolab.operators import (
-    AlmostMathieuParams,
-    APMultiplier,
     BandAPOperator,
     CompositeOperator,
-    ToeplitzFactor,
     almost_mathieu,
     as_band_operator,
     band_ap_section,
     band_diagonals,
     toeplitz_section,
 )
-from szegolab.symbols import TrigPolynomial, geometric_mean, strong_szego_constant
+from szegolab.symbols import TrigPolynomial, geometric_mean, strong_szego_constant, symbol_average
 from szegolab.szego import (
     Cluster,
     DomainError,
@@ -191,13 +189,26 @@ def test_det_ratio_breakdown_at_step_two_skips_as_dense():
     assert_matches_dense(rep, a, sizes, 1e-12)
 
 
-def test_det_ratio_breakdown_at_step_twelve_agrees_on_both_sides():
+def test_det_ratio_breakdown_at_step_zero_agrees_with_dense():
     a = TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3})
     assert breakdown_step(a, 40) == 0
     sizes = list(range(1, 41))
     rep = det_ratio_sequence(a, sizes)
     assert_matches_dense(rep, a, sizes, 1e-11)
     assert {r.n for r in rep.rows} >= {11, 12, 13}
+
+
+def test_det_ratio_keeps_tiny_imaginary_coefficient():
+    # a constant diagonal is real only when its imaginary part is exactly 0;
+    # the dense sections are built from the coefficients, not by szegolab
+    one, two = (
+        lu_logdet(scipy.linalg.toeplitz([2.0, 0.5 + 1e-13j][:n], [2.0, 0.5][:n])) for n in (1, 2)
+    )
+    dense = cmath.exp(two.log_abs - one.log_abs) * (two.phase / one.phase)
+    ratio = det_ratio_sequence(TrigPolynomial({0: 2.0, 1: 0.5 + 1e-13j, -1: 0.5}), [2]).rows[0].empirical
+    assert dense.imag < -2e-14
+    assert abs(ratio.real - dense.real) <= 1e-15
+    assert abs(ratio.imag - dense.imag) <= 1e-15
 
 
 def _mp_det(op, n):
@@ -214,7 +225,7 @@ def _mp_det(op, n):
     [
         TrigPolynomial({0: 3.0 - 1.0j, 1: 0.7 + 0.2j, -1: -0.4j, 2: 0.5, -3: 0.25}),
         TrigPolynomial({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.3}),  # LAPACK swaps at step 0
-        almost_mathieu(AlmostMathieuParams(GOLDEN, 2.5, 0.3)),
+        almost_mathieu(GOLDEN, 2.5, 0.3),
     ],
 )
 def test_det_ratio_mpmath_oracle(op):
@@ -255,7 +266,7 @@ def test_det_ratio_via_cramer_examples():
     c = 2.0 - 1.5j
     band = as_band_operator(TrigPolynomial.constant(c))
     assert det_ratio_via_cramer(band, 5) == pytest.approx(1 / c, abs=1e-12)
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.0, 0.3))
+    op = almost_mathieu(GOLDEN, 1.0, 0.3)
     assert det_ratio_via_cramer(op, 1) == pytest.approx(1 / op.entry(0, 0))
 
 
@@ -343,7 +354,7 @@ def test_eigenvalue_hull_containment():
         lam = float(rng.uniform(0.1, 3.0))
         alpha = float(rng.uniform(0.05, 0.95))
         theta = float(rng.uniform(0, 1))
-        op = almost_mathieu(AlmostMathieuParams(alpha, lam, theta))
+        op = almost_mathieu(alpha, lam, theta)
         n = int(rng.integers(4, 40))
         vals = eigen_sample(band_ap_section(op, "P", n)).values
         assert np.all(vals >= -2 - lam - 1e-9)
@@ -384,43 +395,38 @@ def test_spectrum_sample_validation():
 
 
 def test_limit_prediction_mathieu_identity_and_square():
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.0, 0.3))
-    zero = limit_prediction(op, TestFunction.identity(), "diagonal-of-g", 2048)
+    op = almost_mathieu(GOLDEN, 1.0, 0.3)
+    zero = limit_prediction(op, TestFunction.identity(), 2048)
     assert abs(zero) <= 0.01
-    sq = limit_prediction(op, TestFunction.power(2), "diagonal-of-g", 2048)
+    sq = limit_prediction(op, TestFunction.power(2), 2048)
     assert sq == pytest.approx(2.5, abs=0.01)
 
 
-def test_limit_prediction_toeplitz_route():
+def test_toeplitz_prediction_is_symbol_average():
     a = TrigPolynomial({1: 1.0, -1: 1.0})
     oracle = quad(lambda t: math.exp(2 * math.cos(t)), 0, 2 * math.pi)[0] / (2 * math.pi)
-    val = limit_prediction(a, TestFunction.exp(), "toeplitz-symbol", 0, 4096)
+    val = symbol_average(a, TestFunction.exp(), 4096)
     assert val == pytest.approx(oracle, abs=1e-10)
 
 
 def test_limit_prediction_spectral_vs_polynomial_routes():
-    op = almost_mathieu(AlmostMathieuParams(0.3721, 0.8, 0.1))
+    op = almost_mathieu(0.3721, 0.8, 0.1)
     g = TestFunction.power(2)
     g_callable = TestFunction.from_callable(lambda x: x**2)
-    banded = limit_prediction(op, g, "diagonal-of-g", 256)
-    spectral = limit_prediction(op, g_callable, "diagonal-of-g", 256)
+    banded = limit_prediction(op, g, 256)
+    spectral = limit_prediction(op, g_callable, 256)
     assert banded == pytest.approx(spectral, abs=1e-10)
 
 
 def test_limit_prediction_errors():
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.0, 0.3))
+    op = almost_mathieu(GOLDEN, 1.0, 0.3)
     with pytest.raises(WindowError):
-        limit_prediction(op, TestFunction.power(2), "diagonal-of-g", 64, 60)
-    with pytest.raises(MethodError):
-        limit_prediction(op, TestFunction.power(2), "bogus-method", 64)
-    comp = CompositeOperator.of(APMultiplier(APFunction.cosine(1.0, GOLDEN)))
-    with pytest.raises(ValueError):
-        limit_prediction(comp, TestFunction.power(2), "toeplitz-symbol", 0)
+        limit_prediction(op, TestFunction.power(2), 64, 60)
     skew = BandAPOperator(
         {1: APFunction.constant(1.0), 0: APFunction.exponential(GOLDEN)}, "Z"
     )
     with pytest.raises(MethodError):
-        limit_prediction(skew, TestFunction.exp(), "diagonal-of-g", 64)
+        limit_prediction(skew, TestFunction.exp(), 64)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +434,14 @@ def test_limit_prediction_errors():
 
 
 def test_folner_single_factor_zero():
-    e = CompositeOperator.of(ToeplitzFactor(TWO_PLUS_COS))
+    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS))
     assert folner_discrepancy(e, 9) == 0.0
 
 
 def test_folner_shift_pair_exact():
     z = TrigPolynomial({1: 1.0})
     zinv = TrigPolynomial({-1: 1.0})
-    e = CompositeOperator.of(ToeplitzFactor(zinv), ToeplitzFactor(z))
+    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
     assert folner_discrepancy(e, 8) == pytest.approx(1 / 8, abs=1e-12)
 
 
@@ -449,7 +455,7 @@ def test_folner_rank_bound_normalized_symbols():
         scale_b = sum(abs(v) for v in b.values())
         sa = TrigPolynomial({k: v / scale_a for k, v in a.items()})
         sb = TrigPolynomial({k: v / scale_b for k, v in b.items()})
-        e = CompositeOperator.of(ToeplitzFactor(sa), ToeplitzFactor(sb))
+        e = CompositeOperator.of(as_band_operator(sa), as_band_operator(sb))
         n = int(rng.integers(8, 40))
         assert folner_discrepancy(e, n) <= min(wa, wb) / n + 1e-12
 
@@ -457,7 +463,7 @@ def test_folner_rank_bound_normalized_symbols():
 def test_folner_nonincreasing_in_n():
     z = TrigPolynomial({1: 1.0, 0: 0.3})
     zinv = TrigPolynomial({-1: 1.0, 0: -0.2})
-    e = CompositeOperator.of(ToeplitzFactor(zinv), ToeplitzFactor(z))
+    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
     discs = [folner_discrepancy(e, n) for n in (4, 8, 16, 32, 64)]
     assert all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
 
@@ -479,7 +485,7 @@ def test_stability_probe_positive_symbol():
 
 
 def test_stability_probe_shifted_mathieu():
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.0, 0.3))
+    op = almost_mathieu(GOLDEN, 1.0, 0.3)
     shifted = op + BandAPOperator({0: APFunction.constant(-5.0)}, "Z")
     rep = stability_probe(shifted, [4, 8, 16, 32])
     assert rep.verdict == "stability-consistent"
@@ -487,14 +493,14 @@ def test_stability_probe_shifted_mathieu():
 
 
 def test_stability_probe_distinguished_sequence():
-    op = almost_mathieu(AlmostMathieuParams(GOLDEN, 1.0, 0.3))
+    op = almost_mathieu(GOLDEN, 1.0, 0.3)
     seq = distinguished_sequence(GOLDEN, 8)
     rep = stability_probe(op, [], sequence=seq)
     assert tuple(r.n for r in rep.rows) == seq.values
 
 
 def test_scaling_invariance():
-    op = almost_mathieu(AlmostMathieuParams(0.4142, 1.5, 0.1))
+    op = almost_mathieu(0.4142, 1.5, 0.1)
     c = 2.3 - 1.1j
     scaled = op.scaled(c)
     base = det_ratio_sequence(op, [4, 8, 16])

@@ -16,7 +16,6 @@ from .numkernel import (
     solve,
 )
 from .symbols import (
-    LogSymbolData,
     TrigPolynomial,
     evaluate,
     geometric_mean,
@@ -47,7 +46,7 @@ from .operators import (
     toeplitz_section,
 )
 from .szego import (
-    SpectrumSample,
+    SkippedSize,
     SzegoReport,
     TestFunction,
     cluster_partial_limits,
@@ -59,9 +58,9 @@ from .szego import (
     g_limit_constant,
     limit_prediction,
     singular_mean,
-    singular_sample,
     stability_probe,
     strong_szego_ratio,
+    sweep,
 )
 
 __version__ = "0.1.0"

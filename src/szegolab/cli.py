@@ -21,24 +21,24 @@ from pathlib import Path
 import numpy as np
 
 from .almostperiodic import (
+    APFunction,
+    ap_from_json,
     check_approximation_bounds,
     convergent_error_bound,
     distinguished_sequence,
     expand_cf,
 )
+from .numkernel import singular_values
 from .operators import (
     BandAPOperator,
     CompositeOperator,
+    almost_mathieu,
     as_band_operator,
     band_ap_section,
-    operator_from_json,
 )
 from .symbols import TrigPolynomial, geometric_mean, sample_circle, symbol_average, symbol_from_json
 from .szego import (
-    ReportRow,
-    SzegoReport,
     TestFunction,
-    _build_report,
     cluster_partial_limits,
     det_ratio_sequence,
     eigen_mean,
@@ -46,9 +46,9 @@ from .szego import (
     folner_discrepancy,
     limit_prediction,
     singular_mean,
-    singular_sample,
     stability_probe,
     strong_szego_ratio,
+    sweep,
 )
 
 EXPERIMENTS = (
@@ -254,21 +254,40 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
     return tuple(sizes), None
 
 
+def _offset(key, path) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"{path}.{key}: offset must be an integer") from None
+
+
 def _parse_symbol(obj, path="symbol") -> TrigPolynomial:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: must be an object")
     for key, val in obj.items():
-        try:
-            int(key)
-        except ValueError:
-            raise ConfigError(f"{path}.{key}: offset must be an integer") from None
+        _offset(key, path)
         pair = val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
         if not all(_is_number(v) for v in pair):
             raise ConfigError(f"{path}.{key}: must be a finite number or an [re, im] pair")
     return symbol_from_json(obj)
 
 
-def _check_almost_mathieu(obj, prefix):
+def _parse_terms(obj, path) -> APFunction:
+    """An almost periodic function from its [{freq, re, im}] terms; freq is
+    required, and every given field must be a finite real number."""
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: must be a list of {{freq, re, im}} terms")
+    for i, term in enumerate(obj):
+        if not isinstance(term, dict):
+            raise ConfigError(f"{path}[{i}]: must be an object")
+        _require(term, "freq", f"{path}[{i}].")
+        for name in ("freq", "re", "im"):
+            if name in term and not _is_number(term[name]):
+                raise ConfigError(f"{path}[{i}].{name}: must be a finite number")
+    return ap_from_json(obj)
+
+
+def _parse_almost_mathieu(obj, prefix) -> BandAPOperator:
     """alpha and lambda are required; they and theta, where given, must be
     finite real numbers."""
     _require(obj, "alpha", prefix)
@@ -276,18 +295,55 @@ def _check_almost_mathieu(obj, prefix):
     for name in ("alpha", "lambda", "theta"):
         if name in obj and not _is_number(obj[name]):
             raise ConfigError(f"{prefix}{name}: must be a finite number")
+    return almost_mathieu(float(obj["alpha"]), float(obj["lambda"]), float(obj.get("theta", 0.0)))
 
 
-def _parse_operator(raw):
-    obj = _require(raw, "operator")
+def _parse_factor(obj, path) -> BandAPOperator:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "toeplitz":
+        return as_band_operator(_parse_symbol(_require(obj, "symbol", f"{path}."), f"{path}.symbol"))
+    if kind == "ap-multiplier":
+        return BandAPOperator({0: _parse_terms(_require(obj, "terms", f"{path}."), f"{path}.terms")})
+    if kind == "projection":  # the projection onto 0, 1, ...: identity on sections
+        return BandAPOperator({0: APFunction.constant(1.0)})
+    raise ConfigError(f"{path}.kind: must be 'toeplitz', 'ap-multiplier' or 'projection'")
+
+
+def _parse_operator(obj, path="operator"):
+    """The operator of a tagged JSON description; a ``toeplitz`` one gives
+    its symbol."""
     if not isinstance(obj, dict):
-        raise ConfigError("operator: must be an object")
-    if obj.get("kind") == "almost-mathieu":
-        _check_almost_mathieu(obj, "operator.")
-    try:
-        return operator_from_json(obj)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"operator: {exc}") from exc
+        raise ConfigError(f"{path}: must be an object")
+    kind = obj.get("kind")
+    if kind == "toeplitz":
+        return _parse_symbol(_require(obj, "symbol", f"{path}."), f"{path}.symbol")
+    if kind == "almost-mathieu":
+        return _parse_almost_mathieu(obj, f"{path}.")
+    if kind == "band-ap":
+        diagonals = _require(obj, "diagonals", f"{path}.")
+        if not isinstance(diagonals, dict):
+            raise ConfigError(f"{path}.diagonals: must be an object")
+        domain = obj.get("domain", "Z")
+        if domain not in ("Z", "Z+"):
+            raise ConfigError(f"{path}.domain: must be 'Z' or 'Z+'")
+        return BandAPOperator(
+            {
+                _offset(d, f"{path}.diagonals"): _parse_terms(t, f"{path}.diagonals.{d}")
+                for d, t in diagonals.items()
+            },
+            domain,
+        )
+    if kind == "composite":
+        products = _require(obj, "products", f"{path}.")
+        if not (
+            isinstance(products, list) and products and all(isinstance(p, list) and p for p in products)
+        ):
+            raise ConfigError(f"{path}.products: must be a nonempty list of nonempty factor lists")
+        return CompositeOperator(tuple(
+            tuple(_parse_factor(f, f"{path}.products[{i}][{j}]") for j, f in enumerate(prod))
+            for i, prod in enumerate(products)
+        ))
+    raise ConfigError(f"{path}.kind: must be 'toeplitz', 'almost-mathieu', 'band-ap' or 'composite'")
 
 
 def validate_config(raw) -> ExperimentConfig:
@@ -319,12 +375,13 @@ def validate_config(raw) -> ExperimentConfig:
     max_terms = 32
     q_cap = 10**6
 
-    if "predicted" in raw:
-        if kind not in ("eigen-dist", "mathieu-dist"):
+    for field in ("predicted", "prediction"):
+        if field in raw and kind not in ("eigen-dist", "mathieu-dist"):
             raise ConfigError(
-                f"predicted: {kind} computes its own prediction; only eigen-dist "
-                "and mathieu-dist take a pinned one"
+                f"{field}: {kind} computes its own prediction; only eigen-dist "
+                "and mathieu-dist take a pinned value or an m and window"
             )
+    if "predicted" in raw:
         val = raw["predicted"]
         if _is_number(val):
             predicted_override = complex(val)
@@ -333,6 +390,8 @@ def validate_config(raw) -> ExperimentConfig:
         else:
             raise ConfigError("predicted: must be a number or an [re, im] pair")
     if "prediction" in raw:
+        if predicted_override is not None:
+            raise ConfigError("prediction: unused next to a pinned predicted value")
         block = raw["prediction"]
         if not isinstance(block, dict):
             raise ConfigError("prediction: must be an object")
@@ -350,7 +409,7 @@ def validate_config(raw) -> ExperimentConfig:
         if not symbol.coeffs:
             raise ConfigError("symbol: must have at least one nonzero coefficient")
     if kind in ("eigen-dist", "folner", "stability"):
-        operator = _parse_operator(raw)
+        operator = _parse_operator(_require(raw, "operator"))
         if raw["operator"].get("kind") == "almost-mathieu":
             mathieu = raw["operator"]
         if isinstance(operator, TrigPolynomial):
@@ -359,8 +418,7 @@ def validate_config(raw) -> ExperimentConfig:
         operator = as_band_operator(symbol)
     if kind == "mathieu-dist":
         mathieu = raw
-        _check_almost_mathieu(raw, "")
-        operator = operator_from_json({**raw, "kind": "almost-mathieu"})
+        operator = _parse_almost_mathieu(raw, "")
     if kind in ("eigen-dist", "stability") and isinstance(operator, CompositeOperator):
         raise ConfigError(f"operator: {kind} needs a sectionable operator, not a composite")
     if kind == "folner" and not isinstance(operator, CompositeOperator):
@@ -450,18 +508,6 @@ def _run_strong_szego(cfg: ExperimentConfig):
     return report, summary
 
 
-def _sweep(sizes, measure, predicted) -> SzegoReport:
-    """The per-size loop: measure(n) at every size against one prediction."""
-    entries = []
-    for n in sizes:
-        try:
-            entries.append((n, measure(n)))
-        except Exception as exc:  # carry the failing size with the error
-            exc.args = (f"n={n}: {exc}",)
-            raise
-    return _build_report(entries, predicted)
-
-
 def _run_eigen_dist(cfg: ExperimentConfig):
     """eigen-dist, and mathieu-dist over the almost Mathieu operator."""
     if cfg.predicted_override is not None:
@@ -472,7 +518,7 @@ def _run_eigen_dist(cfg: ExperimentConfig):
         predicted = limit_prediction(
             cfg.operator, cfg.g, cfg.prediction_m, cfg.prediction_window
         )
-    report = _sweep(
+    report = sweep(
         cfg.sizes,
         lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, "P", n)), cfg.g),
         predicted,
@@ -484,31 +530,24 @@ def _run_eigen_dist(cfg: ExperimentConfig):
 
 def _run_singular_dist(cfg: ExperimentConfig):
     predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, SYMBOL_GRID))))
-    report = _sweep(
+    report = sweep(
         cfg.sizes,
-        lambda n: complex(singular_mean(singular_sample(band_ap_section(cfg.operator, "P", n)), cfg.g)),
+        lambda n: singular_mean(singular_values(band_ap_section(cfg.operator, "P", n)), cfg.g),
         predicted,
     )
     return report, {}
 
 
 def _run_folner(cfg: ExperimentConfig):
-    return _sweep(cfg.sizes, lambda n: complex(folner_discrepancy(cfg.operator, n)), 0j), {}
+    return sweep(cfg.sizes, lambda n: folner_discrepancy(cfg.operator, n), 0j), {}
 
 
 def _run_stability(cfg: ExperimentConfig):
-    probe = stability_probe(cfg.operator, cfg.sizes)
-    rows = []
-    for r in probe.rows:
-        value = min(r.sigma_min_section, r.sigma_min_flip)
-        flags = "section" if r.sigma_min_section <= r.sigma_min_flip else "flip"
-        shortfall = max(0.0, probe.margin - value)
-        rows.append(ReportRow(r.n, complex(value), complex(probe.margin), shortfall, flags))
-    report = SzegoReport(tuple(rows), complex(probe.margin))
+    report = stability_probe(cfg.operator, cfg.sizes)
     summary = {
-        "verdict": probe.verdict,
-        "margin": probe.margin,
-        "norm_scale": probe.norm_scale,
+        "verdict": report.verdict,
+        "margin": report.predicted.real,
+        "norm_scale": report.norm_scale,
     }
     return report, summary
 

@@ -18,13 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .almostperiodic import APFunction, ap_from_json, eval_ap
+from .almostperiodic import APFunction, eval_ap
 from .numkernel import DenseMatrix
-from .symbols import TrigPolynomial, symbol_from_json
-
-
-class TruncationError(ValueError):
-    """Big-product truncation window too small for the requested section."""
+from .symbols import TrigPolynomial
 
 
 @dataclass(frozen=True)
@@ -95,14 +91,13 @@ class CompositeOperator:
         return max(sum(f.bandwidth for f in prod) for prod in self.products)
 
 
-def as_band_operator(op, domain: str = "Z") -> BandAPOperator:
-    """A band operator as is; a symbol as its Toeplitz operator."""
+def as_band_operator(op) -> BandAPOperator:
+    """A band operator as is; a symbol as its Toeplitz operator over all
+    integers."""
     if isinstance(op, BandAPOperator):
         return op
     if isinstance(op, TrigPolynomial):
-        return BandAPOperator(
-            {k: APFunction.constant(c) for k, c in op.coeffs.items()}, domain
-        )
+        return BandAPOperator({k: APFunction.constant(c) for k, c in op.coeffs.items()})
     raise TypeError(f"cannot interpret {type(op).__name__} as a band operator")
 
 
@@ -199,59 +194,15 @@ def _assemble(E: CompositeOperator, size: int) -> np.ndarray:
     return total
 
 
-def composite_sections(
-    E: CompositeOperator, n: int, m: int | None = None
-) -> tuple[DenseMatrix, DenseMatrix]:
+def composite_sections(E: CompositeOperator, n: int) -> tuple[DenseMatrix, DenseMatrix]:
     """Product of n-sections vs n-crop of the m-truncated full product.
 
     For banded factors the crop is exact once m exceeds n plus the summed
-    factor bandwidths; the default margin doubles that and adds slack.
+    factor bandwidths; m doubles that margin and adds slack.
     """
     if n < 1:
         raise ValueError("section size must be >= 1")
-    total_bw = E.total_bandwidth
-    if m is None:
-        m = n + 2 * total_bw + 8
-    if m < n + total_bw:
-        raise TruncationError(
-            f"truncation m={m} too small: need at least n + total bandwidth = "
-            f"{n + total_bw}"
-        )
+    m = n + 2 * E.total_bandwidth + 8
     product_of_sections = _assemble(E, n)
     section_of_product = _assemble(E, m)[:n, :n]
     return DenseMatrix(product_of_sections), DenseMatrix(section_of_product)
-
-
-def operator_from_json(obj: Mapping):
-    """The operator of a tagged JSON description; a ``toeplitz`` one gives
-    its symbol."""
-    kind = obj.get("kind")
-    if kind == "toeplitz":
-        return symbol_from_json(obj["symbol"])
-    if kind == "almost-mathieu":
-        return almost_mathieu(
-            float(obj["alpha"]), float(obj["lambda"]), float(obj.get("theta", 0.0))
-        )
-    if kind == "band-ap":
-        diagonals = {
-            int(d): ap_from_json(terms)
-            for d, terms in obj["diagonals"].items()
-        }
-        return BandAPOperator(diagonals, obj.get("domain", "Z"))
-    if kind == "composite":
-        products = tuple(
-            tuple(_factor_from_json(f) for f in prod) for prod in obj["products"]
-        )
-        return CompositeOperator(products)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _factor_from_json(obj: Mapping) -> BandAPOperator:
-    kind = obj.get("kind")
-    if kind == "toeplitz":
-        return as_band_operator(symbol_from_json(obj["symbol"]))
-    if kind == "ap-multiplier":
-        return BandAPOperator({0: ap_from_json(obj["terms"])})
-    if kind == "projection":  # the projection onto 0, 1, ...: identity on sections
-        return BandAPOperator({0: APFunction.constant(1.0)})
-    raise ValueError(f"unknown factor kind {kind!r}")

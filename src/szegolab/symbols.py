@@ -15,7 +15,6 @@ real-valued symbol so its values are exactly real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -142,21 +141,6 @@ class TrigPolynomial:
         return f"TrigPolynomial({self.coeffs!r})"
 
 
-@dataclass(frozen=True)
-class LogSymbolData:
-    """Fourier coefficients of the continuous branch of log a.
-
-    ``coeffs`` maps offsets |k| <= K to the grid DFT coefficient computed on
-    ``grid_size`` uniform points.
-    """
-
-    coeffs: Mapping[int, complex]
-    grid_size: int
-
-    def coefficient(self, k: int) -> complex:
-        return self.coeffs.get(k, 0j)
-
-
 class SzegoConstant(NamedTuple):
     value: complex
     tail_bound: float
@@ -274,28 +258,25 @@ def _log_samples(a: TrigPolynomial, grid: int, max_offset: int) -> np.ndarray:
     return logs
 
 
-def log_coefficients(a: TrigPolynomial, grid: int, max_offset: int) -> LogSymbolData:
-    """Fourier coefficients of the continuous branch of log a.
+def log_coefficients(a: TrigPolynomial, grid: int, max_offset: int) -> dict[int, complex]:
+    """Fourier coefficients {k: (log a)_k}, |k| <= max_offset, of the
+    continuous branch of log a, computed on ``grid`` uniform points.
 
     Requires a power-of-two grid with grid >= 4*max_offset, no zeros of a on
     the grid, a phase step below pi/2 between neighbouring grid points, and
     winding number 0 (otherwise there is no continuous branch).  The branch
     is fixed by unwrapping the argument along the grid.
     """
-    logs = _log_samples(a, grid, max_offset)
-    return LogSymbolData(_grid_coefficients(logs, max_offset), grid)
+    return _grid_coefficients(_log_samples(a, grid, max_offset), max_offset)
 
 
 def geometric_mean(a: TrigPolynomial, grid: int | None = None) -> complex:
     """G[a] = exp (log a)_0, the zeroth Fourier coefficient of log a."""
     n = grid if grid is not None else _default_grid(a.bandwidth)
-    data = log_coefficients(a, n, 0)
-    return complex(np.exp(data.coefficient(0)))
+    return complex(np.exp(log_coefficients(a, n, 0)[0]))
 
 
-def strong_szego_constant(
-    a: TrigPolynomial, truncation: int, grid: int | None = None
-) -> SzegoConstant:
+def strong_szego_constant(a: TrigPolynomial, truncation: int) -> SzegoConstant:
     """E[a] = exp sum_{k=1..K} k (log a)_k (log a)_{-k}, plus a tail estimate.
 
     The infinite series is truncated at K = ``truncation``; the reported tail
@@ -306,9 +287,7 @@ def strong_szego_constant(
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     extended = 2 * truncation
-    n = grid if grid is not None else _default_grid(max(a.bandwidth, extended) * 2)
-    if n < 4 * extended:
-        raise ValueError(f"grid {n} too small for truncation {truncation}")
+    n = _default_grid(max(a.bandwidth, extended) * 2)
     c0, positive, negative = _coefficient_arrays(_log_samples(a, n, extended), extended)
     k = np.arange(1, extended + 1)
     total = complex(np.sum(k[:truncation] * positive[:truncation] * negative[:truncation]))

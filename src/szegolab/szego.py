@@ -5,21 +5,23 @@ limit theorems speak about: successive section determinant ratios and their
 partial limits, the constant 1/((JQAQJ)^{-1})_{00} they converge to along
 distinguished sequences, strong Szego determinant ratios, eigenvalue and
 singular value distribution means, diagonal-based limit predictions, Folner
-trace-norm discrepancies, and observational stability probes.
+trace-norm discrepancies, and observational stability probes.  Every
+size-indexed quantity is swept by `sweep`: one measurement per section size
+against one predicted limit.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numkernel
 from .numkernel import DenseMatrix, LogDet, solve
-from .almostperiodic import DistinguishedSequence
 from .operators import (
     BandAPOperator,
     CompositeOperator,
@@ -57,6 +59,10 @@ class ResolventZeroError(ZeroDivisionError):
     """The 0-0 entry of the inverted corner vanished."""
 
 
+class SkippedSize(Exception):
+    """A section size without a reportable value; the message is the reason."""
+
+
 # ---------------------------------------------------------------------------
 # test functions
 
@@ -65,10 +71,10 @@ class ResolventZeroError(ZeroDivisionError):
 class TestFunction:
     """A function g applied to spectra and symbol values.
 
-    Three kinds: 'polynomial' in x and conj(x) with explicit coefficients,
-    'entire' power series, and a pointwise 'callable'.  The optional domain
-    is ('interval', lo, hi) or ('disk', radius); violations raise DomainError
-    carrying the offending sample.
+    Two kinds: a 'polynomial' in x with explicit coefficients, and a
+    pointwise 'callable'.  The optional domain is ('interval', lo, hi) or
+    ('disk', radius); violations raise DomainError carrying the offending
+    sample.
     """
 
     kind: str
@@ -80,29 +86,18 @@ class TestFunction:
 
     @classmethod
     def polynomial(cls, coeffs, domain=None, label="") -> "TestFunction":
-        """Coefficients as a sequence [c_0, c_1, ...] for powers of x, or a
-        mapping {(p, q): c} for x^p conj(x)^q terms."""
-        if isinstance(coeffs, Mapping):
-            terms = tuple(
-                (int(p), int(q), complex(c)) for (p, q), c in sorted(coeffs.items())
-            )
-        else:
-            terms = tuple(
-                (k, 0, complex(c)) for k, c in enumerate(coeffs) if complex(c) != 0
-            )
+        """Coefficients [c_0, c_1, ...] of the powers of x; stored as the
+        nonzero (power, coefficient) terms."""
+        terms = tuple((k, complex(c)) for k, c in enumerate(coeffs) if complex(c) != 0)
         return cls("polynomial", terms, domain, label or "poly")
 
     @classmethod
     def power(cls, k: int) -> "TestFunction":
-        return cls.polynomial({(k, 0): 1.0}, label=f"x^{k}")
+        return cls.polynomial([0.0] * k + [1.0], label=f"x^{k}")
 
     @classmethod
     def identity(cls) -> "TestFunction":
         return cls.polynomial([0.0, 1.0], label="x")
-
-    @classmethod
-    def entire(cls, series, domain=None, label="") -> "TestFunction":
-        return cls("entire", tuple(complex(c) for c in series), domain, label or "series")
 
     @classmethod
     def from_callable(cls, fn: Callable, domain=None, label="") -> "TestFunction":
@@ -116,16 +111,11 @@ class TestFunction:
     def log(cls) -> "TestFunction":
         return cls.from_callable(np.log, label="log")
 
-    @property
-    def is_x_polynomial(self) -> bool:
-        return self.kind == "polynomial" and all(q == 0 for _, q, _ in self.data)
-
     def x_coefficients(self) -> np.ndarray:
-        if not self.is_x_polynomial:
-            raise MethodError(f"{self.label!r} is not a polynomial in x alone")
-        degree = max((p for p, _, _ in self.data), default=0)
-        coeffs = np.zeros(degree + 1, dtype=np.complex128)
-        for p, _, c in self.data:
+        if self.kind != "polynomial":
+            raise MethodError(f"{self.label!r} is not a polynomial in x")
+        coeffs = np.zeros(max((p for p, _ in self.data), default=0) + 1, dtype=np.complex128)
+        for p, c in self.data:
             coeffs[p] += c
         return coeffs
 
@@ -157,17 +147,11 @@ class TestFunction:
         self._check_domain(vals)
         if self.kind == "polynomial":
             out = np.zeros_like(vals)
-            for p, q, c in self.data:
+            for p, c in self.data:
                 term = np.ones_like(vals) * c
                 if p:
                     term = term * vals**p
-                if q:
-                    term = term * np.conj(vals) ** q
                 out += term
-        elif self.kind == "entire":
-            out = np.zeros_like(vals)
-            for c in reversed(self.data):
-                out = out * vals + c
         else:
             fn = self.data[0]
             with np.errstate(all="ignore"):  # non-finite output handled below
@@ -187,27 +171,7 @@ class TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# spectra and reports
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenvalues or singular values of one finite section."""
-
-    n: int
-    values: np.ndarray
-    kind: str  # 'eigen' | 'singular'
-
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values))
-        if self.kind not in ("eigen", "singular"):
-            raise ValueError(f"kind must be 'eigen' or 'singular', got {self.kind!r}")
-        if self.kind == "singular" and np.any(vals.real < 0):
-            raise ValueError("singular values must be non-negative")
-        if len(vals) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(vals)}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+# reports and the sweep driver
 
 
 @dataclass(frozen=True)
@@ -253,12 +217,31 @@ def _validate_sizes(n_range: Sequence[int]) -> list[int]:
     return sizes
 
 
-def _build_report(entries, predicted, skipped=()) -> SzegoReport:
-    """Rows against ``predicted``; without one, against the last value."""
+def sweep(
+    n_range: Sequence[int],
+    measure: Callable[[int], complex],
+    predicted: complex | None = None,
+) -> SzegoReport:
+    """The per-size loop: ``measure(n)`` at every size against one prediction.
+
+    A measurement raising `SkippedSize` records the size and its reason and
+    leaves no row; any other error propagates with an ``n=<size>: `` prefix.
+    Without a prediction the last value serves as the limit estimate.
+    """
+    entries: list[tuple[int, complex]] = []
+    skipped: list[tuple[int, str]] = []
+    for n in _validate_sizes(n_range):
+        try:
+            entries.append((n, complex(measure(n))))
+        except SkippedSize as skip:
+            skipped.append((n, str(skip)))
+        except Exception as exc:  # carry the failing size with the error
+            exc.args = (f"n={n}: {exc}",)
+            raise
+    if not entries:
+        raise EmptyReportError("all requested sections were singular")
     pred = complex(predicted) if predicted is not None else entries[-1][1]
-    rows = tuple(
-        ReportRow(n, v, pred, abs(v - pred)) for (n, v) in entries
-    )
+    rows = tuple(ReportRow(n, v, pred, abs(v - pred)) for n, v in entries)
     return SzegoReport(rows, pred, tuple(skipped))
 
 
@@ -276,33 +259,25 @@ def det_ratio_sequence(
     ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
     the largest size gives every ratio as a pivot, up to the pass's first
     row swap or zero pivot (`numkernel.band_lu_pivots`).  From that size on
-    each ratio comes from the band LU of the two sections, as
-    exp(difference of log magnitudes) times the phase ratio; singular
-    sections are recorded and their ratios omitted.  Without an explicit
-    prediction the final ratio serves as the limit estimate.
+    each ratio comes from the band LU of the two sections (each factored
+    once), as exp(difference of log magnitudes) times the phase ratio;
+    singular sections are skipped.  Without an explicit prediction the
+    final ratio serves as the limit estimate.
     """
-    sizes = _validate_sizes(n_range)
-    top = sizes[-1]
+    top = _validate_sizes(n_range)[-1]
     diagonals = band_diagonals(as_band_operator(A), top)
     pivots, stop = numkernel.band_lu_pivots(diagonals, top)
-    entries: list[tuple[int, complex]] = []
-    skipped: list[tuple[int, str]] = []
-    needed = {k for n in sizes if n > stop for k in (n - 1, n)}
-    logdets = {k: numkernel.band_logdet(diagonals, k) for k in needed}
-    for n in sizes:
+    logdet = functools.cache(lambda k: numkernel.band_logdet(diagonals, k))
+
+    def ratio(n):
         if n <= stop:
-            entries.append((n, complex(pivots[n - 1])))
-            continue
-        num, den = logdets[n], logdets[n - 1]
+            return pivots[n - 1]
+        num, den = logdet(n), logdet(n - 1)
         if num.singular_flag or den.singular_flag:
-            which = "n" if num.singular_flag else "n-1"
-            skipped.append((n, f"singular section at {which}"))
-            continue
-        ratio = cmath.exp(num.log_abs - den.log_abs) * (num.phase / den.phase)
-        entries.append((n, ratio))
-    if not entries:
-        raise EmptyReportError("all requested sections were singular")
-    return _build_report(entries, predicted, skipped)
+            raise SkippedSize(f"singular section at {'n' if num.singular_flag else 'n-1'}")
+        return cmath.exp(num.log_abs - den.log_abs) * (num.phase / den.phase)
+
+    return sweep(n_range, ratio, predicted)
 
 
 def det_ratio_via_cramer(A, n: int) -> complex:
@@ -339,44 +314,34 @@ class StrongSzegoReport(SzegoReport):
     tail_bound: float
 
 
-def strong_szego_ratio(
-    a: TrigPolynomial,
-    n_range: Sequence[int],
-    truncation: int | None = None,
-) -> StrongSzegoReport:
-    """det T_n(a) / G[a]^n against the truncated constant E[a].
+def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzegoReport:
+    """det T_n(a) / G[a]^n against E[a], its series truncated at a quarter
+    of the default grid of a.
 
     log|det T_n| is the running sum of log|pivot| of one banded LU pass, and
     its phase the running product of the pivot phases; from the pass's first
     row swap or zero pivot on, each determinant comes from the band LU of its
     own section, and a singular section raises.
     """
-    sizes = _validate_sizes(n_range)
+    top = _validate_sizes(n_range)[-1]
     grid = _default_grid(a.bandwidth)
-    if truncation is None:
-        truncation = grid // 4
-    c0 = log_coefficients(a, grid, 0).coefficient(0)
-    constant = strong_szego_constant(a, truncation)
-    top = sizes[-1]
+    c0 = log_coefficients(a, grid, 0)[0]
+    constant = strong_szego_constant(a, grid // 4)
     diagonals = band_diagonals(as_band_operator(a), top)
     pivots, stop = numkernel.band_lu_pivots(diagonals, top)
     log_abs = np.cumsum(np.log(np.abs(pivots)))
     phases = np.cumprod(pivots / np.abs(pivots))
-    entries = []
-    for n in sizes:
+
+    def normalized_det(n):
         if n <= stop:
             ld = LogDet(float(log_abs[n - 1]), complex(phases[n - 1]) / abs(phases[n - 1]))
         else:
             ld = numkernel.band_logdet(diagonals, n)
             if ld.singular_flag:
-                raise numkernel.SingularMatrixError(
-                    f"singular section at n={n}", 0.0
-                )
-        d_n = cmath.exp(ld.log_abs - n * c0.real) * ld.phase * cmath.exp(
-            -1j * n * c0.imag
-        )
-        entries.append((n, d_n))
-    report = _build_report(entries, constant.value)
+                raise numkernel.SingularMatrixError("singular section", 0.0)
+        return cmath.exp(ld.log_abs - n * c0.real) * ld.phase * cmath.exp(-1j * n * c0.imag)
+
+    report = sweep(n_range, normalized_det, constant.value)
     return StrongSzegoReport(
         report.rows,
         report.predicted,
@@ -389,33 +354,22 @@ def strong_szego_ratio(
 # distribution means
 
 
-def eigen_sample(matrix: DenseMatrix) -> SpectrumSample:
+def eigen_sample(matrix: DenseMatrix) -> np.ndarray:
     """Eigenvalues of a section; Hermitian input takes the self-adjoint path."""
     try:
-        vals = numkernel.eigvals_hermitian(matrix)
+        return numkernel.eigvals_hermitian(matrix)
     except numkernel.SymmetryError:
-        vals = numkernel.eigvals_general(matrix)
-    return SpectrumSample(len(vals), vals, "eigen")
+        return numkernel.eigvals_general(matrix)
 
 
-def singular_sample(matrix: DenseMatrix) -> SpectrumSample:
-    vals = numkernel.singular_values(matrix)
-    return SpectrumSample(len(vals), vals, "singular")
-
-
-def eigen_mean(sample: SpectrumSample, g: TestFunction) -> complex:
+def eigen_mean(eigenvalues: np.ndarray, g: TestFunction) -> complex:
     """(1/n) sum_i g(lambda_i)."""
-    if sample.kind != "eigen":
-        raise ValueError("eigen_mean needs an eigenvalue sample")
-    return complex(np.mean(g.apply(sample.values)))
+    return complex(np.mean(g.apply(eigenvalues)))
 
 
-def singular_mean(sample: SpectrumSample, g: TestFunction) -> float:
+def singular_mean(singular_values: np.ndarray, g: TestFunction) -> float:
     """(1/n) sum_i g(sigma_i); real because singular values are real."""
-    if sample.kind != "singular":
-        raise ValueError("singular_mean needs a singular value sample")
-    out = complex(np.mean(g.apply(sample.values)))
-    return out.real
+    return complex(np.mean(g.apply(singular_values))).real
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +446,7 @@ def limit_prediction(
         raise WindowError(
             f"window {window} does not fit centrally in truncation {m}"
         )
-    if g.is_x_polynomial:
+    if g.kind == "polynomial":
         diag = _poly_band_diagonal(band, m, g.x_coefficients())
     else:
         diag = _spectral_diagonal(np.asarray(band_ap_section(band, "P", m)), g)
@@ -504,10 +458,10 @@ def limit_prediction(
 # Folner discrepancy
 
 
-def folner_discrepancy(E: CompositeOperator, n: int, m: int | None = None) -> float:
+def folner_discrepancy(E: CompositeOperator, n: int) -> float:
     """Trace norm of (product of n-sections minus n-section of the product),
     divided by n."""
-    prod, crop = composite_sections(E, n, m)
+    prod, crop = composite_sections(E, n)
     diff = np.asarray(prod) - np.asarray(crop)
     sv = numkernel.singular_values(DenseMatrix(diff))
     return float(np.sum(sv) / n)
@@ -517,20 +471,14 @@ def folner_discrepancy(E: CompositeOperator, n: int, m: int | None = None) -> fl
 # stability probes
 
 
-@dataclass(frozen=True)
-class StabilityRow:
-    n: int
-    sigma_min_section: float
-    sigma_min_flip: float
+@dataclass(frozen=True, kw_only=True)
+class StabilityReport(SzegoReport):
+    """Observed smallest singular values against the margin (the predicted
+    value); evidence, never a proof.  Each row holds the smaller of the
+    section's and the flip section's, flagged 'section' or 'flip', with its
+    shortfall below the margin as the residual."""
 
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Observed smallest singular values; evidence, never a proof."""
-
-    rows: tuple[StabilityRow, ...]
     verdict: str  # 'stability-consistent' | 'unstable-evidence' | 'inconclusive'
-    margin: float
     norm_scale: float
 
 
@@ -543,37 +491,41 @@ def _decays(values: Sequence[float], threshold: float) -> bool:
     return non_increasing and values[-1] < threshold
 
 
-def stability_probe(
-    A,
-    n_range: Sequence[int],
-    sequence: DistinguishedSequence | None = None,
-) -> StabilityReport:
+def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
     """Smallest singular values of the sections and of the flipped corner.
 
-    Verdict 'stability-consistent' when both families stay above a relative
-    margin across the whole range, 'unstable-evidence' when either family
-    decays below a much smaller threshold, otherwise 'inconclusive'.
+    The margin is 1e-6 of the largest singular value met at any size, so
+    this loop stays outside `sweep`.  Verdict 'stability-consistent' when
+    both families stay above the margin across the whole range,
+    'unstable-evidence' when either family decays below a much smaller
+    threshold, otherwise 'inconclusive'.
     """
-    sizes = _validate_sizes(sequence.values if sequence is not None else n_range)
+    sizes = _validate_sizes(n_range)
     band = as_band_operator(A)
-    rows = []
+    section_mins, flip_mins = [], []
     norm_scale = 0.0
     for n in sizes:
         sv_section = numkernel.singular_values(band_ap_section(band, "P", n))
         sv_flip = numkernel.singular_values(flip_section(band, n))
         norm_scale = max(norm_scale, float(sv_section[0]), float(sv_flip[0]))
-        rows.append(StabilityRow(n, float(sv_section[-1]), float(sv_flip[-1])))
+        section_mins.append(float(sv_section[-1]))
+        flip_mins.append(float(sv_flip[-1]))
     margin = 1e-6 * norm_scale
     decay_threshold = 1e-8 * norm_scale
-    section_mins = [r.sigma_min_section for r in rows]
-    flip_mins = [r.sigma_min_flip for r in rows]
+    rows = tuple(
+        ReportRow(
+            n, complex(min(s, f)), complex(margin), max(0.0, margin - min(s, f)),
+            "section" if s <= f else "flip",
+        )
+        for n, s, f in zip(sizes, section_mins, flip_mins)
+    )
     if min(section_mins + flip_mins) >= margin:
         verdict = "stability-consistent"
     elif _decays(section_mins, decay_threshold) or _decays(flip_mins, decay_threshold):
         verdict = "unstable-evidence"
     else:
         verdict = "inconclusive"
-    return StabilityReport(tuple(rows), verdict, margin, norm_scale)
+    return StabilityReport(rows, complex(margin), verdict=verdict, norm_scale=norm_scale)
 
 
 # ---------------------------------------------------------------------------

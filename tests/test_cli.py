@@ -237,7 +237,7 @@ def test_invalid_configs_field_paths(tmp_path):
         ({"predicted": ["a", "b"]}, "predicted"),
         (
             {"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": [1]}},
-            "operator",
+            "operator.diagonals",
         ),
         ({"experiment": "mathieu-dist", "alpha": True, "lambda": 1.0}, "alpha"),
         ({"experiment": "eigen-dist", "operator": {**MATHIEU, "lambda": True}}, "operator.lambda"),
@@ -257,6 +257,38 @@ def test_invalid_configs_field_paths(tmp_path):
             {"experiment": "eigen-dist", "operator": {"kind": "toeplitz", "symbol": {"1": 1.0}},
              "prediction": {"m": 64}},
             "prediction",
+        ),
+        # a prediction block that would be ignored
+        *(
+            ({"experiment": kind, "prediction": {"m": 64, "window": 8}}, "prediction")
+            for kind in ("szego-ratio", "strong-szego", "singular-dist", "folner", "stability", "cf-expand")
+        ),
+        *(
+            ({"experiment": kind, "operator": MATHIEU, **MATHIEU, "predicted": 2.5,
+              "prediction": {"m": 3, "window": 8}}, "prediction")
+            for kind in ("eigen-dist", "mathieu-dist")
+        ),
+        # nested symbols and almost periodic terms are read like the top-level symbol
+        ({"experiment": "eigen-dist", "operator": {"kind": "toeplitz", "symbol": {"1": True}}},
+         "operator.symbol.1"),
+        (
+            {"experiment": "folner", "operator": {"kind": "composite", "products": [
+                [{"kind": "toeplitz", "symbol": {"0": 1.0, "1": True}}]]}},
+            "operator.products[0][0].symbol.1",
+        ),
+        (
+            {"experiment": "folner", "operator": {"kind": "composite", "products": [
+                [{"kind": "projection"}, {"kind": "ap-multiplier", "terms": [{"freq": 0.5, "im": "1"}]}]]}},
+            "operator.products[0][1].terms[0].im",
+        ),
+        *(
+            ({"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": {"0": terms}}}, field)
+            for terms, field in (
+                ([{"freq": 0.0, "re": True}], "operator.diagonals.0[0].re"),
+                ([{"freq": True, "re": 1.0}], "operator.diagonals.0[0].freq"),
+                ([{"re": 1.0}], "operator.diagonals.0[0].freq"),
+                (1, "operator.diagonals.0"),
+            )
         ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
@@ -463,6 +495,37 @@ def test_stability_run(tmp_path):
     assert run_experiment(cfg) == 0
     summary = json.loads((tmp_path / "stab.json").read_text())
     assert summary["verdict"] == "stability-consistent"
+
+
+def test_strong_szego_singular_section_names_size(tmp_path, capsys):
+    # the 2-section [[1, 0.5], [2, 1]] is singular; the symbol has winding 0
+    cfg = {
+        "experiment": "strong-szego",
+        "symbol": {"0": 1.0, "1": 2.0, "-1": 0.5, "2": -6.0, "-2": -6.0},
+        "n_range": [1, 2, 3],
+        "output": str(tmp_path / "ss"),
+    }
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: n=2: singular section")
+
+
+def test_stability_run_unstable_shift(tmp_path):
+    cfg = {
+        "experiment": "stability",
+        "operator": {"kind": "toeplitz", "symbol": {"1": 1.0}},
+        "n_range": [4, 8, 12, 16, 20, 24],
+        "output": str(tmp_path / "stab"),
+    }
+    assert run_experiment(cfg) == 0
+    summary = json.loads((tmp_path / "stab.json").read_text())
+    assert summary["verdict"] == "unstable-evidence"
+    rows = [line.split(",") for line in (tmp_path / "stab.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == cfg["n_range"]
+    for _, emp_re, _, pred_re, _, residual, flags in rows:
+        assert float(pred_re) == summary["margin"] > 0
+        assert float(residual) == float(pred_re) - float(emp_re)
+        assert flags == "section"
 
 
 def test_emit_report_contract(tmp_path):

@@ -7,17 +7,16 @@ import pytest
 import scipy.linalg
 
 from szegolab.almostperiodic import APFunction
+from szegolab.cli import validate_config
 from szegolab.numkernel import lu_logdet, solve
 from szegolab.operators import (
     BandAPOperator,
     CompositeOperator,
-    TruncationError,
     almost_mathieu,
     as_band_operator,
     band_ap_section,
     composite_sections,
     flip_section,
-    operator_from_json,
     reversed_section,
     toeplitz_section,
 )
@@ -177,21 +176,21 @@ def test_composite_shift_pair_corner_defect():
     assert np.array_equal(diff, expected)
 
 
+def _parsed_composite(products):
+    config = {"experiment": "folner", "output": "out", "n_range": [1],
+              "operator": {"kind": "composite", "products": products}}
+    return validate_config(config).operator
+
+
 def test_composite_projections_identity():
-    e = operator_from_json({"kind": "composite", "products": [[{"kind": "projection"}] * 2]})
+    e = _parsed_composite([[{"kind": "projection"}] * 2])
     prod, crop = composite_sections(e, 4)
     assert np.array_equal(prod.data, np.eye(4))
     assert np.array_equal(crop.data, np.eye(4))
 
 
-def test_composite_truncation_error():
-    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS), as_band_operator(TWO_PLUS_COS))
-    with pytest.raises(TruncationError):
-        composite_sections(e, 8, m=8)
-
-
 def _parsed_factor(factor):
-    (parsed,) = operator_from_json({"kind": "composite", "products": [[factor]]}).products[0]
+    (parsed,) = _parsed_composite([[factor]]).products[0]
     return parsed
 
 

@@ -91,23 +91,23 @@ def test_winding_zero_proximity():
 
 def test_log_coefficients_exp_cos():
     data = log_coefficients(EXP_COS, 1024, 4)
-    assert data.coefficient(1) == pytest.approx(0.5, abs=1e-12)
-    assert data.coefficient(-1) == pytest.approx(0.5, abs=1e-12)
-    assert abs(data.coefficient(0)) <= 1e-12
-    assert abs(data.coefficient(2)) <= 1e-12
+    assert data[1] == pytest.approx(0.5, abs=1e-12)
+    assert data[-1] == pytest.approx(0.5, abs=1e-12)
+    assert abs(data[0]) <= 1e-12
+    assert abs(data[2]) <= 1e-12
 
 
 def test_log_coefficients_constant():
     data = log_coefficients(TrigPolynomial.constant(3.0), 1024, 2)
-    assert data.coefficient(0) == pytest.approx(math.log(3.0), abs=1e-14)
-    assert abs(data.coefficient(1)) <= 1e-14
+    assert data[0] == pytest.approx(math.log(3.0), abs=1e-14)
+    assert abs(data[1]) <= 1e-14
 
 
 def test_log_coefficients_quadrature_oracle():
     oracle = quad(lambda t: math.log(2 + math.cos(t)), 0, 2 * math.pi)[0] / (2 * math.pi)
     assert oracle == pytest.approx(LOG_MEAN_2COS, abs=1e-9)
     data = log_coefficients(TWO_PLUS_COS, 1024, 0)
-    assert data.coefficient(0) == pytest.approx(LOG_MEAN_2COS, abs=1e-12)
+    assert data[0] == pytest.approx(LOG_MEAN_2COS, abs=1e-12)
 
 
 def test_log_coefficients_branch_error():
@@ -217,7 +217,7 @@ def test_geometric_mean_matches_log_average():
 def test_log_coefficients_conjugate_symmetry_exact():
     data = log_coefficients(TWO_PLUS_COS, 512, 16)
     for k in range(1, 17):
-        assert data.coefficient(-k) == data.coefficient(k).conjugate()
+        assert data[-k] == data[k].conjugate()
 
 
 def _random_positive_symbol(rng):
@@ -242,7 +242,7 @@ def test_grid_doubling_stability():
     data1 = log_coefficients(TWO_PLUS_COS, 1024, 8)
     data2 = log_coefficients(TWO_PLUS_COS, 2048, 8)
     for k in range(-8, 9):
-        assert abs(data1.coefficient(k) - data2.coefficient(k)) < 1e-12
+        assert abs(data1[k] - data2[k]) < 1e-12
 
 
 def test_from_function_known_coefficients():

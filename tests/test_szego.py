@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from szegolab.almostperiodic import APFunction, distinguished_sequence
-from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, lu_logdet
+from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, lu_logdet, singular_values
 from szegolab.operators import (
     BandAPOperator,
     CompositeOperator,
@@ -28,7 +28,6 @@ from szegolab.szego import (
     DomainError,
     EmptyReportError,
     MethodError,
-    SpectrumSample,
     TestFunction,
     WindowError,
     cluster_partial_limits,
@@ -40,7 +39,6 @@ from szegolab.szego import (
     g_limit_constant,
     limit_prediction,
     singular_mean,
-    singular_sample,
     stability_probe,
     strong_szego_ratio,
 )
@@ -65,14 +63,14 @@ def test_testfunction_polynomial():
     g = TestFunction.polynomial([1.0, 0.0, 2.0])
     assert g(3.0) == pytest.approx(19.0)
     assert np.allclose(g.x_coefficients(), [1.0, 0.0, 2.0])
-    mixed = TestFunction.polynomial({(1, 1): 1.0})  # |x|^2
-    assert mixed(3 + 4j) == pytest.approx(25.0)
-    assert not mixed.is_x_polynomial
 
 
 def test_testfunction_entire_and_callable():
-    series = TestFunction.entire([1.0 / math.factorial(k) for k in range(20)])
+    # an entire function given pointwise by its truncated power series
+    series = TestFunction.from_callable(lambda x: sum(x**k / math.factorial(k) for k in range(20)))
     assert series(1.0) == pytest.approx(math.e, abs=1e-12)
+    with pytest.raises(MethodError):
+        series.x_coefficients()
     assert TestFunction.exp()(0.5) == pytest.approx(math.exp(0.5))
 
 
@@ -356,7 +354,7 @@ def test_eigenvalue_hull_containment():
         theta = float(rng.uniform(0, 1))
         op = almost_mathieu(alpha, lam, theta)
         n = int(rng.integers(4, 40))
-        vals = eigen_sample(band_ap_section(op, "P", n)).values
+        vals = eigen_sample(band_ap_section(op, "P", n))
         assert np.all(vals >= -2 - lam - 1e-9)
         assert np.all(vals <= 2 + lam + 1e-9)
 
@@ -365,7 +363,7 @@ def test_singular_mean_shift_symbol():
     z = TrigPolynomial({1: 1.0})
     g = TestFunction.exp()
     for n in (3, 8, 20):
-        s = singular_sample(toeplitz_section(z, n))
+        s = singular_values(toeplitz_section(z, n))
         mean = singular_mean(s, g)
         expected = ((n - 1) * math.e + 1.0) / n
         assert mean == pytest.approx(expected, abs=1e-12)
@@ -374,20 +372,11 @@ def test_singular_mean_shift_symbol():
 def test_singular_mean_one_plus_z():
     a = TrigPolynomial({0: 1.0, 1: 1.0})
     for n in (8, 32, 128):
-        s = singular_sample(toeplitz_section(a, n))
+        s = singular_values(toeplitz_section(a, n))
         m2 = singular_mean(s, TestFunction.power(2))
         assert m2 == pytest.approx((2 * n - 1) / n, abs=1e-10)
         m4 = singular_mean(s, TestFunction.power(4))
         assert m4 == pytest.approx(6 - 5 / n, abs=1e-9)
-
-
-def test_spectrum_sample_validation():
-    with pytest.raises(ValueError):
-        SpectrumSample(3, np.array([1.0, -2.0, 0.5]), "singular")
-    with pytest.raises(ValueError):
-        SpectrumSample(2, np.array([1.0]), "eigen")
-    with pytest.raises(ValueError):
-        eigen_mean(SpectrumSample(2, np.array([1.0, 2.0]), "singular"), TestFunction.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +464,13 @@ def test_folner_nonincreasing_in_n():
 def test_stability_probe_shift_unstable():
     rep = stability_probe(TrigPolynomial({1: 1.0}), [4, 8, 12, 16, 20, 24])
     assert rep.verdict == "unstable-evidence"
-    assert all(r.sigma_min_section == 0.0 for r in rep.rows)
+    assert all(r.empirical == 0.0 and r.flags == "section" for r in rep.rows)
 
 
 def test_stability_probe_positive_symbol():
     rep = stability_probe(TWO_PLUS_COS, [4, 8, 16, 32, 64])
     assert rep.verdict == "stability-consistent"
-    assert min(r.sigma_min_section for r in rep.rows) >= 1.0
+    assert min(r.empirical.real for r in rep.rows) >= 1.0
 
 
 def test_stability_probe_shifted_mathieu():
@@ -489,13 +478,13 @@ def test_stability_probe_shifted_mathieu():
     shifted = op + BandAPOperator({0: APFunction.constant(-5.0)}, "Z")
     rep = stability_probe(shifted, [4, 8, 16, 32])
     assert rep.verdict == "stability-consistent"
-    assert min(r.sigma_min_section for r in rep.rows) >= 2.0
+    assert min(r.empirical.real for r in rep.rows) >= 2.0
 
 
 def test_stability_probe_distinguished_sequence():
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
     seq = distinguished_sequence(GOLDEN, 8)
-    rep = stability_probe(op, [], sequence=seq)
+    rep = stability_probe(op, seq.values)
     assert tuple(r.n for r in rep.rows) == seq.values
 
 

@@ -58,7 +58,14 @@ class APFunction:
 
     @classmethod
     def constant(cls, c) -> "APFunction":
-        return cls([(0.0, c)])
+        """What ``cls([(0.0, c)])`` gives, without its merge, sort and pairing."""
+        c = complex(c)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError("frequencies and coefficients must be finite")
+        a = cls.__new__(cls)
+        a.terms = ((0.0, c),) if c != 0 else ()
+        a._real_form = (0.0 + c.real, []) if c.imag == 0 else None
+        return a
 
     @classmethod
     def exponential(cls, freq: float, coeff=1.0) -> "APFunction":

@@ -75,10 +75,6 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_report(reports, path) -> None:
     """Write reports as one CSV file: header plus one line per row.
 
@@ -88,16 +84,14 @@ def emit_report(reports, path) -> None:
         raise ValueError("emit_report requires at least one report")
     lines = [CSV_HEADER]
     for rep in reports:
-        for r in rep.rows:
-            e = complex(r.empirical)
-            p = complex(r.predicted)
-            lines.append(
-                f"{r.n},{_fmt(e.real)},{_fmt(e.imag)},{_fmt(p.real)},"
-                f"{_fmt(p.imag)},{_fmt(r.residual)},{r.flags}"
-            )
-    data = "\n".join(lines) + "\n"
+        pred = "%.17g,%.17g" % (rep.predicted.real, rep.predicted.imag)
+        flags = rep.flags or ("",) * len(rep.sizes)
+        lines.extend(
+            "%d,%.17g,%.17g,%s,%.17g,%s" % (n, v.real, v.imag, pred, r, f)
+            for n, v, r, f in zip(rep.sizes, rep.values.tolist(), rep.residuals.tolist(), flags)
+        )
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(data)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, obj) -> None:
@@ -244,14 +238,14 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
         return tuple(sizes), None
     if not isinstance(block, list) or not block:
         raise ConfigError("n_range: must be a list or a geometric range object")
-    sizes = []
-    for i, n in enumerate(block):
-        if not _is_int(n) or n < 1:
-            raise ConfigError(f"n_range[{i}]: must be a positive integer")
-        sizes.append(n)
+    if not all(type(n) is int and n >= 1 for n in block):
+        for i, n in enumerate(block):
+            if not _is_int(n) or n < 1:
+                raise ConfigError(f"n_range[{i}]: must be a positive integer")
+    sizes = tuple(block)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("n_range: must be strictly increasing")
-    return tuple(sizes), None
+    return sizes, None
 
 
 def _offset(key, path) -> int:
@@ -488,7 +482,7 @@ def validate_config(raw) -> ExperimentConfig:
 def _run_szego_ratio(cfg: ExperimentConfig):
     predicted = geometric_mean(cfg.symbol)
     report = det_ratio_sequence(cfg.operator, cfg.sizes, predicted)
-    clusters = cluster_partial_limits(report.empirical_values())
+    clusters = cluster_partial_limits(report.values)
     summary = {
         "clusters": [
             {"center": _pair(c.center), "radius": c.radius, "count": c.count}
@@ -556,8 +550,7 @@ def _run_cf_expand(cfg: ExperimentConfig, csv_path, json_path) -> int:
     cf = expand_cf(cfg.alpha, cfg.max_terms, cfg.q_cap)
     lines = [CF_CSV_HEADER]
     for i, (b, (p, q)) in enumerate(zip(cf.quotients, cf.convergents)):
-        bound = convergent_error_bound(cf, i)
-        lines.append(f"{i + 1},{b},{p},{q},{_fmt(bound)}")
+        lines.append("%d,%d,%d,%d,%.17g" % (i + 1, b, p, q, convergent_error_bound(cf, i)))
     with open(csv_path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     bounds_ok = check_approximation_bounds(cf)

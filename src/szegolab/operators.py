@@ -116,11 +116,14 @@ def almost_mathieu(alpha: float, lam: float, theta: float = 0.0) -> BandAPOperat
 
 def _diagonal_values(diagonals: Mapping[int, APFunction], size: int, start: int, step: int):
     """(d, lo, hi, values) for every offset d of a size x size section: its
-    entries (j + d, j) for lo <= j < hi, and diagonals[d] at start + step * j."""
+    entries (j + d, j) for lo <= j < hi, and diagonals[d] at start + step * j
+    (one value, broadcast over the range, when the diagonal is constant)."""
     for d, f in diagonals.items():
         if abs(d) < size:
             lo, hi = max(0, -d), size - max(0, d)
-            yield d, lo, hi, eval_ap(f, np.arange(start + step * lo, start + step * hi, step))
+            constant = len(f.terms) == 1 and f.terms[0][0] == 0.0
+            at = np.zeros(1) if constant else np.arange(start + step * lo, start + step * hi, step)
+            yield d, lo, hi, eval_ap(f, at)
 
 
 def _section(diagonals, size: int, start: int = 0, step: int = 1) -> np.ndarray:

@@ -83,16 +83,8 @@ class TrigPolynomial:
         return self.coeffs.get(k, 0j)
 
     @property
-    def support(self) -> tuple[int, int]:
-        if not self.coeffs:
-            return (0, 0)
-        ks = list(self.coeffs)
-        return (min(ks), max(ks))
-
-    @property
     def bandwidth(self) -> int:
-        lo, hi = self.support
-        return max(abs(lo), abs(hi))
+        return max(map(abs, self.coeffs), default=0)
 
     @property
     def is_real_valued(self) -> bool:

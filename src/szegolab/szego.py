@@ -174,40 +174,38 @@ class TestFunction:
 # reports and the sweep driver
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    n: int
-    empirical: complex
-    predicted: complex
-    residual: float
-    flags: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array columns: compared by identity
 class SzegoReport:
-    """Per-size empirical values against a predicted constant."""
+    """Per-size empirical values against a predicted constant, as columns:
+    row i is sizes[i], values[i] and residuals[i] = |values[i] - predicted|,
+    with flags[i] when the report flags its rows (``None`` when it does not)."""
 
-    rows: tuple[ReportRow, ...]
+    sizes: tuple[int, ...]
+    values: np.ndarray  # complex128
+    residuals: np.ndarray  # float64
+    flags: tuple[str, ...] | None
     predicted: complex
     skipped: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        ns = [r.n for r in self.rows]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
+        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("report indices must be strictly increasing")
-        if any(not math.isfinite(r.residual) for r in self.rows):
+        if not np.isfinite(self.residuals).all():
             raise ValueError("residuals must be finite")
 
     @property
     def final_residual(self) -> float:
-        return self.rows[-1].residual if self.rows else math.nan
-
-    def empirical_values(self) -> list[complex]:
-        return [r.empirical for r in self.rows]
+        return float(self.residuals[-1]) if self.sizes else math.nan
 
 
-def _validate_sizes(n_range: Sequence[int]) -> list[int]:
-    sizes = [int(n) for n in n_range]
+class _Sizes(tuple):
+    """Section sizes `_validate_sizes` has already checked."""
+
+
+def _validate_sizes(n_range: Sequence[int]) -> _Sizes:
+    if type(n_range) is _Sizes:
+        return n_range
+    sizes = _Sizes(int(n) for n in n_range)
     if not sizes:
         raise ValueError("empty size range")
     if any(n < 1 for n in sizes):
@@ -232,7 +230,7 @@ def sweep(
     skipped: list[tuple[int, str]] = []
     for n in _validate_sizes(n_range):
         try:
-            entries.append((n, complex(measure(n))))
+            entries.append((n, measure(n)))
         except SkippedSize as skip:
             skipped.append((n, str(skip)))
         except Exception as exc:  # carry the failing size with the error
@@ -240,9 +238,12 @@ def sweep(
             raise
     if not entries:
         raise EmptyReportError("all requested sections were singular")
-    pred = complex(predicted) if predicted is not None else entries[-1][1]
-    rows = tuple(ReportRow(n, v, pred, abs(v - pred)) for n, v in entries)
-    return SzegoReport(rows, pred, tuple(skipped))
+    sizes, values = zip(*entries)
+    values = np.array(values, dtype=np.complex128)
+    pred = complex(predicted) if predicted is not None else complex(values[-1])
+    with np.errstate(over="ignore"):  # an infinite residual fails the report's check
+        d = values - pred  # np.hypot rounds as abs(complex) does; np.abs may not
+        return SzegoReport(sizes, values, np.hypot(d.real, d.imag), None, pred, tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +265,10 @@ def det_ratio_sequence(
     singular sections are skipped.  Without an explicit prediction the
     final ratio serves as the limit estimate.
     """
-    top = _validate_sizes(n_range)[-1]
-    diagonals = band_diagonals(as_band_operator(A), top)
-    pivots, stop = numkernel.band_lu_pivots(diagonals, top)
+    sizes = _validate_sizes(n_range)
+    diagonals = band_diagonals(as_band_operator(A), sizes[-1])
+    pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
+    pivots = pivots.tolist()
     logdet = functools.cache(lambda k: numkernel.band_logdet(diagonals, k))
 
     def ratio(n):
@@ -277,7 +279,7 @@ def det_ratio_sequence(
             raise SkippedSize(f"singular section at {'n' if num.singular_flag else 'n-1'}")
         return cmath.exp(num.log_abs - den.log_abs) * (num.phase / den.phase)
 
-    return sweep(n_range, ratio, predicted)
+    return sweep(sizes, ratio, predicted)
 
 
 def det_ratio_via_cramer(A, n: int) -> complex:
@@ -305,7 +307,7 @@ def g_limit_constant(A: BandAPOperator, m: int) -> complex:
     return 1.0 / v
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class StrongSzegoReport(SzegoReport):
     """A strong Szego report with the constants it was measured against:
     G[a] and the tail bound of the truncated series for E[a]."""
@@ -323,12 +325,12 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
     row swap or zero pivot on, each determinant comes from the band LU of its
     own section, and a singular section raises.
     """
-    top = _validate_sizes(n_range)[-1]
+    sizes = _validate_sizes(n_range)
     grid = _default_grid(a.bandwidth)
     c0 = log_coefficients(a, grid, 0)[0]
     constant = strong_szego_constant(a, grid // 4)
-    diagonals = band_diagonals(as_band_operator(a), top)
-    pivots, stop = numkernel.band_lu_pivots(diagonals, top)
+    diagonals = band_diagonals(as_band_operator(a), sizes[-1])
+    pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
     log_abs = np.cumsum(np.log(np.abs(pivots)))
     phases = np.cumprod(pivots / np.abs(pivots))
 
@@ -341,10 +343,9 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
                 raise numkernel.SingularMatrixError("singular section", 0.0)
         return cmath.exp(ld.log_abs - n * c0.real) * ld.phase * cmath.exp(-1j * n * c0.imag)
 
-    report = sweep(n_range, normalized_det, constant.value)
+    report = sweep(sizes, normalized_det, constant.value)
     return StrongSzegoReport(
-        report.rows,
-        report.predicted,
+        **vars(report),
         geometric_mean=complex(np.exp(c0)),
         tail_bound=constant.tail_bound,
     )
@@ -471,7 +472,7 @@ def folner_discrepancy(E: CompositeOperator, n: int) -> float:
 # stability probes
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class StabilityReport(SzegoReport):
     """Observed smallest singular values against the margin (the predicted
     value); evidence, never a proof.  Each row holds the smaller of the
@@ -512,20 +513,16 @@ def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
         flip_mins.append(float(sv_flip[-1]))
     margin = 1e-6 * norm_scale
     decay_threshold = 1e-8 * norm_scale
-    rows = tuple(
-        ReportRow(
-            n, complex(min(s, f)), complex(margin), max(0.0, margin - min(s, f)),
-            "section" if s <= f else "flip",
-        )
-        for n, s, f in zip(sizes, section_mins, flip_mins)
-    )
+    mins = np.minimum(section_mins, flip_mins)
+    flags = tuple("section" if s <= f else "flip" for s, f in zip(section_mins, flip_mins))
     if min(section_mins + flip_mins) >= margin:
         verdict = "stability-consistent"
     elif _decays(section_mins, decay_threshold) or _decays(flip_mins, decay_threshold):
         verdict = "unstable-evidence"
     else:
         verdict = "inconclusive"
-    return StabilityReport(rows, complex(margin), verdict=verdict, norm_scale=norm_scale)
+    columns = (sizes, mins.astype(np.complex128), np.maximum(0.0, margin - mins), flags)
+    return StabilityReport(*columns, complex(margin), verdict=verdict, norm_scale=norm_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -544,25 +541,32 @@ def cluster_partial_limits(values: Sequence[complex], gap: float = 1e-6) -> tupl
 
     Values are visited in (real, imag) order; each joins the group with the
     nearest center when that center lies within ``gap`` and opens a new group
-    otherwise.  Groups are returned ordered by center.
+    otherwise.  A center more than 2 gap to the left of a value that opens a
+    group is out of reach of every later value, so its group leaves the
+    scan.  Groups are returned ordered by center.
     """
-    pts = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    z = np.asarray(values, dtype=np.complex128)
+    pts = z[np.lexsort((z.imag, z.real))].tolist()  # stable, as sorted() is
     groups: list[list[complex]] = []
     centers: list[complex] = []
     totals: list[complex] = []  # running sum(group), started from 0 as sum() is
+    active: list[int] = []  # groups in reach, in creation order
+    reach = math.nextafter(gap, math.inf)  # dist < reach: dist <= gap
     for v in pts:
-        if centers:
-            dist, i = min((abs(v - c), i) for i, c in enumerate(centers))
-            if dist <= gap:
-                groups[i].append(v)
-                totals[i] += v
-                centers[i] = totals[i] / len(groups[i])
-                continue
+        best, best_dist = -1, reach
+        for i in active:
+            dist = abs(v - centers[i])
+            if dist < best_dist:  # strict: the first of equally near groups wins
+                best, best_dist = i, dist
+        if best >= 0:
+            groups[best].append(v)
+            totals[best] += v
+            centers[best] = totals[best] / len(groups[best])
+            continue
+        active = [i for i in active if v.real - centers[i].real <= 2 * gap]
+        active.append(len(groups))
         groups.append([v])
         centers.append(v)
         totals.append(0 + v)
-    out = []
-    for grp, center in zip(groups, centers):
-        radius = max(abs(v - center) for v in grp)
-        out.append(Cluster(center, radius, len(grp)))
+    out = (Cluster(c, max(abs(v - c) for v in grp), len(grp)) for grp, c in zip(groups, centers))
     return tuple(sorted(out, key=lambda c: (c.center.real, c.center.imag)))

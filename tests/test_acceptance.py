@@ -52,7 +52,7 @@ def test_criterion_01_first_szego_ratio():
     start = time.perf_counter()
     rep = det_ratio_sequence(TWO_PLUS_COS, sizes, target)
     elapsed = time.perf_counter() - start
-    resid = abs(rep.rows[-1].empirical - target)
+    resid = abs(rep.values[-1] - target)
     ok = resid <= 1e-6 and elapsed < 2.0
     assert report(
         1,
@@ -82,7 +82,7 @@ def test_criterion_03_cramer_cross_check():
     for n in (8, 32, 128):
         rep = det_ratio_sequence(TWO_PLUS_COS, [n], None)
         beta = det_ratio_via_cramer(band, n)
-        worst = max(worst, abs(beta * rep.rows[0].empirical - 1.0))
+        worst = max(worst, abs(beta * rep.values[0] - 1.0))
     ok = worst <= 1e-9
     assert report(3, "Cramer cross-check", ok, f"max |beta_n r_n - 1| = {worst:.3e}")
 
@@ -92,7 +92,7 @@ def test_criterion_04_partial_limit_set():
     down = APFunction([(0.0, 0.5), (0.5, -0.5)])
     op = BandAPOperator({0: APFunction.constant(2.0), 1: up, -1: down}, "Z")
     rep = det_ratio_sequence(op, list(range(1, 17)))
-    clusters = cluster_partial_limits(rep.empirical_values())
+    clusters = cluster_partial_limits(rep.values)
     centers = sorted(c.center.real for c in clusters)
     radius = max(c.radius for c in clusters)
     ok = (

@@ -188,6 +188,19 @@ def test_apfunction_dedup_and_mod_reduction():
     assert b.terms[0][0] == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize(
+    "c", [0, 0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 2.5, -1e-300, 5e-324, 1 + 2j, -3j]
+)
+def test_apfunction_constant_matches_general_constructor(c):
+    fast, general = APFunction.constant(c), APFunction([(0.0, c)])
+    # repr tells the signs of zeros apart
+    assert repr(fast.terms) == repr(general.terms)
+    assert repr(fast._real_form) == repr(general._real_form)
+    for bad in (math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            APFunction.constant(bad)
+
+
 def test_apfunction_real_detection():
     assert APFunction.cosine(1.0, 0.3, 0.2).is_real_valued
     assert APFunction([(0.0, 2.0), (0.5, 0.5)]).is_real_valued

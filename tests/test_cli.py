@@ -1,10 +1,12 @@
 """End-to-end runs of the experiment CLI."""
 
+import dataclasses
 import itertools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from szegolab.cli import (
     run_experiment,
     validate_config,
 )
-from szegolab.szego import ReportRow, SzegoReport
+from szegolab.szego import SzegoReport, sweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_ALPHA = (math.sqrt(5) - 1) / 2
@@ -209,6 +211,23 @@ def test_invalid_config_missing_n_range(tmp_path):
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["run", cfg_path]) == 2
     assert not (tmp_path / "out").exists()  # no artifacts on config failure
+
+
+@pytest.mark.parametrize(
+    "n_range, message",
+    [
+        ([4, True, 8], "n_range[1]: must be a positive integer"),
+        ([4, 0], "n_range[1]: must be a positive integer"),
+        ([2.0, 3], "n_range[0]: must be a positive integer"),
+        ([1, 2, "3"], "n_range[2]: must be a positive integer"),
+        ([1, 2, -3, None], "n_range[2]: must be a positive integer"),
+        ([3, 2], "n_range: must be strictly increasing"),
+    ],
+)
+def test_n_range_list_names_first_bad_entry(tmp_path, n_range, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(ratio_config(tmp_path, n_range=n_range))
+    assert str(exc.value) == message
 
 
 def test_invalid_configs_field_paths(tmp_path):
@@ -529,15 +548,73 @@ def test_stability_run_unstable_shift(tmp_path):
 
 
 def test_emit_report_contract(tmp_path):
-    row = ReportRow(4, 1.5 + 0.5j, 1.5, 0.5)
-    report = SzegoReport((row,), 1.5, 1.5 + 0.5j)
+    report = SzegoReport(
+        (4, 9),
+        np.array([1.5 + 0.5j, complex(-0.0, 2.0)]),
+        np.array([0.5, 2.5]),
+        ("flip", "section"),
+        1.5 + 0j,
+        ((5, "singular section at n"),),
+    )
     path = tmp_path / "r.csv"
     emit_report([report], path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[0] == CSV_HEADER
+    # skipped sizes leave no row
+    assert path.read_bytes() == (
+        CSV_HEADER + "\n4,1.5,0.5,1.5,0,0.5,flip\n9,-0,2,1.5,0,2.5,section\n"
+    ).encode()
     first = path.read_bytes()
     emit_report([report], path)
     assert path.read_bytes() == first
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "empty.csv")
+
+
+def _fmt_oracle(x):
+    return format(float(x), ".17g")
+
+
+def _row_oracle(n, e, p, residual, flags):
+    """One CSV line as the per-row report writer formatted it."""
+    return (
+        f"{n},{_fmt_oracle(e.real)},{_fmt_oracle(e.imag)},{_fmt_oracle(p.real)},"
+        f"{_fmt_oracle(p.imag)},{_fmt_oracle(residual)},{flags}"
+    )
+
+
+def _abs_or_inf(z):
+    try:
+        return abs(z)
+    except OverflowError:  # abs(complex) raises past the float range
+        return math.inf
+
+
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308, -1e308, 1.0, 0.1]
+)
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=st.lists(COMPLEX, min_size=1, max_size=6),
+    predicted=COMPLEX,
+    flags=st.lists(st.sampled_from(["", "section", "flip"]), min_size=6, max_size=6),
+)
+def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predicted, flags):
+    sizes = range(1, len(values) + 1)
+    expected = [_abs_or_inf(v - predicted) for v in values]
+    if not all(math.isfinite(r) for r in expected):
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            sweep(sizes, lambda n: values[n - 1], predicted)
+        return
+    report = sweep(sizes, lambda n: values[n - 1], predicted)
+    assert [r.hex() for r in report.residuals.tolist()] == [r.hex() for r in expected]
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    for row_flags in (None, tuple(flags[: len(values)])):
+        emit_report([dataclasses.replace(report, flags=row_flags)], path)
+        lines = [CSV_HEADER] + [
+            _row_oracle(n, v, predicted, r, row_flags[n - 1] if row_flags else "")
+            for n, v, r in zip(sizes, values, expected)
+        ]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -93,14 +93,14 @@ def test_testfunction_nonfinite_output():
 def test_det_ratio_constant_symbol():
     c = 3.5 - 1.0j
     rep = det_ratio_sequence(TrigPolynomial.constant(c), [2, 3, 4], c)
-    for row in rep.rows:
-        assert row.empirical == pytest.approx(c, abs=1e-12)
+    for value in rep.values:
+        assert value == pytest.approx(c, abs=1e-12)
 
 
 def test_det_ratio_block_operator_two_partial_limits():
     op = block_periodic_operator()
     rep = det_ratio_sequence(op, list(range(1, 17)))
-    clusters = cluster_partial_limits(rep.empirical_values())
+    clusters = cluster_partial_limits(rep.values)
     assert len(clusters) == 2
     centers = sorted(c.center.real for c in clusters)
     assert centers[0] == pytest.approx(1.5, abs=1e-12)
@@ -110,7 +110,7 @@ def test_det_ratio_block_operator_two_partial_limits():
 
 def test_det_ratio_exp_cos_tends_to_one():
     rep = det_ratio_sequence(EXP_COS, [64], 1.0)
-    assert rep.rows[0].residual <= 1e-10
+    assert rep.residuals[0] <= 1e-10
 
 
 def test_det_ratio_all_singular_raises():
@@ -141,9 +141,9 @@ def dense_ratio_route(op, sizes):
 def assert_matches_dense(rep, op, sizes, rel):
     rows, skipped = dense_ratio_route(op, sizes)
     assert rep.skipped == skipped
-    assert [r.n for r in rep.rows] == [n for n, _ in rows]
-    for r, (_, value) in zip(rep.rows, rows):
-        assert abs(r.empirical - value) <= rel * abs(value)
+    assert list(rep.sizes) == [n for n, _ in rows]
+    for got, (_, value) in zip(rep.values, rows):
+        assert abs(got - value) <= rel * abs(value)
 
 
 def breakdown_step(op, n):
@@ -193,7 +193,7 @@ def test_det_ratio_breakdown_at_step_zero_agrees_with_dense():
     sizes = list(range(1, 41))
     rep = det_ratio_sequence(a, sizes)
     assert_matches_dense(rep, a, sizes, 1e-11)
-    assert {r.n for r in rep.rows} >= {11, 12, 13}
+    assert set(rep.sizes) >= {11, 12, 13}
 
 
 def test_det_ratio_keeps_tiny_imaginary_coefficient():
@@ -203,7 +203,7 @@ def test_det_ratio_keeps_tiny_imaginary_coefficient():
         lu_logdet(scipy.linalg.toeplitz([2.0, 0.5 + 1e-13j][:n], [2.0, 0.5][:n])) for n in (1, 2)
     )
     dense = cmath.exp(two.log_abs - one.log_abs) * (two.phase / one.phase)
-    ratio = det_ratio_sequence(TrigPolynomial({0: 2.0, 1: 0.5 + 1e-13j, -1: 0.5}), [2]).rows[0].empirical
+    ratio = det_ratio_sequence(TrigPolynomial({0: 2.0, 1: 0.5 + 1e-13j, -1: 0.5}), [2]).values[0]
     assert dense.imag < -2e-14
     assert abs(ratio.real - dense.real) <= 1e-15
     assert abs(ratio.imag - dense.imag) <= 1e-15
@@ -231,9 +231,9 @@ def test_det_ratio_mpmath_oracle(op):
     rep = det_ratio_sequence(op, sizes)
     with mpmath.workdps(40):
         dets = [mpmath.mpf(1)] + [_mp_det(op, n) for n in sizes]
-        for r in rep.rows:
-            exact = complex(dets[r.n] / dets[r.n - 1])
-            assert abs(r.empirical - exact) <= 1e-12 * abs(exact)
+        for n, value in zip(rep.sizes, rep.values):
+            exact = complex(dets[n] / dets[n - 1])
+            assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 @pytest.mark.parametrize(
@@ -249,9 +249,9 @@ def test_strong_szego_ratio_mpmath_oracle(coeffs, sizes):
     rep = strong_szego_ratio(a, sizes)
     assert rep.geometric_mean == g
     with mpmath.workdps(40):
-        for r in rep.rows:
-            exact = complex(_mp_det(a, r.n) / mpmath.mpc(g) ** r.n)
-            assert abs(r.empirical - exact) <= 1e-12 * abs(exact)
+        for n, value in zip(rep.sizes, rep.values):
+            exact = complex(_mp_det(a, n) / mpmath.mpc(g) ** n)
+            assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_strong_szego_ratio_singular_section_raises():
@@ -271,7 +271,7 @@ def test_det_ratio_via_cramer_examples():
 def test_cramer_cross_method_consistency():
     rep = det_ratio_sequence(TWO_PLUS_COS, [32], geometric_mean(TWO_PLUS_COS))
     beta = det_ratio_via_cramer(as_band_operator(TWO_PLUS_COS), 32)
-    assert abs(beta * rep.rows[0].empirical - 1.0) <= 1e-9
+    assert abs(beta * rep.values[0] - 1.0) <= 1e-9
 
 
 def test_g_limit_constant_examples():
@@ -286,15 +286,15 @@ def test_g_limit_constant_examples():
 
 def test_strong_szego_ratio_constant():
     rep = strong_szego_ratio(TrigPolynomial.constant(2.5), [2, 4, 8])
-    for row in rep.rows:
-        assert row.empirical == pytest.approx(1.0, abs=1e-12)
+    for value in rep.values:
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_strong_szego_ratio_exp_cos():
     rep = strong_szego_ratio(EXP_COS, [8, 16, 32, 64])
-    assert rep.rows[-1].empirical == pytest.approx(math.exp(0.25), abs=1e-12)
+    assert rep.values[-1] == pytest.approx(math.exp(0.25), abs=1e-12)
     # analytic symbol: residual decreases until it hits the roundoff floor
-    resids = [r.residual for r in rep.rows]
+    resids = rep.residuals.tolist()
     assert all(b <= a or b <= 1e-13 for a, b in zip(resids, resids[1:]))
 
 
@@ -302,7 +302,7 @@ def test_strong_szego_ratio_series_vs_determinant():
     # two routes to E[a]: the coefficient series and the determinant ratio
     rep = strong_szego_ratio(TWO_PLUS_COS, [16, 32, 64])
     series = strong_szego_constant(TWO_PLUS_COS, 64)
-    assert rep.rows[-1].empirical == pytest.approx(series.value, abs=1e-10)
+    assert rep.values[-1] == pytest.approx(series.value, abs=1e-10)
     assert series.tail_bound <= 1e-20
 
 
@@ -464,13 +464,13 @@ def test_folner_nonincreasing_in_n():
 def test_stability_probe_shift_unstable():
     rep = stability_probe(TrigPolynomial({1: 1.0}), [4, 8, 12, 16, 20, 24])
     assert rep.verdict == "unstable-evidence"
-    assert all(r.empirical == 0.0 and r.flags == "section" for r in rep.rows)
+    assert (rep.values == 0).all() and rep.flags == ("section",) * 6
 
 
 def test_stability_probe_positive_symbol():
     rep = stability_probe(TWO_PLUS_COS, [4, 8, 16, 32, 64])
     assert rep.verdict == "stability-consistent"
-    assert min(r.empirical.real for r in rep.rows) >= 1.0
+    assert min(rep.values.real) >= 1.0
 
 
 def test_stability_probe_shifted_mathieu():
@@ -478,14 +478,14 @@ def test_stability_probe_shifted_mathieu():
     shifted = op + BandAPOperator({0: APFunction.constant(-5.0)}, "Z")
     rep = stability_probe(shifted, [4, 8, 16, 32])
     assert rep.verdict == "stability-consistent"
-    assert min(r.empirical.real for r in rep.rows) >= 2.0
+    assert min(rep.values.real) >= 2.0
 
 
 def test_stability_probe_distinguished_sequence():
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
     seq = distinguished_sequence(GOLDEN, 8)
     rep = stability_probe(op, seq.values)
-    assert tuple(r.n for r in rep.rows) == seq.values
+    assert rep.sizes == seq.values
 
 
 def test_scaling_invariance():
@@ -494,7 +494,7 @@ def test_scaling_invariance():
     scaled = op.scaled(c)
     base = det_ratio_sequence(op, [4, 8, 16])
     big = det_ratio_sequence(scaled, [4, 8, 16])
-    for x, y in zip(base.empirical_values(), big.empirical_values()):
+    for x, y in zip(base.values, big.values):
         assert y == pytest.approx(c * x, rel=1e-10)
     shifted = op + BandAPOperator({0: APFunction.constant(-5.0)}, "Z")
     v1 = stability_probe(shifted, [4, 8, 16, 32]).verdict
@@ -560,3 +560,40 @@ def test_cluster_partial_limits_matches_quadratic_reference(seed):
     got = cluster_partial_limits(values)
     assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values))
     assert sum(c.count for c in got) == len(values)
+
+
+def test_cluster_partial_limits_converging_sequence_matches_reference():
+    # shaped like the 2 + cos t ratios: L + c q^n, early values spread far
+    # from the limit, later ones piling up within the gap of it
+    limit, q = (2 + math.sqrt(3)) / 2, 2 - math.sqrt(3)
+    values = [limit + (0.134 - 0.01j) * q ** (0.05 * n) for n in range(1, 401)]
+    got = cluster_partial_limits(values)
+    assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values))
+    assert got[0].count > 1 and len(got) > 10
+
+
+def test_cluster_partial_limits_drifting_center_matches_reference():
+    # doubling batches 0.45 gap apart: each batch pulls the center right, so
+    # the group's first members end up over 2 gap left of its center while
+    # later values still join it; other groups open and close around it
+    gap = 1e-6
+    drift = [k * 0.45 * gap for k in range(9) for _ in range(2**k)]
+    values = drift + [x + 0.5j * gap for x in drift[::37]] + [-3 * gap, 20 * gap]
+    # far-off values that open groups mid-scan, when the first drift values
+    # already lie over 2 gap to their left
+    values += [x * gap + 1j for x in (1.0, 2.5, 3.0, 3.3)]
+    got = cluster_partial_limits(values, gap)
+    assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values, gap))
+    widest = max(got, key=lambda c: c.radius)
+    assert widest.radius > 2 * gap and widest.count >= len(drift)
+
+
+def test_cluster_partial_limits_boundary_cases_match_reference():
+    gap = 1e-6
+    # a distance of exactly gap joins; a value equally near two centers joins
+    # the older group; equal real parts are ordered by the imaginary part
+    values = [0.0, gap, complex(5, -0.6 * gap), complex(5, 0.6 * gap), complex(5 + 0.5 * gap, 0)]
+    values += [complex(9, 0.6 * gap), complex(9, -0.6 * gap), complex(9, 0)]
+    got = cluster_partial_limits(values, gap)
+    assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values, gap))
+    assert [c.count for c in got] == [2, 1, 2, 3]

@@ -28,7 +28,7 @@ from .almostperiodic import (
     distinguished_sequence,
     expand_cf,
 )
-from .numkernel import singular_values
+from .numkernel import DenseMatrix, singular_values
 from .operators import (
     BandAPOperator,
     CompositeOperator,
@@ -248,18 +248,25 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
     return sizes, None
 
 
-def _offset(key, path) -> int:
+def _offset(key, path, seen: set) -> int:
+    """The integer a key spells, added to ``seen``; a key that spells an
+    offset already in ``seen`` ("1" after "01") is an error."""
     try:
-        return int(key)
+        d = int(key)
     except ValueError:
         raise ConfigError(f"{path}.{key}: offset must be an integer") from None
+    if d in seen:
+        raise ConfigError(f"{path}.{key}: offset {d} given twice")
+    seen.add(d)
+    return d
 
 
 def _parse_symbol(obj, path="symbol") -> TrigPolynomial:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: must be an object")
+    seen = set()
     for key, val in obj.items():
-        _offset(key, path)
+        _offset(key, path, seen)
         pair = val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
         if not all(_is_number(v) for v in pair):
             raise ConfigError(f"{path}.{key}: must be a finite number or an [re, im] pair")
@@ -320,9 +327,10 @@ def _parse_operator(obj, path="operator"):
         domain = obj.get("domain", "Z")
         if domain not in ("Z", "Z+"):
             raise ConfigError(f"{path}.domain: must be 'Z' or 'Z+'")
+        seen = set()
         return BandAPOperator(
             {
-                _offset(d, f"{path}.diagonals"): _parse_terms(t, f"{path}.diagonals.{d}")
+                _offset(d, f"{path}.diagonals", seen): _parse_terms(t, f"{path}.diagonals.{d}")
                 for d, t in diagonals.items()
             },
             domain,
@@ -512,10 +520,11 @@ def _run_eigen_dist(cfg: ExperimentConfig):
         predicted = limit_prediction(
             cfg.operator, cfg.g, cfg.prediction_m, cfg.prediction_window
         )
+    # entry (i, j) of a P section does not depend on n: every size is a
+    # leading block of the largest section
+    section = band_ap_section(cfg.operator, "P", cfg.sizes[-1]).data
     report = sweep(
-        cfg.sizes,
-        lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, "P", n)), cfg.g),
-        predicted,
+        cfg.sizes, lambda n: eigen_mean(eigen_sample(DenseMatrix(section[:n, :n])), cfg.g), predicted
     )
     if cfg.kind == "mathieu-dist":
         return report, {"sequence_source": cfg.sequence_source}
@@ -524,10 +533,9 @@ def _run_eigen_dist(cfg: ExperimentConfig):
 
 def _run_singular_dist(cfg: ExperimentConfig):
     predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, SYMBOL_GRID))))
+    section = band_ap_section(cfg.operator, "P", cfg.sizes[-1]).data
     report = sweep(
-        cfg.sizes,
-        lambda n: singular_mean(singular_values(band_ap_section(cfg.operator, "P", n)), cfg.g),
-        predicted,
+        cfg.sizes, lambda n: singular_mean(singular_values(section[:n, :n]), cfg.g), predicted
     )
     return report, {}
 

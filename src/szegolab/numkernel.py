@@ -9,17 +9,23 @@ determinants, spectral distribution means, stability probes) sits on these
 operations.  All arithmetic is 64-bit floating point; dense determinants are
 only ever exposed in log-magnitude/phase form because section determinants
 grow geometrically with the section size.
+
+Only the LU paths (`lu_logdet`, `solve` and the band LU behind
+`band_logdet` and `band_lu_pivots`) use SciPy, and they load it at their
+first call: importing this module, and every eigenvalue and singular value
+path, loads numpy alone.  ``python -X importtime -c "import szegolab.cli"``
+shows it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 
 class DimensionError(ValueError):
@@ -113,11 +119,21 @@ def _as_square_array(m) -> np.ndarray:
     return m.data
 
 
+@functools.cache
+def _linalg():
+    """scipy.linalg, imported at the first LU: it takes most of the import
+    time of this package, and only the LU paths use it (cached, so a call
+    costs what a module attribute lookup does)."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _lu(a: np.ndarray):
     # scipy warns on exactly-zero pivots; singularity is handled by callers.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return scipy.linalg.lu_factor(a, check_finite=False)
+        return _linalg().lu_factor(a, check_finite=False)
 
 
 def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
@@ -155,7 +171,7 @@ def solve(m, rhs) -> np.ndarray:
     smallest = float(np.abs(np.diagonal(lu)).min())
     if smallest < PIVOT_UNDERFLOW:
         raise SingularMatrixError("matrix is numerically singular", smallest)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return _linalg().lu_solve((lu, piv), b, check_finite=False)
 
 
 def _band_lu(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +184,7 @@ def _band_lu(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, n
     ab = np.zeros((2 * p + q + 1, n), dtype=np.complex128, order="F")
     for d, v in diagonals.items():
         ab[p + q + d] = v[:n]
-    lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, p, q, overwrite_ab=True)
+    lu, ipiv, info = _linalg().lapack.zgbtrf(ab, p, q, overwrite_ab=True)
     if info < 0:
         raise ValueError(f"zgbtrf rejected argument {-info}")
     return lu[p + q], ipiv

@@ -4,6 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from szegolab.cli import (
 from szegolab.szego import SzegoReport, sweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_ALPHA = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = {"0": [2.0, 0.0], "1": [0.5, 0.0], "-1": [0.5, 0.0]}
 X2 = {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}
@@ -163,6 +167,37 @@ def _first_difference(golden: Path, written: bytes) -> str:
         f"  golden:  {want.decode('ascii', 'replace')!r}\n"
         f"  written: {got.decode('ascii', 'replace')!r}"
     )
+
+
+# Run in a fresh interpreter: validate every golden config, run every one
+# whose kind needs no LU, note whether SciPy is loaded, then run szego-ratio.
+COLD_START = """
+import json, sys
+from szegolab.cli import main
+paths = json.loads(sys.argv[1])
+codes = [main(["validate", p]) for p in paths.values()]
+codes += [main(["run", p]) for name, p in paths.items() if name not in ("szego-ratio", "strong-szego")]
+before = "scipy" in sys.modules
+codes.append(main(["run", paths["szego-ratio"]]))
+print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_lu(tmp_path):
+    paths = {
+        name: write_config(tmp_path, f"{name}.config.json", dict(cfg, output=str(tmp_path / name)))
+        for name, cfg in GOLDEN_CONFIGS.items()
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(paths)],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * (2 * len(paths) - 1), "before": False, "after": True}
+    for ext in ("csv", "json"):
+        golden = GOLDEN_DIR / f"szego-ratio.{ext}"
+        assert (tmp_path / f"szego-ratio.{ext}").read_bytes() == golden.read_bytes()
 
 
 def test_mathieu_dist_is_eigen_dist_over_almost_mathieu():
@@ -308,6 +343,21 @@ def test_invalid_configs_field_paths(tmp_path):
                 ([{"re": 1.0}], "operator.diagonals.0[0].freq"),
                 (1, "operator.diagonals.0"),
             )
+        ),
+        # an offset spelled twice would silently drop a coefficient; the later key is named
+        *(
+            ({"symbol": {"0": [2.0, 0.0], "1": [0.5, 0.0], key: [0.7, 0.0]}}, f"symbol.{key}")
+            for key in ("01", "+1", " 1")
+        ),
+        (
+            {"experiment": "folner", "operator": {"kind": "composite", "products": [
+                [{"kind": "toeplitz", "symbol": {"-1": 1.0, "-01": 0.5}}]]}},
+            "operator.products[0][0].symbol.-01",
+        ),
+        (
+            {"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": {
+                "0": [{"freq": 0.0, "re": 1.0}], "00": [{"freq": 0.0, "re": 2.0}]}}},
+            "operator.diagonals.00",
         ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,

@@ -28,7 +28,7 @@ from .almostperiodic import (
     distinguished_sequence,
     expand_cf,
 )
-from .numkernel import DenseMatrix, singular_values
+from .numkernel import singular_values
 from .operators import (
     BandAPOperator,
     CompositeOperator,
@@ -520,11 +520,10 @@ def _run_eigen_dist(cfg: ExperimentConfig):
         predicted = limit_prediction(
             cfg.operator, cfg.g, cfg.prediction_m, cfg.prediction_window
         )
-    # entry (i, j) of a P section does not depend on n: every size is a
-    # leading block of the largest section
-    section = band_ap_section(cfg.operator, "P", cfg.sizes[-1]).data
     report = sweep(
-        cfg.sizes, lambda n: eigen_mean(eigen_sample(DenseMatrix(section[:n, :n])), cfg.g), predicted
+        cfg.sizes,
+        lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, "P", n)), cfg.g),
+        predicted,
     )
     if cfg.kind == "mathieu-dist":
         return report, {"sequence_source": cfg.sequence_source}
@@ -533,9 +532,10 @@ def _run_eigen_dist(cfg: ExperimentConfig):
 
 def _run_singular_dist(cfg: ExperimentConfig):
     predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, SYMBOL_GRID))))
-    section = band_ap_section(cfg.operator, "P", cfg.sizes[-1]).data
     report = sweep(
-        cfg.sizes, lambda n: singular_mean(singular_values(section[:n, :n]), cfg.g), predicted
+        cfg.sizes,
+        lambda n: singular_mean(singular_values(band_ap_section(cfg.operator, "P", n)), cfg.g),
+        predicted,
     )
     return report, {}
 

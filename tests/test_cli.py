@@ -174,27 +174,38 @@ def _first_difference(golden: Path, written: bytes) -> str:
 COLD_START = """
 import json, sys
 from szegolab.cli import main
-paths = json.loads(sys.argv[1])
-codes = [main(["validate", p]) for p in paths.values()]
-codes += [main(["run", p]) for name, p in paths.items() if name not in ("szego-ratio", "strong-szego")]
+configs = json.loads(sys.argv[1])
+codes = [main(["validate", c["path"]]) for c in configs.values()]
+codes += [
+    main(["run", c["path"]])
+    for c in configs.values()
+    if c["experiment"] not in ("szego-ratio", "strong-szego")
+]
 before = "scipy" in sys.modules
-codes.append(main(["run", paths["szego-ratio"]]))
+codes.append(main(["run", configs["szego-ratio"]["path"]]))
 print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules}))
 """
 
 
 def test_cold_start_loads_scipy_only_for_lu(tmp_path):
-    paths = {
-        name: write_config(tmp_path, f"{name}.config.json", dict(cfg, output=str(tmp_path / name)))
+    configs = {
+        name: {
+            "experiment": cfg["experiment"],
+            "path": write_config(
+                tmp_path, f"{name}.config.json", dict(cfg, output=str(tmp_path / name))
+            ),
+        }
         for name, cfg in GOLDEN_CONFIGS.items()
     }
+    lu_runs = sum(c["experiment"] in ("szego-ratio", "strong-szego") for c in configs.values())
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(paths)],
+        [sys.executable, "-c", COLD_START, json.dumps(configs)],
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
         capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * (2 * len(paths) - 1), "before": False, "after": True}
+    runs = 2 * len(configs) - lu_runs + 1
+    assert result == {"codes": [0] * runs, "before": False, "after": True}
     for ext in ("csv", "json"):
         golden = GOLDEN_DIR / f"szego-ratio.{ext}"
         assert (tmp_path / f"szego-ratio.{ext}").read_bytes() == golden.read_bytes()

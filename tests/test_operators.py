@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from szegolab.almostperiodic import APFunction
 from szegolab.cli import validate_config
@@ -244,35 +242,3 @@ def test_inverse_corner_reflection_identity():
         x = solve(toeplitz_section(TWO_PLUS_COS, n), e0)
         y = solve(toeplitz_section(TWO_PLUS_COS.reversed(), n), e0)
         assert abs(x[0] - y[0]) <= 1e-10
-
-
-_freq = st.floats(0, 1, exclude_max=True, allow_subnormal=False)
-_amplitude = st.floats(-2, 2, allow_subnormal=False)
-_diagonal = st.one_of(
-    _amplitude.map(APFunction.constant),
-    # real-valued: a sum of cosines, evaluated through the paired path
-    st.lists(st.tuples(_amplitude, _freq, _freq), min_size=1, max_size=3).map(
-        lambda cosines: APFunction([t for c in cosines for t in APFunction.cosine(*c).terms])
-    ),
-    st.lists(
-        st.tuples(_freq, st.complex_numbers(max_magnitude=2, allow_subnormal=False)),
-        min_size=1,
-        max_size=3,
-    ).map(APFunction),
-)
-_band_ap_operators = st.one_of(
-    st.dictionaries(st.integers(-3, 3), _diagonal, min_size=1).map(BandAPOperator),
-    st.builds(almost_mathieu, _freq, _amplitude, _freq),
-)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(A=_band_ap_operators, N=st.integers(1, 24))
-def test_sections_are_leading_blocks_of_larger_sections(A, N):
-    # entry (i, j) of a P or flip section does not depend on n, so sweeps
-    # may take every size as a leading block of the largest section
-    p_section = band_ap_section(A, "P", N).data
-    flip = flip_section(A, N).data
-    for n in range(1, N + 1):
-        assert p_section[:n, :n].tobytes() == band_ap_section(A, "P", n).data.tobytes()
-        assert flip[:n, :n].tobytes() == flip_section(A, n).data.tobytes()

@@ -28,11 +28,9 @@ from .almostperiodic import (
     ContinuedFraction,
     DistinguishedSequence,
     distinguished_sequence,
-    empirical_mean,
     eval_ap,
     expand_cf,
     mean_value,
-    shift_defect,
 )
 from .operators import (
     BandAPOperator,

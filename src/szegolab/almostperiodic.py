@@ -2,7 +2,7 @@
 
 An almost periodic sequence here is a finite frequency sum
 a(n) = sum_j c_j e^{2 pi i alpha_j n} with alpha_j in [0, 1).  The module
-computes mean values, shift defects, continued fraction expansions, and the
+computes mean values, continued fraction expansions, and the
 distinguished sequences of section sizes along which shifted copies of an
 operator with such coefficients return to it in norm: multiples of the
 period q in the rational case, continued fraction denominators q_n in the
@@ -24,6 +24,8 @@ FREQ_TOL = 1e-12
 # Continued fraction residuals below this are treated as exact rationals.
 RATIONAL_RESIDUAL = 1e-15
 
+# Defaults of `expand_cf`: at most this many quotients, denominators up to the cap.
+DEFAULT_MAX_TERMS = 32
 DEFAULT_Q_CAP = 10**6
 
 
@@ -45,14 +47,17 @@ class APFunction:
             if f > 1.0 - FREQ_TOL:
                 f = 0.0
             c = complex(coeff)
-            if not (math.isfinite(f) and math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("frequencies and coefficients must be finite")
             for i, (f0, c0) in enumerate(merged):
                 if _circle_distance(f, f0) <= FREQ_TOL:
                     merged[i] = (f0, c0 + c)
                     break
             else:
                 merged.append((f, c))
+        # checked after the merge: two finite coefficients can sum to inf
+        if not all(
+            math.isfinite(f) and math.isfinite(c.real) and math.isfinite(c.imag) for f, c in merged
+        ):
+            raise ValueError("frequencies and coefficients must be finite")
         self.terms = tuple(sorted((f, c) for f, c in merged if c != 0))
         self._real_form = self._pair_terms()
 
@@ -66,10 +71,6 @@ class APFunction:
         a.terms = ((0.0, c),) if c != 0 else ()
         a._real_form = (0.0 + c.real, []) if c.imag == 0 else None
         return a
-
-    @classmethod
-    def exponential(cls, freq: float, coeff=1.0) -> "APFunction":
-        return cls([(freq, coeff)])
 
     @classmethod
     def cosine(cls, amplitude: float, freq: float, phase: float = 0.0) -> "APFunction":
@@ -122,21 +123,6 @@ class APFunction:
     def __call__(self, n):
         return eval_ap(self, n)
 
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = APFunction.constant(other)
-        return APFunction(self.terms + other.terms)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        return APFunction([(f, scalar * c) for f, c in self.terms])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
     def __eq__(self, other):
         return isinstance(other, APFunction) and self.terms == other.terms
 
@@ -179,25 +165,6 @@ def mean_value(a: APFunction) -> complex:
     return 0j
 
 
-def empirical_mean(a: APFunction, n: int) -> complex:
-    """(1/N) sum_{r=0}^{N-1} a(r)."""
-    if n < 1:
-        raise ValueError("mean window must be positive")
-    values = eval_ap(a, np.arange(n))
-    return complex(np.mean(values))
-
-
-def shift_defect(a: APFunction, k: int) -> float:
-    """Termwise bound sum_j |c_j| |e^{2 pi i alpha_j k} - 1| on sup |a(.+k) - a|.
-
-    Exact upper envelope, attained when a has a single frequency.
-    """
-    total = 0.0
-    for f, c in a.terms:
-        total += abs(c) * abs(np.exp(2j * np.pi * f * k) - 1.0)
-    return float(total)
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Partial quotients and convergents p_n/q_n of alpha in (0, 1).
@@ -216,7 +183,9 @@ class ContinuedFraction:
         return tuple(q for _, q in self.convergents)
 
 
-def expand_cf(alpha: float, max_terms: int = 32, q_cap: int = DEFAULT_Q_CAP) -> ContinuedFraction:
+def expand_cf(
+    alpha: float, max_terms: int = DEFAULT_MAX_TERMS, q_cap: int = DEFAULT_Q_CAP
+) -> ContinuedFraction:
     """Floor-and-invert continued fraction expansion of alpha in (0, 1).
 
     Stops at ``max_terms`` quotients, when a denominator would exceed
@@ -328,7 +297,7 @@ def distinguished_sequence(freq_base, length: int) -> DistinguishedSequence:
             tuple(q * n for n in range(1, length + 1)), "rational-period"
         )
     alpha = float(freq_base)
-    cf = expand_cf(alpha, max_terms=length + 8, q_cap=DEFAULT_Q_CAP)
+    cf = expand_cf(alpha, max_terms=length + 8)
     values: list[int] = []
     for q in cf.denominators():
         if not values or q > values[-1]:

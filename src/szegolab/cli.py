@@ -14,13 +14,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .almostperiodic import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_Q_CAP,
     APFunction,
     ap_from_json,
     check_approximation_bounds,
@@ -75,29 +77,29 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
-def emit_report(reports, path) -> None:
-    """Write reports as one CSV file: header plus one line per row.
-
-    Bit-stable output; I/O errors propagate untouched.
-    """
-    if not reports:
-        raise ValueError("emit_report requires at least one report")
-    lines = [CSV_HEADER]
-    for rep in reports:
-        pred = "%.17g,%.17g" % (rep.predicted.real, rep.predicted.imag)
-        flags = rep.flags or ("",) * len(rep.sizes)
-        lines.extend(
-            "%d,%.17g,%.17g,%s,%.17g,%s" % (n, v.real, v.imag, pred, r, f)
-            for n, v, r, f in zip(rep.sizes, rep.values.tolist(), rep.residuals.tolist(), flags)
-        )
+def _write_lines(path, lines) -> None:
+    """Write ASCII lines, each ended by LF."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def emit_report(report, path) -> None:
+    """Write a report as one CSV file: header plus one line per row.
+
+    Bit-stable output; I/O errors propagate untouched.
+    """
+    pred = "%.17g,%.17g" % (report.predicted.real, report.predicted.imag)
+    flags = report.flags or ("",) * len(report.sizes)
+    lines = [CSV_HEADER]
+    lines.extend(
+        "%d,%.17g,%.17g,%s,%.17g,%s" % (n, v.real, v.imag, pred, r, f)
+        for n, v, r, f in zip(report.sizes, report.values.tolist(), report.residuals.tolist(), flags)
+    )
+    _write_lines(path, lines)
+
+
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=2)])
 
 
 def _pair(z: complex) -> list[float]:
@@ -119,8 +121,8 @@ class ExperimentConfig:
     operator: BandAPOperator | CompositeOperator | None = None
     g: TestFunction | None = None
     alpha: float | None = None
-    max_terms: int = 32
-    q_cap: int = 10**6
+    max_terms: int = DEFAULT_MAX_TERMS
+    q_cap: int = DEFAULT_Q_CAP
     predicted_override: complex | None = None
     prediction_m: int | None = None
     prediction_window: int | None = None
@@ -142,22 +144,30 @@ def _require(raw, field, path=""):
     return raw[field]
 
 
+def _parse_domain(d, path) -> tuple:
+    """('interval', lo, hi) with lo <= hi, or ('disk', radius) with radius >= 0."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: must be an object")
+    kind = d.get("kind")
+    fields = {"interval": ("lo", "hi"), "disk": ("radius",)}
+    if not isinstance(kind, str) or kind not in fields:
+        raise ConfigError(f"{path}.kind: must be 'interval' or 'disk'")
+    for name in fields[kind]:
+        if not _is_number(d.get(name)):
+            raise ConfigError(f"{path}.{name}: must be a finite number")
+    if kind == "interval" and d["hi"] < d["lo"]:
+        raise ConfigError(f"{path}.hi: must be >= lo")
+    if kind == "disk" and d["radius"] < 0:
+        raise ConfigError(f"{path}.radius: must be non-negative")
+    return (kind,) + tuple(float(d[name]) for name in fields[kind])
+
+
 def _parse_g(obj, path="g") -> TestFunction:
+    """The test function of a tagged description, with its ``domain`` if given."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: must be an object")
     kind = obj.get("kind")
-    domain = None
-    if "domain" in obj:
-        d = obj["domain"]
-        if not isinstance(d, dict):
-            raise ConfigError(f"{path}.domain: must be an object")
-        fields = {"interval": ("lo", "hi"), "disk": ("radius",)}.get(d.get("kind"))
-        if fields is None:
-            raise ConfigError(f"{path}.domain.kind: must be 'interval' or 'disk'")
-        for name in fields:
-            if not _is_number(d.get(name)):
-                raise ConfigError(f"{path}.domain.{name}: must be a finite number")
-        domain = (d["kind"],) + tuple(float(d[name]) for name in fields)
+    domain = _parse_domain(obj["domain"], f"{path}.domain") if "domain" in obj else None
     if kind == "poly":
         coeffs = obj.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
@@ -165,22 +175,21 @@ def _parse_g(obj, path="g") -> TestFunction:
         for i, c in enumerate(coeffs):
             if not _is_number(c):
                 raise ConfigError(f"{path}.coeffs[{i}]: must be a finite number")
-        return TestFunction.polynomial([float(c) for c in coeffs], domain=domain)
-    if kind == "power":
+        g = TestFunction.polynomial([float(c) for c in coeffs])
+    elif kind == "power":
         k = obj.get("k")
         if not _is_int(k) or k < 0:
             raise ConfigError(f"{path}.k: must be a non-negative integer")
-        return TestFunction.power(k)
-    if kind == "named":
+        g = TestFunction.power(k)
+    elif kind == "named":
         name = obj.get("name")
-        if name == "identity":
-            return TestFunction.identity()
-        if name == "exp":
-            return TestFunction.exp()
-        if name == "log":
-            return TestFunction.log()
-        raise ConfigError(f"{path}.name: unknown function {name!r}")
-    raise ConfigError(f"{path}.kind: must be 'poly', 'power' or 'named'")
+        named = {"identity": TestFunction.identity, "exp": TestFunction.exp, "log": TestFunction.log}
+        if not isinstance(name, str) or name not in named:
+            raise ConfigError(f"{path}.name: unknown function {name!r}")
+        g = named[name]()
+    else:
+        raise ConfigError(f"{path}.kind: must be 'poly', 'power' or 'named'")
+    return g if domain is None else replace(g, domain=domain)
 
 
 def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
@@ -285,7 +294,10 @@ def _parse_terms(obj, path) -> APFunction:
         for name in ("freq", "re", "im"):
             if name in term and not _is_number(term[name]):
                 raise ConfigError(f"{path}[{i}].{name}: must be a finite number")
-    return ap_from_json(obj)
+    try:
+        return ap_from_json(obj)
+    except ValueError:  # every field is finite, so a sum of terms overflowed
+        raise ConfigError(f"{path}: terms of one frequency sum past the float range") from None
 
 
 def _parse_almost_mathieu(obj, prefix) -> BandAPOperator:
@@ -374,8 +386,7 @@ def validate_config(raw) -> ExperimentConfig:
     predicted_override = None
     prediction_m = None
     prediction_window = None
-    max_terms = 32
-    q_cap = 10**6
+    cf_options = {}  # max_terms and q_cap as given; absent ones keep their defaults
 
     for field in ("predicted", "prediction"):
         if field in raw and kind not in ("eigen-dist", "mathieu-dist"):
@@ -435,12 +446,11 @@ def validate_config(raw) -> ExperimentConfig:
         alpha = _require(raw, "alpha")
         if not _is_number(alpha) or not 0.0 < alpha < 1.0:
             raise ConfigError("alpha: must lie strictly between 0 and 1")
-        max_terms = raw.get("max_terms", 32)
-        q_cap = raw.get("q_cap", 10**6)
-        if not _is_int(max_terms) or max_terms < 1:
-            raise ConfigError("max_terms: must be a positive integer")
-        if not _is_int(q_cap) or q_cap < 1:
-            raise ConfigError("q_cap: must be a positive integer")
+        for name in ("max_terms", "q_cap"):
+            if name in raw:
+                if not _is_int(raw[name]) or raw[name] < 1:
+                    raise ConfigError(f"{name}: must be a positive integer")
+                cf_options[name] = raw[name]
         sizes = (1,)  # unused; CSV rows come from the expansion itself
     else:
         alpha_hint = float(mathieu["alpha"]) if mathieu is not None else None
@@ -474,8 +484,7 @@ def validate_config(raw) -> ExperimentConfig:
         operator=operator,
         g=g,
         alpha=float(alpha) if alpha is not None else None,
-        max_terms=max_terms,
-        q_cap=q_cap,
+        **cf_options,
         predicted_override=predicted_override,
         prediction_m=prediction_m,
         prediction_window=prediction_window,
@@ -522,7 +531,7 @@ def _run_eigen_dist(cfg: ExperimentConfig):
         )
     report = sweep(
         cfg.sizes,
-        lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, "P", n)), cfg.g),
+        lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, n)), cfg.g),
         predicted,
     )
     if cfg.kind == "mathieu-dist":
@@ -534,7 +543,7 @@ def _run_singular_dist(cfg: ExperimentConfig):
     predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, SYMBOL_GRID))))
     report = sweep(
         cfg.sizes,
-        lambda n: singular_mean(singular_values(band_ap_section(cfg.operator, "P", n)), cfg.g),
+        lambda n: singular_mean(singular_values(band_ap_section(cfg.operator, n)), cfg.g),
         predicted,
     )
     return report, {}
@@ -559,8 +568,7 @@ def _run_cf_expand(cfg: ExperimentConfig, csv_path, json_path) -> int:
     lines = [CF_CSV_HEADER]
     for i, (b, (p, q)) in enumerate(zip(cf.quotients, cf.convergents)):
         lines.append("%d,%d,%d,%d,%.17g" % (i + 1, b, p, q, convergent_error_bound(cf, i)))
-    with open(csv_path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(csv_path, lines)
     bounds_ok = check_approximation_bounds(cf)
     if cf.convergents:
         p, q = cf.convergents[-1]
@@ -608,7 +616,7 @@ def run_experiment(cfg) -> int:
     if cfg.kind == "cf-expand":
         return _run_cf_expand(cfg, csv_path, json_path)
     report, extras = _RUNNERS[cfg.kind](cfg)
-    emit_report([report], csv_path)
+    emit_report(report, csv_path)
     if cfg.kind == "stability":
         verdict = extras["verdict"]
         status = 0

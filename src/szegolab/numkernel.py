@@ -74,18 +74,6 @@ class DenseMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __array__(self, dtype=None, copy=None):
         if dtype is not None and dtype != self.data.dtype:
             return self.data.astype(dtype)  # astype already copies
@@ -114,8 +102,9 @@ class LogDet:
 def _as_square_array(m) -> np.ndarray:
     if not isinstance(m, DenseMatrix):
         m = DenseMatrix(np.asarray(m))
-    if not m.is_square:
-        raise DimensionError(f"square matrix required, got {m.rows}x{m.cols}")
+    rows, cols = m.data.shape
+    if rows != cols:
+        raise DimensionError(f"square matrix required, got {rows}x{cols}")
     return m.data
 
 

@@ -7,7 +7,7 @@ a cosine main diagonal, and composites are sums of products of band
 operators, used by the Folner trace estimates.  The convention throughout:
 the matrix entry at (i, j) is diagonal[i - j] evaluated at the column index
 j.  One routine evaluates the diagonals on a column range; the diagonal
-storage of `band_diagonals` and every dense section (P and R sections,
+storage of `band_diagonals` and every dense section (sections over 0..n-1,
 flipped and reversed corners, Toeplitz sections) are views of it.
 """
 
@@ -48,28 +48,6 @@ class BandAPOperator:
         if not self.diagonals:
             return 0
         return max(abs(d) for d in self.diagonals)
-
-    def entry(self, i: int, j: int) -> complex:
-        f = self.diagonals.get(i - j)
-        if f is None:
-            return 0j
-        return eval_ap(f, j)
-
-    def main_diagonal(self) -> APFunction:
-        return self.diagonals.get(0, APFunction([]))
-
-    def __add__(self, other: "BandAPOperator") -> "BandAPOperator":
-        if self.domain != other.domain:
-            raise ValueError("cannot add operators on different domains")
-        merged = dict(self.diagonals)
-        for d, f in other.diagonals.items():
-            merged[d] = merged[d] + f if d in merged else f
-        return BandAPOperator(merged, self.domain)
-
-    def scaled(self, c) -> "BandAPOperator":
-        return BandAPOperator(
-            {d: f * c for d, f in self.diagonals.items()}, self.domain
-        )
 
 
 @dataclass(frozen=True)
@@ -145,20 +123,16 @@ def band_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     return vectors
 
 
-def band_ap_section(A: BandAPOperator, kind: str, n: int) -> DenseMatrix:
-    """Finite section over indices 0..n-1 (kind 'P') or -n..n-1 (kind 'R')."""
+def band_ap_section(A: BandAPOperator, n: int) -> DenseMatrix:
+    """Finite section over indices 0..n-1."""
     if n < 1:
         raise ValueError("section size must be >= 1")
-    if kind == "P":
-        return DenseMatrix(_section(A.diagonals, n))
-    if kind == "R":
-        return DenseMatrix(_section(A.diagonals, 2 * n, -n))
-    raise ValueError(f"kind must be 'P' or 'R', got {kind!r}")
+    return DenseMatrix(_section(A.diagonals, n))
 
 
 def toeplitz_section(a: TrigPolynomial, n: int) -> DenseMatrix:
     """The n x n section with entry (i, j) = a_{i-j}."""
-    return band_ap_section(as_band_operator(a), "P", n)
+    return band_ap_section(as_band_operator(a), n)
 
 
 def _reflected(A: BandAPOperator) -> dict[int, APFunction]:

@@ -15,7 +15,7 @@ real-valued symbol so its values are exactly real.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -60,25 +60,6 @@ class TrigPolynomial:
                 clean[int(k)] = c
         self.coeffs = dict(sorted(clean.items()))
 
-    @classmethod
-    def constant(cls, c) -> "TrigPolynomial":
-        return cls({0: c})
-
-    @classmethod
-    def from_function(cls, fn: Callable, max_offset: int, grid: int | None = None):
-        """Fourier coefficients of fn(t) on [0, 2pi), truncated at |k| <= max_offset.
-
-        Spectrally accurate for smooth 2pi-periodic fn; the grid defaults to
-        a power of two well above the truncation order.
-        """
-        if max_offset < 0:
-            raise ValueError("max_offset must be non-negative")
-        n = grid if grid is not None else _default_grid(max_offset)
-        t = 2.0 * np.pi * np.arange(n) / n
-        samples = np.asarray([fn(tj) for tj in t], dtype=np.complex128)
-        coeffs = _grid_coefficients(samples, max_offset)
-        return cls(coeffs)
-
     def coefficient(self, k: int) -> complex:
         return self.coeffs.get(k, 0j)
 
@@ -92,39 +73,8 @@ class TrigPolynomial:
             self.coeffs.get(-k, 0j) == c.conjugate() for k, c in self.coeffs.items()
         )
 
-    def reversed(self) -> "TrigPolynomial":
-        """The symbol t -> a(1/t), i.e. coefficients reflected k -> -k."""
-        return TrigPolynomial({-k: c for k, c in self.coeffs.items()})
-
     def __call__(self, t):
         return evaluate(self, t)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = TrigPolynomial.constant(other)
-        merged = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            merged[k] = merged.get(k, 0j) + c
-        return TrigPolynomial(merged)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return TrigPolynomial({k: other * c for k, c in self.coeffs.items()})
-        out: dict[int, complex] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0j) + c1 * c2
-        return TrigPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TrigPolynomial) else -complex(other))
 
     def __eq__(self, other):
         return isinstance(other, TrigPolynomial) and self.coeffs == other.coeffs

@@ -450,7 +450,7 @@ def limit_prediction(
     if g.kind == "polynomial":
         diag = _poly_band_diagonal(band, m, g.x_coefficients())
     else:
-        diag = _spectral_diagonal(np.asarray(band_ap_section(band, "P", m)), g)
+        diag = _spectral_diagonal(np.asarray(band_ap_section(band, m)), g)
     start = (m - window) // 2
     return complex(np.mean(diag[start : start + window]))
 
@@ -506,7 +506,7 @@ def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
     section_mins, flip_mins = [], []
     norm_scale = 0.0
     for n in sizes:
-        sv_section = numkernel.singular_values(band_ap_section(band, "P", n))
+        sv_section = numkernel.singular_values(band_ap_section(band, n))
         sv_flip = numkernel.singular_values(flip_section(band, n))
         norm_scale = max(norm_scale, float(sv_section[0]), float(sv_flip[0]))
         section_mins.append(float(sv_section[-1]))

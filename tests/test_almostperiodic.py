@@ -12,14 +12,23 @@ from szegolab.almostperiodic import (
     ap_from_json,
     check_approximation_bounds,
     distinguished_sequence,
-    empirical_mean,
     eval_ap,
     expand_cf,
     mean_value,
-    shift_defect,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def window_mean(a, n):
+    """(1/n) sum_{r=0}^{n-1} a(r)."""
+    return complex(np.mean(eval_ap(a, np.arange(n))))
+
+
+def shift_defect(a, k):
+    """max |a(r + k) - a(r)| over 0 <= r < 64."""
+    r = np.arange(64)
+    return float(np.max(np.abs(eval_ap(a, r + k) - eval_ap(a, r))))
 
 
 def test_expand_cf_rational():
@@ -132,7 +141,7 @@ def test_distinguished_requires_enough_denominators():
 
 
 def test_eval_ap_examples():
-    a = APFunction.exponential(0.25)
+    a = APFunction([(0.25, 1.0)])
     assert eval_ap(a, 1) == pytest.approx(1j)
     c = APFunction.cosine(1.0, GOLDEN)
     assert eval_ap(c, 0) == pytest.approx(1.0)
@@ -150,10 +159,10 @@ def test_eval_ap_real_valued_exact():
 
 def test_mean_value_examples():
     assert mean_value(APFunction.constant(3 + 1j)) == pytest.approx(3 + 1j)
-    assert mean_value(APFunction.exponential(GOLDEN)) == 0
+    assert mean_value(APFunction([(GOLDEN, 1.0)])) == 0
     a = APFunction.cosine(2.0, GOLDEN, 0.1)
     assert mean_value(a) == 0
-    assert abs(empirical_mean(a, 10000)) <= 1e-3
+    assert abs(window_mean(a, 10000)) <= 1e-3
 
 
 def test_empirical_mean_bound():
@@ -164,16 +173,18 @@ def test_empirical_mean_bound():
         if f != 0.0
     )
     for n in (100, 1000, 10000):
-        err = abs(empirical_mean(a, n) - mean_value(a))
+        err = abs(window_mean(a, n) - mean_value(a))
         assert err <= bound_scale / n
 
 
 def test_shift_defect_examples():
-    a = APFunction.exponential(0.25)
+    # shifts by a period, and by the Fibonacci denominators of the golden
+    # frequency, move an almost periodic sequence less and less
+    a = APFunction([(0.25, 1.0)])
     assert shift_defect(a, 4) <= 1e-12
     periodic = APFunction([(0.0, 1.0), (1 / 4, 0.5), (3 / 4, 0.5)])
     assert shift_defect(periodic, 4) <= 1e-12
-    single = APFunction.exponential(GOLDEN)
+    single = APFunction([(GOLDEN, 1.0)])
     fib = distinguished_sequence(GOLDEN, 15).values
     defects = [shift_defect(single, h) for h in fib]
     assert all(b <= a for a, b in zip(defects, defects[1:]))
@@ -186,6 +197,11 @@ def test_apfunction_dedup_and_mod_reduction():
     assert a.terms[0][1] == pytest.approx(4.0)
     b = APFunction([(-0.25, 1.0)])
     assert b.terms[0][0] == pytest.approx(0.75)
+    # finiteness is checked after the merge: two finite terms can sum to inf
+    with pytest.raises(ValueError, match="must be finite"):
+        APFunction([(0.0, 1e308), (0.0, 1e308)])
+    with pytest.raises(ValueError, match="must be finite"):
+        APFunction([(0.25, 1e308j), (1.25, 1e308j)])
 
 
 @pytest.mark.parametrize(
@@ -209,10 +225,13 @@ def test_apfunction_real_detection():
 
 
 def test_apfunction_arithmetic():
-    a = APFunction.cosine(1.0, 0.3) + APFunction.constant(2.0)
-    assert mean_value(a) == pytest.approx(2.0)
-    b = a * 2.0
-    assert mean_value(b) == pytest.approx(4.0)
+    # sums are built from the terms (the constructor merges equal
+    # frequencies), multiples by scaling the coefficients
+    a = APFunction(APFunction.cosine(1.0, 0.3).terms + ((0.0, 2.0), (1.0, 0.5)))
+    assert mean_value(a) == pytest.approx(2.5)
+    assert a.sup_bound == pytest.approx(3.5)
+    b = APFunction([(f, 2.0 * c) for f, c in a.terms])
+    assert mean_value(b) == pytest.approx(5.0)
     assert b.sup_bound == pytest.approx(2 * a.sup_bound)
 
 

@@ -370,6 +370,25 @@ def test_invalid_configs_field_paths(tmp_path):
                 "0": [{"freq": 0.0, "re": 1.0}], "00": [{"freq": 0.0, "re": 2.0}]}}},
             "operator.diagonals.00",
         ),
+        # finite terms of one frequency whose sum overflows
+        (
+            {"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": {
+                "0": [{"freq": 0.0, "re": 1e308}, {"freq": 0.0, "re": 1e308}]}}},
+            "operator.diagonals.0",
+        ),
+        (
+            {"experiment": "folner", "operator": {"kind": "composite", "products": [
+                [{"kind": "ap-multiplier", "terms": [{"freq": 0.25, "im": 1e308},
+                                                     {"freq": 1.25, "im": 1e308}]}]]}},
+            "operator.products[0][0].terms",
+        ),
+        # a g domain that no value lies in, for every kind of g
+        ({"g": {"kind": "power", "k": 2, "domain": {"kind": "interval", "lo": 1.0, "hi": 0.5}}},
+         "g.domain.hi"),
+        ({"g": {"kind": "named", "name": "exp", "domain": {"kind": "disk", "radius": -1.0}}},
+         "g.domain.radius"),
+        ({"g": {"kind": "power", "k": 2, "domain": {"kind": ["disk"], "radius": 1.0}}}, "g.domain.kind"),
+        ({"g": {"kind": "named", "name": ["exp"]}}, "g.name"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -423,6 +442,20 @@ def test_validate_fuzzed_config_exits_0_or_2(tmp_path_factory, name, data):
     cfg_path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["validate", str(cfg_path)]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [{"kind": "power", "k": 2}, {"kind": "named", "name": "identity"}, {"kind": "poly", "coeffs": [0.0, 1.0]}],
+)
+def test_g_domain_applies_to_every_kind(tmp_path, capsys, g):
+    # eigenvalues of almost Mathieu sections (lambda = 1) reach past |x| = 1
+    domain = {"kind": "disk", "radius": 1.0}
+    cfg = {"experiment": "eigen-dist", "operator": MATHIEU, "g": {**g, "domain": domain},
+           "n_range": [8], "predicted": 2.5, "output": str(tmp_path / "eig")}
+    assert validate_config(cfg).g.domain == ("disk", 1.0)
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 1
+    assert "numeric failure: n=8: value outside ('disk', 1.0)" in capsys.readouterr().err
 
 
 def test_failing_tolerance_exit_code(tmp_path):
@@ -618,16 +651,14 @@ def test_emit_report_contract(tmp_path):
         ((5, "singular section at n"),),
     )
     path = tmp_path / "r.csv"
-    emit_report([report], path)
+    emit_report(report, path)
     # skipped sizes leave no row
     assert path.read_bytes() == (
         CSV_HEADER + "\n4,1.5,0.5,1.5,0,0.5,flip\n9,-0,2,1.5,0,2.5,section\n"
     ).encode()
     first = path.read_bytes()
-    emit_report([report], path)
+    emit_report(report, path)
     assert path.read_bytes() == first
-    with pytest.raises(ValueError):
-        emit_report([], tmp_path / "empty.csv")
 
 
 def _fmt_oracle(x):
@@ -673,7 +704,7 @@ def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predict
     assert [r.hex() for r in report.residuals.tolist()] == [r.hex() for r in expected]
     path = tmp_path_factory.getbasetemp() / "rows.csv"
     for row_flags in (None, tuple(flags[: len(values)])):
-        emit_report([dataclasses.replace(report, flags=row_flags)], path)
+        emit_report(dataclasses.replace(report, flags=row_flags), path)
         lines = [CSV_HEADER] + [
             _row_oracle(n, v, predicted, r, row_flags[n - 1] if row_flags else "")
             for n, v, r in zip(sizes, values, expected)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from szegolab.almostperiodic import APFunction
+from szegolab.almostperiodic import APFunction, eval_ap
 from szegolab.cli import validate_config
 from szegolab.numkernel import lu_logdet, solve
 from szegolab.operators import (
@@ -15,6 +15,7 @@ from szegolab.operators import (
     almost_mathieu,
     as_band_operator,
     band_ap_section,
+    band_diagonals,
     composite_sections,
     flip_section,
     reversed_section,
@@ -26,8 +27,24 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
 
 
+def reflected(a):
+    """The symbol t -> a(1/t): coefficients reflected k -> -k."""
+    return TrigPolynomial({-k: c for k, c in a.coeffs.items()})
+
+
+def two_sided_section(op, n):
+    """The section over the indices -n..n-1: entry (i, j) is diagonal[i - j](j)."""
+    idx = np.arange(-n, n)
+    rows, cols = np.meshgrid(idx, idx, indexing="ij")
+    s = np.zeros(rows.shape, dtype=complex)
+    for d, f in op.diagonals.items():
+        on = rows - cols == d
+        s[on] = eval_ap(f, cols[on])
+    return s
+
+
 def test_toeplitz_section_examples():
-    const = toeplitz_section(TrigPolynomial.constant(4 + 1j), 1)
+    const = toeplitz_section(TrigPolynomial({0: 4 + 1j}), 1)
     assert const.data[0, 0] == 4 + 1j
     tri = toeplitz_section(TrigPolynomial({1: 1.0, -1: 1.0}), 3).data
     assert np.array_equal(tri, np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1))
@@ -45,25 +62,15 @@ def test_band_section_matches_toeplitz_exactly():
             col = [symbol.coefficient(k) for k in range(n)]
             row = [symbol.coefficient(-k) for k in range(n)]
             expected = scipy.linalg.toeplitz(col, row)
-            assert np.array_equal(band_ap_section(band, "P", n).data, expected)
+            assert np.array_equal(band_ap_section(band, n).data, expected)
             assert np.array_equal(toeplitz_section(symbol, n).data, expected)
 
 
 def test_band_section_diagonal_only():
     a = APFunction.cosine(2.0, GOLDEN, 0.1)
     op = BandAPOperator({0: a}, "Z")
-    sec = band_ap_section(op, "P", 6).data
+    sec = band_ap_section(op, 6).data
     assert np.array_equal(sec, np.diag(a(np.arange(6))))
-
-
-def test_band_section_r_kind_almost_mathieu():
-    alpha = 0.3
-    op = almost_mathieu(alpha, 1.0, 0.0)
-    r1 = band_ap_section(op, "R", 1).data
-    expected = np.array(
-        [[math.cos(2 * math.pi * (-alpha)), 1.0], [1.0, 1.0]], dtype=complex
-    )
-    assert np.allclose(r1, expected, atol=1e-15)
 
 
 def test_almost_mathieu_lambda_zero_is_toeplitz():
@@ -73,13 +80,13 @@ def test_almost_mathieu_lambda_zero_is_toeplitz():
 
 def test_almost_mathieu_diagonal_entry():
     op = almost_mathieu(0.25, 2.0, 0.0)
-    assert abs(op.entry(5, 5)) <= 1e-15  # 2 cos(2 pi 5/4) = 0
+    assert abs(band_diagonals(op, 6)[0][5]) <= 1e-15  # 2 cos(2 pi 5/4) = 0
 
 
 def test_almost_mathieu_flip_invariance_theta_zero():
     # even diagonal: the section over -n..n-1 is symmetric about index 0
     op = almost_mathieu(GOLDEN, 1.3, 0.0)
-    s = band_ap_section(op, "R", 6).data
+    s = two_sided_section(op, 6)
     sub = s[1:, 1:]  # drop index -n so the index set is symmetric
     assert np.array_equal(sub, sub[::-1, ::-1])
 
@@ -88,7 +95,7 @@ def test_almost_mathieu_offset_flip_at_half_alpha():
     # the reversal about the -1/2 center holds when theta = alpha/2
     alpha = 0.3721
     op = almost_mathieu(alpha, 1.0, alpha / 2)
-    s = band_ap_section(op, "R", 5).data
+    s = two_sided_section(op, 5)
     assert np.max(np.abs(s - s[::-1, ::-1])) <= 1e-14
 
 
@@ -96,7 +103,7 @@ def test_flip_section_toeplitz_is_reflected_symbol():
     asym = TrigPolynomial({0: 3.0, 1: 0.5, -1: 0.25, 2: 0.1})
     band = as_band_operator(asym)
     flipped = flip_section(band, 7).data
-    expected = toeplitz_section(asym.reversed(), 7).data
+    expected = toeplitz_section(reflected(asym), 7).data
     assert np.array_equal(flipped, expected)
 
 
@@ -138,25 +145,16 @@ def test_reversed_section_persymmetry():
 def test_reversed_section_n1():
     op = almost_mathieu(0.3, 2.0, 0.1)
     r = reversed_section(op, 1).data
-    assert r[0, 0] == op.entry(0, 0)
+    assert r[0, 0] == eval_ap(op.diagonals[0], 0)
 
 
 def test_reversed_section_determinant_matches():
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
     for n in (3, 8, 21):
-        ld_p = lu_logdet(band_ap_section(op, "P", n))
+        ld_p = lu_logdet(band_ap_section(op, n))
         ld_w = lu_logdet(reversed_section(op, n))
         assert ld_w.log_abs == pytest.approx(ld_p.log_abs, abs=1e-10)
         assert ld_w.phase == pytest.approx(ld_p.phase, abs=1e-10)
-
-
-def test_main_diagonal():
-    band = as_band_operator(TWO_PLUS_COS)
-    assert band.main_diagonal() == APFunction.constant(2.0)
-    op = almost_mathieu(GOLDEN, 1.5, 0.2)
-    assert op.main_diagonal() == APFunction.cosine(1.5, GOLDEN, 0.2)
-    combined = op + BandAPOperator({0: APFunction.constant(3.0)}, "Z")
-    assert combined.main_diagonal() == APFunction.cosine(1.5, GOLDEN, 0.2) + 3.0
 
 
 def test_composite_single_factor_identical():
@@ -204,7 +202,7 @@ def test_composite_factor_kinds_section_exactly(n):
     col = [coeffs.get(k, 0j) for k in range(n)]
     row = [coeffs.get(-k, 0j) for k in range(n)]
     assert np.array_equal(
-        band_ap_section(toeplitz, "P", n).data, scipy.linalg.toeplitz(col, row)
+        band_ap_section(toeplitz, n).data, scipy.linalg.toeplitz(col, row)
     )
     f = APFunction([(GOLDEN, 0.7 - 0.2j), (0.0, 1.5)])
     multiplier = _parsed_factor(
@@ -212,10 +210,10 @@ def test_composite_factor_kinds_section_exactly(n):
                                             {"freq": 0.0, "re": 1.5}]}
     )
     assert np.array_equal(
-        band_ap_section(multiplier, "P", n).data, np.diag(f(np.arange(n)))
+        band_ap_section(multiplier, n).data, np.diag(f(np.arange(n)))
     )
     projection = _parsed_factor({"kind": "projection"})
-    assert np.array_equal(band_ap_section(projection, "P", n).data, np.eye(n))
+    assert np.array_equal(band_ap_section(projection, n).data, np.eye(n))
 
 
 def test_hermitian_sections_exact():
@@ -229,8 +227,7 @@ def test_hermitian_sections_exact():
         sec = toeplitz_section(TrigPolynomial(coeffs), 9).data
         assert np.array_equal(sec, sec.conj().T)
     op = almost_mathieu(GOLDEN, 1.7, 0.3)
-    for kind in ("P", "R"):
-        s = band_ap_section(op, kind, 8).data
+    for s in (band_ap_section(op, 8).data, two_sided_section(op, 8)):
         assert np.array_equal(s, s.conj().T)
 
 
@@ -240,5 +237,5 @@ def test_inverse_corner_reflection_identity():
         e0 = np.zeros(n, dtype=complex)
         e0[0] = 1.0
         x = solve(toeplitz_section(TWO_PLUS_COS, n), e0)
-        y = solve(toeplitz_section(TWO_PLUS_COS.reversed(), n), e0)
+        y = solve(toeplitz_section(reflected(TWO_PLUS_COS), n), e0)
         assert abs(x[0] - y[0]) <= 1e-10

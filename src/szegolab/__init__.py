@@ -11,9 +11,7 @@ from .numkernel import (
     LogDet,
     eigvals_general,
     eigvals_hermitian,
-    lu_logdet,
     singular_values,
-    solve,
 )
 from .symbols import (
     TrigPolynomial,
@@ -40,8 +38,6 @@ from .operators import (
     band_ap_section,
     composite_sections,
     flip_section,
-    reversed_section,
-    toeplitz_section,
 )
 from .szego import (
     SkippedSize,

@@ -134,8 +134,14 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A finite real JSON number; booleans do not count."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite real JSON number; booleans, and integers past the float
+    range, do not count."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large to convert to a float
+        return False
 
 
 def _require(raw, field, path=""):
@@ -647,7 +653,7 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 

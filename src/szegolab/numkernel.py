@@ -1,27 +1,26 @@
 """Complex linear algebra kernel.
 
-Log-scaled determinants, linear solves, eigenvalues and singular values of
-dense complex matrices, and determinants of the leading sections of a band
-matrix, all from LAPACK's partially pivoted band LU (``zgbtrf``): one
-factorization gives the successive ratios up to its first row swap, one
-more per size each larger determinant.  Everything downstream (section
-determinants, spectral distribution means, stability probes) sits on these
-operations.  All arithmetic is 64-bit floating point; dense determinants are
-only ever exposed in log-magnitude/phase form because section determinants
-grow geometrically with the section size.
+Determinants and linear solves of banded sections, eigenvalues and singular
+values of dense complex matrices.  Every factorization for a determinant or
+a solve is LAPACK's partially pivoted band LU (``zgbtrf``) in O(n w^2) for
+bandwidth w: one factorization gives the successive determinant ratios up to
+its first row swap, one more per size each larger determinant, and
+``zgbtrs`` on the same factor solves for one right-hand side.  Everything
+downstream (section determinants, limit constants, spectral distribution
+means, stability probes) sits on these operations.  All arithmetic is 64-bit
+floating point; determinants are only ever exposed in log-magnitude/phase
+form because section determinants grow geometrically with the section size.
 
-Only the LU paths (`lu_logdet`, `solve` and the band LU behind
-`band_logdet` and `band_lu_pivots`) use SciPy, and they load it at their
-first call: importing this module, and every eigenvalue and singular value
-path, loads numpy alone.  ``python -X importtime -c "import szegolab.cli"``
-shows it.
+Only the band LU (behind `band_logdet`, `band_solve` and `band_lu_pivots`)
+uses SciPy, and it loads it at its first call: importing this module, and
+every eigenvalue and singular value path, loads numpy alone.
+``python -X importtime -c "import szegolab.cli"`` shows it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -110,19 +109,12 @@ def _as_square_array(m) -> np.ndarray:
 
 @functools.cache
 def _linalg():
-    """scipy.linalg, imported at the first LU: it takes most of the import
-    time of this package, and only the LU paths use it (cached, so a call
-    costs what a module attribute lookup does)."""
+    """scipy.linalg, imported at the first band LU: it takes most of the
+    import time of this package, and only the band LU uses it (cached, so a
+    call costs what a module attribute lookup does)."""
     import scipy.linalg
 
     return scipy.linalg
-
-
-def _lu(a: np.ndarray):
-    # scipy warns on exactly-zero pivots; singularity is handled by callers.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _linalg().lu_factor(a, check_finite=False)
 
 
 def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
@@ -137,35 +129,10 @@ def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
     return LogDet(log_abs, phase / abs(phase), False)
 
 
-def lu_logdet(m) -> LogDet:
-    """Log-magnitude and phase of det(m) from a pivoted LU factorization."""
-    a = _as_square_array(m)
-    if a.shape[0] == 0:
-        return LogDet(0.0, 1 + 0j, False)
-    lu, piv = _lu(a)
-    return _logdet_from_lu(np.diagonal(lu), piv)
-
-
-def solve(m, rhs) -> np.ndarray:
-    """Solve m x = rhs with the same pivoted factorization as lu_logdet."""
-    a = _as_square_array(m)
-    b = np.asarray(rhs, dtype=np.complex128)
-    if b.shape != (a.shape[0],):
-        raise DimensionError(
-            f"rhs length {b.shape} does not match matrix order {a.shape[0]}"
-        )
-    if a.shape[0] == 0:
-        return b.copy()
-    lu, piv = _lu(a)
-    smallest = float(np.abs(np.diagonal(lu)).min())
-    if smallest < PIVOT_UNDERFLOW:
-        raise SingularMatrixError("matrix is numerically singular", smallest)
-    return _linalg().lu_solve((lu, piv), b, check_finite=False)
-
-
-def _band_lu(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of U and 0-based row interchanges of LAPACK's partially
-    pivoted band LU (``zgbtrf``) of the leading n x n section."""
+def _band_lu(diagonals: Mapping[int, np.ndarray], n: int):
+    """LAPACK's partially pivoted band LU (``zgbtrf``) of the leading n x n
+    section: (lu, ipiv, p, q) for p sub- and q superdiagonals, with the
+    diagonal of U in row p + q of ``lu`` and 0-based row interchanges."""
     p = max(0, max(diagonals, default=0))
     q = max(0, -min(diagonals, default=0))
     # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take
@@ -176,16 +143,36 @@ def _band_lu(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, n
     lu, ipiv, info = _linalg().lapack.zgbtrf(ab, p, q, overwrite_ab=True)
     if info < 0:
         raise ValueError(f"zgbtrf rejected argument {-info}")
-    return lu[p + q], ipiv
+    return lu, ipiv, p, q
 
 
 def band_logdet(diagonals: Mapping[int, np.ndarray], n: int) -> LogDet:
     """det of the leading n x n section of a band matrix (``diagonals`` as in
     `band_lu_pivots`, vectors of length >= n) from its band LU in O(n w^2);
-    sign and singular test as in `lu_logdet`."""
+    the sign comes from the row interchanges, and a pivot below
+    PIVOT_UNDERFLOW flags the section singular."""
     if n == 0:
         return LogDet(0.0, 1 + 0j, False)
-    return _logdet_from_lu(*_band_lu(diagonals, n))
+    lu, ipiv, p, q = _band_lu(diagonals, n)
+    return _logdet_from_lu(lu[p + q], ipiv)
+
+
+def band_solve(diagonals: Mapping[int, np.ndarray], n: int, rhs) -> np.ndarray:
+    """Solve A x = rhs for the leading n x n section A of a band matrix
+    (``diagonals`` as in `band_logdet`) by its band LU (``zgbtrs``)."""
+    b = np.asarray(rhs, dtype=np.complex128)
+    if b.shape != (n,):
+        raise DimensionError(f"rhs length {b.shape} does not match matrix order {n}")
+    if n == 0:
+        return b.copy()
+    lu, ipiv, p, q = _band_lu(diagonals, n)
+    smallest = float(np.abs(lu[p + q]).min())
+    if smallest < PIVOT_UNDERFLOW:
+        raise SingularMatrixError("matrix is numerically singular", smallest)
+    x, info = _linalg().lapack.zgbtrs(lu, p, q, b, ipiv)
+    if info < 0:
+        raise ValueError(f"zgbtrs rejected argument {-info}")
+    return x
 
 
 def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:
@@ -203,7 +190,8 @@ def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndar
     the one without swaps, with |multiplier| <= sqrt(2): partial pivoting
     keeps cabs1(pivot) = |Re| + |Im| >= cabs1 of every entry below.
     """
-    diag, ipiv = _band_lu(diagonals, n)
+    lu, ipiv, p, q = _band_lu(diagonals, n)
+    diag = lu[p + q]
     swaps = np.flatnonzero(ipiv != np.arange(n))
     stop = int(swaps[0]) if swaps.size else n
     failed = np.flatnonzero(~(np.abs(diag[:stop]) >= PIVOT_UNDERFLOW))  # also NaN

@@ -6,9 +6,11 @@ constant (`as_band_operator` of its symbol), the almost Mathieu operator has
 a cosine main diagonal, and composites are sums of products of band
 operators, used by the Folner trace estimates.  The convention throughout:
 the matrix entry at (i, j) is diagonal[i - j] evaluated at the column index
-j.  One routine evaluates the diagonals on a column range; the diagonal
-storage of `band_diagonals` and every dense section (sections over 0..n-1,
-flipped and reversed corners, Toeplitz sections) are views of it.
+j.  One routine evaluates the diagonals on a column range into diagonal
+storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
+(`flip_diagonals`) and the reversed section W_n A_n W_n
+(`reversed_diagonals`).  Dense sections scatter that storage into a
+matrix.
 """
 
 from __future__ import annotations
@@ -92,81 +94,80 @@ def almost_mathieu(alpha: float, lam: float, theta: float = 0.0) -> BandAPOperat
     )
 
 
-def _diagonal_values(diagonals: Mapping[int, APFunction], size: int, start: int, step: int):
-    """(d, lo, hi, values) for every offset d of a size x size section: its
-    entries (j + d, j) for lo <= j < hi, and diagonals[d] at start + step * j
-    (one value, broadcast over the range, when the diagonal is constant)."""
+def _band_vectors(diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1):
+    """A size x size section in diagonal storage: offset d -> vector v with
+    v[j] = entry (j + d, j) = diagonals[d](start + step * j) on the valid
+    column range and 0 outside it (one value, broadcast over the range, when
+    the diagonal is constant)."""
+    if size < 1:
+        raise ValueError("section size must be >= 1")
+    vectors: dict[int, np.ndarray] = {}
     for d, f in diagonals.items():
         if abs(d) < size:
             lo, hi = max(0, -d), size - max(0, d)
             constant = len(f.terms) == 1 and f.terms[0][0] == 0.0
             at = np.zeros(1) if constant else np.arange(start + step * lo, start + step * hi, step)
-            yield d, lo, hi, eval_ap(f, at)
+            v = vectors[d] = np.zeros(size, dtype=np.complex128)
+            v[lo:hi] = eval_ap(f, at)
+    return vectors
 
 
-def _section(diagonals, size: int, start: int = 0, step: int = 1) -> np.ndarray:
-    """Dense size x size matrix with entry (j + d, j) = diagonals[d](start + step * j)."""
+def _dense(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
+    """The size x size matrix with entry (j + d, j) = vectors[d][j]."""
     m = np.zeros((size, size), dtype=np.complex128)
-    for d, lo, hi, values in _diagonal_values(diagonals, size, start, step):
-        cols = np.arange(lo, hi)
-        m[cols + d, cols] = values
+    flat = m.reshape(-1)  # a view: entry (j + d, j) is flat[j * (size + 1) + d * size]
+    for d, v in vectors.items():
+        lo, hi = max(0, -d), size - max(0, d)
+        flat[lo * (size + 1) + d * size :: size + 1][: hi - lo] = v[lo:hi]
     return m
 
 
 def band_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     """Section over 0..n-1 in diagonal storage: offset d -> vector v with
     v[j] = entry(j+d, j) on the valid column range and 0 outside it."""
-    vectors: dict[int, np.ndarray] = {}
-    for d, lo, hi, values in _diagonal_values(A.diagonals, n, 0, 1):
-        v = vectors[d] = np.zeros(n, dtype=np.complex128)
-        v[lo:hi] = values
-    return vectors
-
-
-def band_ap_section(A: BandAPOperator, n: int) -> DenseMatrix:
-    """Finite section over indices 0..n-1."""
-    if n < 1:
-        raise ValueError("section size must be >= 1")
-    return DenseMatrix(_section(A.diagonals, n))
-
-
-def toeplitz_section(a: TrigPolynomial, n: int) -> DenseMatrix:
-    """The n x n section with entry (i, j) = a_{i-j}."""
-    return band_ap_section(as_band_operator(a), n)
+    return _band_vectors(A.diagonals, n)
 
 
 def _reflected(A: BandAPOperator) -> dict[int, APFunction]:
     return {-d: f for d, f in A.diagonals.items()}
 
 
-def flip_section(A: BandAPOperator, n: int) -> DenseMatrix:
-    """Section of the reflected negative-quadrant corner.
+def flip_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
+    """Section of the reflected negative-quadrant corner, in the diagonal
+    storage of `band_diagonals`.
 
     Entry (i, j) = A(-1-i, -1-j) = diagonal[j-i](-1-j); this is the corner
     whose invertibility governs the second stability condition, and for a
     Toeplitz symbol a it reproduces the section of the reflected symbol
     a(1/t).
     """
-    if n < 1:
-        raise ValueError("section size must be >= 1")
     if A.domain != "Z":
         raise ValueError("flip sections need an operator over all integers")
-    return DenseMatrix(_section(_reflected(A), n, -1, -1))
+    return _band_vectors(_reflected(A), n, -1, -1)
 
 
-def reversed_section(A: BandAPOperator, n: int) -> DenseMatrix:
-    """W_n A W_n: entry (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
-    if n < 1:
-        raise ValueError("section size must be >= 1")
-    return DenseMatrix(_section(_reflected(A), n, n - 1, -1))
+def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
+    """W_n A_n W_n in the diagonal storage of `band_diagonals`: entry
+    (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
+    return _band_vectors(_reflected(A), n, n - 1, -1)
+
+
+def band_ap_section(A: BandAPOperator, n: int) -> DenseMatrix:
+    """Finite section over indices 0..n-1."""
+    return DenseMatrix(_dense(band_diagonals(A, n), n))
+
+
+def flip_section(A: BandAPOperator, n: int) -> DenseMatrix:
+    """`flip_diagonals` as a dense matrix."""
+    return DenseMatrix(_dense(flip_diagonals(A, n), n))
 
 
 def _assemble(E: CompositeOperator, size: int) -> np.ndarray:
     total = np.zeros((size, size), dtype=np.complex128)
     for prod in E.products:
-        acc = _section(prod[0].diagonals, size)
+        acc = _dense(band_diagonals(prod[0], size), size)
         for f in prod[1:]:
-            acc = acc @ _section(f.diagonals, size)
+            acc = acc @ _dense(band_diagonals(f, size), size)
         total += acc
     return total
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numkernel
-from .numkernel import DenseMatrix, LogDet, solve
+from .numkernel import DenseMatrix, LogDet
 from .operators import (
     BandAPOperator,
     CompositeOperator,
@@ -29,8 +29,9 @@ from .operators import (
     band_ap_section,
     band_diagonals,
     composite_sections,
+    flip_diagonals,
     flip_section,
-    reversed_section,
+    reversed_diagonals,
 )
 from .symbols import TrigPolynomial, log_coefficients, strong_szego_constant, _default_grid
 
@@ -282,26 +283,24 @@ def det_ratio_sequence(
     return sweep(sizes, ratio, predicted)
 
 
+def _corner_of_inverse(diagonals: dict[int, np.ndarray], n: int) -> complex:
+    """x[0] of S x = e_0, the 0-0 entry of S^{-1}, for the n x n section S
+    in diagonal storage, by one band LU solve."""
+    e0 = np.zeros(n, dtype=np.complex128)
+    e0[0] = 1.0
+    return complex(numkernel.band_solve(diagonals, n, e0)[0])
+
+
 def det_ratio_via_cramer(A, n: int) -> complex:
     """det(section n-1)/det(section n) as the first component of the solution
     of (W_n A W_n) x = e_0 (Cramer's rule on the reversed section)."""
-    band = as_band_operator(A)
-    w = reversed_section(band, n)
-    rhs = np.zeros(n, dtype=np.complex128)
-    rhs[0] = 1.0
-    x = solve(w, rhs)
-    return complex(x[0])
+    return _corner_of_inverse(reversed_diagonals(as_band_operator(A), n), n)
 
 
 def g_limit_constant(A: BandAPOperator, m: int) -> complex:
     """1 / ((flip section)^{-1})_{00}: the determinant-ratio limit along a
     distinguished sequence, where the operator is its own limit operator."""
-    band = as_band_operator(A)
-    f = flip_section(band, m)
-    rhs = np.zeros(m, dtype=np.complex128)
-    rhs[0] = 1.0
-    x = solve(f, rhs)
-    v = complex(x[0])
+    v = _corner_of_inverse(flip_diagonals(as_band_operator(A), m), m)
     if v == 0:
         raise ResolventZeroError("0-0 entry of the inverted flip section is zero")
     return 1.0 / v

@@ -16,14 +16,14 @@ from szegolab.almostperiodic import (
     eval_ap,
     expand_cf,
 )
-from szegolab.numkernel import lu_logdet, singular_values, solve
+from szegolab.numkernel import band_logdet, band_solve, singular_values
 from szegolab.operators import (
     BandAPOperator,
     CompositeOperator,
     almost_mathieu,
     as_band_operator,
     band_ap_section,
-    toeplitz_section,
+    band_diagonals,
 )
 from szegolab.symbols import TrigPolynomial, geometric_mean
 from szegolab.szego import (
@@ -40,6 +40,18 @@ from szegolab.szego import (
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
+
+
+def logdet(a):
+    """band_logdet of a dense n x n matrix given as n - 1 diagonals on each
+    side of the main diagonal."""
+    n = len(a)
+    diagonals = {}
+    for d in range(1 - n, n):
+        cols = np.arange(max(0, -d), n - max(0, d))
+        v = diagonals[d] = np.zeros(n, dtype=complex)
+        v[cols] = a[cols + d, cols]
+    return band_logdet(diagonals, n)
 
 
 def report(number, name, ok, detail):
@@ -68,7 +80,7 @@ def test_criterion_02_strong_szego_exp_cos():
     # exp(cos t) = sum_k I_|k|(1) e^{ikt}, truncated at |k| <= 24
     a = TrigPolynomial({k: iv(abs(k), 1.0) for k in range(-24, 25)})
     g_err = abs(geometric_mean(a) - 1.0)
-    det64 = lu_logdet(toeplitz_section(a, 64)).value
+    det64 = band_logdet(band_diagonals(as_band_operator(a), 64), 64).value
     resid = abs(det64 - math.exp(0.25))
     ok = g_err <= 1e-9 and resid <= 1e-6
     assert report(
@@ -157,7 +169,7 @@ def test_criterion_07_avram_parter():
     details = []
     ok = True
     for n in (64, 256, 1024):
-        m4 = singular_mean(singular_values(toeplitz_section(a, n)), g4)
+        m4 = singular_mean(singular_values(band_ap_section(as_band_operator(a), n)), g4)
         err = abs(m4 - 6.0)
         ok = ok and err <= 12.0 / n
         details.append(f"n={n}: {err:.2e} <= {12.0 / n:.2e}")
@@ -212,8 +224,10 @@ def test_criterion_10_randomized_property_suites():
         n = int(rng.integers(4, 48))
         e0 = np.zeros(n, dtype=complex)
         e0[0] = 1.0
-        x = solve(toeplitz_section(a, n), e0)
-        y = solve(toeplitz_section(TrigPolynomial({-k: c for k, c in coeffs.items()}), n), e0)
+        x, y = (
+            band_solve(band_diagonals(as_band_operator(symbol), n), n, e0)
+            for symbol in (a, TrigPolynomial({-k: c for k, c in coeffs.items()}))
+        )
         if abs(x[0] - y[0]) > 1e-10:
             failures.append("corner-reflection")
 
@@ -246,7 +260,7 @@ def test_criterion_10_randomized_property_suites():
         n = int(rng.integers(2, 11))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        la, lb, lab = lu_logdet(a), lu_logdet(b), lu_logdet(a @ b)
+        la, lb, lab = logdet(a), logdet(b), logdet(a @ b)
         if abs(lab.log_abs - la.log_abs - lb.log_abs) > 1e-9 or abs(
             lab.phase - la.phase * lb.phase
         ) > 1e-9:

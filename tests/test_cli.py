@@ -401,6 +401,51 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, overrides, fiel
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, path, field",
+    [
+        ("szego-ratio", ("tolerance",), "tolerance"),
+        ("mathieu-dist", ("alpha",), "alpha"),
+        ("cf-expand", ("alpha",), "alpha"),
+        ("eigen-dist-band-ap", ("operator", "diagonals", "0", 1, "freq"), "operator.diagonals.0[1].freq"),
+        ("eigen-dist-toeplitz", ("g", "coeffs", 0), "g.coeffs[0]"),
+    ],
+)
+def test_int_past_float_range_exits_2_naming_field(tmp_path, capsys, name, path, field):
+    # a JSON int such as 1e400 written out in digits has no float value
+    cfg = json.loads(json.dumps(dict(GOLDEN_CONFIGS[name], output=str(tmp_path / "out"))))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "BIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg).replace('"BIG"', "1" + "0" * 400), encoding="utf-8")
+    assert main(["validate", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"tolerance": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"output": "\xff"}', "can't decode byte 0xff"),
+    ],
+    ids=["int-past-digit-limit", "not-utf-8"],
+)
+def test_unparsable_config_file_exits_2(tmp_path, capsys, content, reason):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment sets
+    try:
+        assert main(["validate", str(cfg_path)]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: invalid JSON in {cfg_path}: ")
+    assert reason in err
+
+
 @pytest.mark.parametrize("kind", ["eigen-dist", "stability"])
 def test_distinguished_sizes_fall_back_on_operator_alpha(kind):
     # without distinguished.alpha the almost Mathieu operator's alpha sets

@@ -1,10 +1,12 @@
-"""Kernel checks: log determinants, solves, spectra."""
+"""Kernel checks: band LU determinants and solves, spectra."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from szegolab import TrigPolynomial, numkernel
 from szegolab.numkernel import (
@@ -15,11 +17,10 @@ from szegolab.numkernel import (
     SymmetryError,
     band_logdet,
     band_lu_pivots,
+    band_solve,
     eigvals_general,
     eigvals_hermitian,
-    lu_logdet,
     singular_values,
-    solve,
 )
 from szegolab.operators import as_band_operator, band_diagonals
 
@@ -36,15 +37,45 @@ def exact_det(rows):
     return total
 
 
+def as_diagonals(a):
+    """A dense n x n matrix as the n - 1 diagonals on each side of its main
+    diagonal: offset d -> v with v[j] = a[j + d, j], zero outside."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = len(a)
+    diagonals = {}
+    for d in range(1 - n, n):
+        cols = np.arange(max(0, -d), n - max(0, d))
+        v = diagonals[d] = np.zeros(n, dtype=np.complex128)
+        v[cols] = a[cols + d, cols]
+    return diagonals
+
+
+def logdet(a):
+    return band_logdet(as_diagonals(a), len(a))
+
+
+def solve(a, rhs):
+    return band_solve(as_diagonals(a), len(a), rhs)
+
+
+def dense_logdet(a):
+    """Test oracle: the dense pivoted LU of SciPy, read as the kernel reads
+    its band LU."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # SciPy warns on exactly zero pivots
+        lu, piv = scipy.linalg.lu_factor(a)
+    return numkernel._logdet_from_lu(np.diagonal(lu), piv)
+
+
 def test_logdet_identity():
-    ld = lu_logdet(np.eye(3))
+    ld = logdet(np.eye(3))
     assert ld.log_abs == pytest.approx(0.0, abs=1e-14)
     assert ld.phase == pytest.approx(1.0)
     assert not ld.singular_flag
 
 
 def test_logdet_diagonal():
-    ld = lu_logdet(np.diag([2.0, 3.0]))
+    ld = logdet(np.diag([2.0, 3.0]))
     assert ld.log_abs == pytest.approx(math.log(6.0), abs=1e-14)
     assert ld.phase == pytest.approx(1.0)
 
@@ -54,21 +85,28 @@ def test_logdet_hilbert_exact_oracle():
     oracle = exact_det(rows)
     assert oracle == Fraction(1, 2160)
     h = np.array([[float(v) for v in r] for r in rows])
-    ld = lu_logdet(h)
+    ld = logdet(h)
     assert ld.log_abs == pytest.approx(math.log(1 / 2160), rel=1e-12)
     assert ld.phase == pytest.approx(1.0)
 
 
 def test_logdet_singular_flag():
     shift = np.diag(np.ones(2), -1)  # 3x3, det 0
-    ld = lu_logdet(shift)
+    ld = logdet(shift)
     assert ld.singular_flag
     assert ld.value == 0
 
 
-def test_logdet_rejects_nonsquare():
+def test_eigvals_reject_nonsquare():
+    for eigvals in (eigvals_hermitian, eigvals_general):
+        with pytest.raises(DimensionError):
+            eigvals(np.ones((2, 3)))
+
+
+def test_band_solve_rejects_rhs_of_wrong_length():
     with pytest.raises(DimensionError):
-        lu_logdet(np.ones((2, 3)))
+        solve(np.eye(3), np.ones(2))
+    assert band_solve({}, 0, []).shape == (0,)
 
 
 def test_dense_matrix_rejects_nonfinite():
@@ -144,7 +182,7 @@ def test_logdet_product_law_random():
         n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        la, lb, lab = lu_logdet(a), lu_logdet(b), lu_logdet(a @ b)
+        la, lb, lab = logdet(a), logdet(b), logdet(a @ b)
         assert lab.log_abs == pytest.approx(la.log_abs + lb.log_abs, abs=1e-9)
         assert lab.phase == pytest.approx(la.phase * lb.phase, abs=1e-9)
 
@@ -227,8 +265,8 @@ def test_band_lu_pivots_stop(diagonals, n, stop):
     assert got == stop and len(pivots) == stop
     dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
     for k in range(stop):
-        ratio = lu_logdet(dense[: k + 1, : k + 1]).value / (
-            lu_logdet(dense[:k, :k]).value if k else 1.0
+        ratio = dense_logdet(dense[: k + 1, : k + 1]).value / (
+            dense_logdet(dense[:k, :k]).value if k else 1.0
         )
         assert pivots[k] == pytest.approx(ratio, rel=1e-12)
 
@@ -248,11 +286,11 @@ def _random_band(seed, n, p, q, diagonal):
 
 def assert_matches_dense_sections(diagonals, n, pivots):
     """band_logdet of every leading section and the pivots of band_lu_pivots
-    against lu_logdet of the dense sections; singular flags must agree."""
+    against the dense LU of the sections; singular flags must agree."""
     dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
     prev = LogDet(0.0, 1 + 0j)
     for k in range(1, n + 1):
-        ref, got = lu_logdet(dense[:k, :k]), band_logdet(diagonals, k)
+        ref, got = dense_logdet(dense[:k, :k]), band_logdet(diagonals, k)
         assert got.singular_flag == ref.singular_flag, k
         if not ref.singular_flag:
             assert got.log_abs == pytest.approx(ref.log_abs, rel=1e-12, abs=1e-12)
@@ -318,12 +356,12 @@ def _toeplitz_band(coeffs, n):
         (_toeplitz_band({0: 1.0, 1: 2.0, -1: 0.5, 2: -6.0, -2: -6.0}, 12), 12, 0, 1),
     ],
 )
-def test_band_lu_pivots_matches_dense_lu_logdet(diagonals, n, stop, swapped):
+def test_band_lu_pivots_matches_dense_sections(diagonals, n, stop, swapped):
     # the pass stops at LAPACK's first row swap or first zero pivot; the
     # sizes past it take band_logdet, checked on every leading section.
     # ``swapped``: LAPACK swaps some row in factoring the n x n band
     pivots, got = band_lu_pivots(diagonals, n)
     assert got == stop and len(pivots) == stop
-    _, ipiv = numkernel._band_lu(diagonals, n)
+    _, ipiv, _, _ = numkernel._band_lu(diagonals, n)
     assert bool(np.any(ipiv != np.arange(n))) == bool(swapped)
     assert_matches_dense_sections(diagonals, n, pivots)

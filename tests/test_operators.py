@@ -8,7 +8,7 @@ import scipy.linalg
 
 from szegolab.almostperiodic import APFunction, eval_ap
 from szegolab.cli import validate_config
-from szegolab.numkernel import lu_logdet, solve
+from szegolab.numkernel import band_logdet, band_solve
 from szegolab.operators import (
     BandAPOperator,
     CompositeOperator,
@@ -17,9 +17,9 @@ from szegolab.operators import (
     band_ap_section,
     band_diagonals,
     composite_sections,
+    flip_diagonals,
     flip_section,
-    reversed_section,
-    toeplitz_section,
+    reversed_diagonals,
 )
 from szegolab.symbols import TrigPolynomial
 
@@ -30,6 +30,21 @@ TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
 def reflected(a):
     """The symbol t -> a(1/t): coefficients reflected k -> -k."""
     return TrigPolynomial({-k: c for k, c in a.coeffs.items()})
+
+
+def toeplitz_section(a, n):
+    """The n x n section with entry (i, j) = a_{i-j}."""
+    return band_ap_section(as_band_operator(a), n)
+
+
+def dense(diagonals, n):
+    """Scatter diagonal storage (offset d -> v, v[j] = entry (j + d, j)) into
+    an n x n matrix."""
+    m = np.zeros((n, n), dtype=complex)
+    for d, v in diagonals.items():
+        for j in range(max(0, -d), n - max(0, d)):
+            m[j + d, j] = v[j]
+    return m
 
 
 def two_sided_section(op, n):
@@ -48,9 +63,9 @@ def test_toeplitz_section_examples():
     assert const.data[0, 0] == 4 + 1j
     tri = toeplitz_section(TrigPolynomial({1: 1.0, -1: 1.0}), 3).data
     assert np.array_equal(tri, np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1))
-    shift = toeplitz_section(TrigPolynomial({1: 1.0}), 3)
-    assert np.array_equal(shift.data, np.diag(np.ones(2), -1))
-    assert lu_logdet(shift).singular_flag
+    z = as_band_operator(TrigPolynomial({1: 1.0}))
+    assert np.array_equal(toeplitz_section(z, 3).data, np.diag(np.ones(2), -1))
+    assert band_logdet(band_diagonals(z, 3), 3).singular_flag
 
 
 def test_band_section_matches_toeplitz_exactly():
@@ -63,7 +78,6 @@ def test_band_section_matches_toeplitz_exactly():
             row = [symbol.coefficient(-k) for k in range(n)]
             expected = scipy.linalg.toeplitz(col, row)
             assert np.array_equal(band_ap_section(band, n).data, expected)
-            assert np.array_equal(toeplitz_section(symbol, n).data, expected)
 
 
 def test_band_section_diagonal_only():
@@ -137,24 +151,55 @@ def test_flip_requires_two_sided_domain():
 
 def test_reversed_section_persymmetry():
     band = as_band_operator(TrigPolynomial({0: 1.0, 1: 2.0, -2: 0.5j}))
-    rev = reversed_section(band, 6).data
+    rev = dense(reversed_diagonals(band, 6), 6)
     tilde = toeplitz_section(TrigPolynomial({0: 1.0, -1: 2.0, 2: 0.5j}), 6).data
     assert np.array_equal(rev, tilde)
 
 
 def test_reversed_section_n1():
     op = almost_mathieu(0.3, 2.0, 0.1)
-    r = reversed_section(op, 1).data
-    assert r[0, 0] == eval_ap(op.diagonals[0], 0)
+    (r,) = reversed_diagonals(op, 1)[0]
+    assert r == eval_ap(op.diagonals[0], 0)
 
 
 def test_reversed_section_determinant_matches():
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
     for n in (3, 8, 21):
-        ld_p = lu_logdet(band_ap_section(op, n))
-        ld_w = lu_logdet(reversed_section(op, n))
+        ld_p = band_logdet(band_diagonals(op, n), n)
+        ld_w = band_logdet(reversed_diagonals(op, n), n)
         assert ld_w.log_abs == pytest.approx(ld_p.log_abs, abs=1e-10)
         assert ld_w.phase == pytest.approx(ld_p.phase, abs=1e-10)
+
+
+BAND_OPERATORS = (
+    as_band_operator(TrigPolynomial({0: 3.0, 1: 0.5, -1: 0.25j, 2: 0.1, -3: -0.7})),
+    almost_mathieu(GOLDEN, 3.0, 0.2),
+    BandAPOperator(
+        {
+            0: APFunction([(0.0, 2.0), (GOLDEN, 0.5 - 0.25j)]),
+            2: APFunction([(math.sqrt(2) - 1, 1j)]),
+            -1: APFunction([(0.0, -0.5), (0.25, 0.75)]),
+        },
+        "Z",
+    ),
+)
+
+
+@pytest.mark.parametrize("op", BAND_OPERATORS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
+def test_flip_and_reversed_diagonals_scatter_to_dense_sections(op, n):
+    # the band vectors solved on by g_limit_constant and det_ratio_via_cramer
+    assert np.array_equal(dense(flip_diagonals(op, n), n), flip_section(op, n).data)
+    assert np.array_equal(
+        dense(reversed_diagonals(op, n), n), band_ap_section(op, n).data[::-1, ::-1]
+    )
+    assert np.array_equal(dense(band_diagonals(op, n), n), band_ap_section(op, n).data)
+
+
+def test_flip_and_reversed_diagonals_reject_empty_sections():
+    for diagonals in (flip_diagonals, reversed_diagonals):
+        with pytest.raises(ValueError):
+            diagonals(almost_mathieu(GOLDEN, 1.0), 0)
 
 
 def test_composite_single_factor_identical():
@@ -236,6 +281,6 @@ def test_inverse_corner_reflection_identity():
     for n in (8, 32, 128):
         e0 = np.zeros(n, dtype=complex)
         e0[0] = 1.0
-        x = solve(toeplitz_section(TWO_PLUS_COS, n), e0)
-        y = solve(toeplitz_section(reflected(TWO_PLUS_COS), n), e0)
+        x = band_solve(band_diagonals(as_band_operator(TWO_PLUS_COS), n), n, e0)
+        y = band_solve(band_diagonals(as_band_operator(reflected(TWO_PLUS_COS)), n), n, e0)
         assert abs(x[0] - y[0]) <= 1e-10

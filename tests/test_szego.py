@@ -2,18 +2,20 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
 from szegolab.almostperiodic import APFunction, distinguished_sequence, eval_ap
-from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, lu_logdet, singular_values
+from szegolab import numkernel
+from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, singular_values
 from szegolab.operators import (
     BandAPOperator,
     CompositeOperator,
@@ -21,7 +23,7 @@ from szegolab.operators import (
     as_band_operator,
     band_ap_section,
     band_diagonals,
-    toeplitz_section,
+    flip_section,
 )
 from szegolab.symbols import TrigPolynomial, geometric_mean, strong_szego_constant, symbol_average
 from szegolab.szego import (
@@ -48,6 +50,20 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
 # exp(cos t) = sum_k I_|k|(1) e^{ikt}, truncated at |k| <= 24
 EXP_COS = TrigPolynomial({k: iv(abs(k), 1.0) for k in range(-24, 25)})
+
+
+def toeplitz_section(a, n):
+    """The n x n section with entry (i, j) = a_{i-j}."""
+    return band_ap_section(as_band_operator(a), n)
+
+
+def dense_logdet(a):
+    """Test oracle: the dense pivoted LU of SciPy, read as the kernel reads
+    its band LU."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # SciPy warns on exactly zero pivots
+        lu, piv = scipy.linalg.lu_factor(np.asarray(a))
+    return numkernel._logdet_from_lu(np.diagonal(lu), piv)
 
 
 def block_periodic_operator():
@@ -140,7 +156,7 @@ def dense_ratio_route(op, sizes):
     band = as_band_operator(op)
 
     def logdet(k):
-        return lu_logdet(band_ap_section(band, k)) if k else LogDet(0.0, 1 + 0j)
+        return dense_logdet(band_ap_section(band, k)) if k else LogDet(0.0, 1 + 0j)
 
     rows, skipped = [], []
     for n in sizes:
@@ -215,7 +231,7 @@ def test_det_ratio_keeps_tiny_imaginary_coefficient():
     # a constant diagonal is real only when its imaginary part is exactly 0;
     # the dense sections are built from the coefficients, not by szegolab
     one, two = (
-        lu_logdet(scipy.linalg.toeplitz([2.0, 0.5 + 1e-13j][:n], [2.0, 0.5][:n])) for n in (1, 2)
+        dense_logdet(scipy.linalg.toeplitz([2.0, 0.5 + 1e-13j][:n], [2.0, 0.5][:n])) for n in (1, 2)
     )
     dense = cmath.exp(two.log_abs - one.log_abs) * (two.phase / one.phase)
     ratio = det_ratio_sequence(TrigPolynomial({0: 2.0, 1: 0.5 + 1e-13j, -1: 0.5}), [2]).values[0]
@@ -297,6 +313,57 @@ def test_g_limit_constant_examples():
     assert g64 == pytest.approx((2 + math.sqrt(3)) / 2, abs=1e-10)
     band_rev = as_band_operator(TrigPolynomial({-k: c for k, c in TWO_PLUS_COS.coeffs.items()}))
     assert g_limit_constant(band_rev, 64) == pytest.approx(g64, abs=1e-12)
+
+
+def test_g_limit_constant_almost_mathieu_converged():
+    # the flip section of lambda = 3 is solved in band storage at any size
+    op = almost_mathieu(GOLDEN, 3.0)
+    assert abs(g_limit_constant(op, 2048) - g_limit_constant(op, 512)) <= 1e-12
+
+
+def test_corner_solves_of_singular_sections_raise():
+    # both corners of the shift are strictly triangular with a zero diagonal
+    shift = as_band_operator(TrigPolynomial({1: 1.0}))
+    with pytest.raises(SingularMatrixError):
+        g_limit_constant(shift, 5)
+    with pytest.raises(SingularMatrixError):
+        det_ratio_via_cramer(shift, 5)
+
+
+@st.composite
+def band_ap_operators(draw):
+    """Band operators over Z of bandwidth <= 3: up to three almost periodic
+    terms per diagonal, and a constant shift of the main diagonal."""
+    w = draw(st.integers(0, 3))
+    diagonals = {}
+    for d in range(-w, w + 1):
+        terms = draw(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), _coefficient), max_size=3))
+        if d == 0:
+            terms.append((0.0, draw(st.floats(0, 8))))
+        diagonals[d] = APFunction(terms)
+    return BandAPOperator(diagonals, "Z")
+
+
+def e0_solution_oracle(section):
+    """x[0] of section x = e_0 by numpy's dense solve, skipping sections on
+    which double precision cannot resolve it to 1e-10."""
+    with np.errstate(all="ignore"):  # singular and extreme sections are skipped
+        cond = np.linalg.cond(section)
+        assume(cond <= 1e8)
+        x = np.linalg.solve(section, np.eye(len(section))[0])
+        assume(cond * np.linalg.norm(x) <= 1e5 * abs(x[0]))
+    return x[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(op=band_ap_operators(), m=st.integers(1, 64))
+def test_corner_solves_match_dense_oracle(op, m):
+    flip = flip_section(op, m).data
+    reverse = band_ap_section(op, m).data[::-1, ::-1]
+    x0 = e0_solution_oracle(flip)
+    assert abs(g_limit_constant(op, m) - 1 / x0) <= 1e-10 * abs(1 / x0)
+    y0 = e0_solution_oracle(reverse)
+    assert abs(det_ratio_via_cramer(op, m) - y0) <= 1e-10 * abs(y0)
 
 
 def test_strong_szego_ratio_constant():

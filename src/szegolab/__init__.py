@@ -7,7 +7,6 @@ Folner trace estimates.
 """
 
 from .numkernel import (
-    DenseMatrix,
     LogDet,
     eigvals_general,
     eigvals_hermitian,

@@ -118,7 +118,8 @@ class APFunction:
 
     @property
     def sup_bound(self) -> float:
-        return float(sum(abs(c) for _, c in self.terms))
+        """sum |c| over the terms; inf, not OverflowError, past the float range."""
+        return float(sum(math.hypot(c.real, c.imag) for _, c in self.terms))
 
     def __call__(self, n):
         return eval_ap(self, n)

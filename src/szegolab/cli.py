@@ -72,6 +72,9 @@ CF_CSV_HEADER = "n,b_n,p_n,q_n,error_bound"
 # means (eigen-dist over a Toeplitz operator, singular-dist).
 SYMBOL_GRID = 4096
 
+# Largest degree of a polynomial g (power.k, len(poly.coeffs) - 1).
+MAX_DEGREE = 256
+
 
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
@@ -176,16 +179,16 @@ def _parse_g(obj, path="g") -> TestFunction:
     domain = _parse_domain(obj["domain"], f"{path}.domain") if "domain" in obj else None
     if kind == "poly":
         coeffs = obj.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{path}.coeffs: must be a nonempty list")
+        if not isinstance(coeffs, list) or not 1 <= len(coeffs) <= MAX_DEGREE + 1:
+            raise ConfigError(f"{path}.coeffs: must be a list of 1 to {MAX_DEGREE + 1} numbers")
         for i, c in enumerate(coeffs):
             if not _is_number(c):
                 raise ConfigError(f"{path}.coeffs[{i}]: must be a finite number")
         g = TestFunction.polynomial([float(c) for c in coeffs])
     elif kind == "power":
         k = obj.get("k")
-        if not _is_int(k) or k < 0:
-            raise ConfigError(f"{path}.k: must be a non-negative integer")
+        if not _is_int(k) or not 0 <= k <= MAX_DEGREE:
+            raise ConfigError(f"{path}.k: must be an integer from 0 to {MAX_DEGREE}")
         g = TestFunction.power(k)
     elif kind == "named":
         name = obj.get("name")
@@ -285,7 +288,10 @@ def _parse_symbol(obj, path="symbol") -> TrigPolynomial:
         pair = val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
         if not all(_is_number(v) for v in pair):
             raise ConfigError(f"{path}.{key}: must be a finite number or an [re, im] pair")
-    return symbol_from_json(obj)
+    symbol = symbol_from_json(obj)
+    if not math.isfinite(sum(math.hypot(c.real, c.imag) for c in symbol.coeffs.values())):
+        raise ConfigError(f"{path}: coefficient magnitudes sum past the float range")
+    return symbol
 
 
 def _parse_terms(obj, path) -> APFunction:
@@ -301,9 +307,12 @@ def _parse_terms(obj, path) -> APFunction:
             if name in term and not _is_number(term[name]):
                 raise ConfigError(f"{path}[{i}].{name}: must be a finite number")
     try:
-        return ap_from_json(obj)
-    except ValueError:  # every field is finite, so a sum of terms overflowed
-        raise ConfigError(f"{path}: terms of one frequency sum past the float range") from None
+        f = ap_from_json(obj)  # every field is finite: a ValueError means a sum overflowed
+        if math.isfinite(f.sup_bound):
+            return f
+    except ValueError:
+        pass
+    raise ConfigError(f"{path}: term magnitudes sum past the float range")
 
 
 def _parse_almost_mathieu(obj, prefix) -> BandAPOperator:

@@ -11,6 +11,10 @@ means, stability probes) sits on these operations.  All arithmetic is 64-bit
 floating point; determinants are only ever exposed in log-magnitude/phase
 form because section determinants grow geometrically with the section size.
 
+Dense matrices are plain numpy arrays.  The eigenvalue and singular value
+kernels read them as complex128 and check them where they read them: 2-d,
+square where the operation needs it, and every entry finite.
+
 Only the band LU (behind `band_logdet`, `band_solve` and `band_lu_pivots`)
 uses SciPy, and it loads it at its first call: importing this module, and
 every eigenvalue and singular value path, loads numpy alone.
@@ -55,31 +59,6 @@ HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DenseMatrix:
-    """A complex matrix stored as a read-only row-major array.
-
-    Entries must be finite; NaN or Inf anywhere is rejected at construction.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None and dtype != self.data.dtype:
-            return self.data.astype(dtype)  # astype already copies
-        return self.data.copy() if copy else self.data
-
-
-@dataclass(frozen=True)
 class LogDet:
     """Determinant in log form: det = exp(log_abs) * phase.
 
@@ -98,13 +77,19 @@ class LogDet:
         return math.exp(self.log_abs) * self.phase
 
 
-def _as_square_array(m) -> np.ndarray:
-    if not isinstance(m, DenseMatrix):
-        m = DenseMatrix(np.asarray(m))
-    rows, cols = m.data.shape
-    if rows != cols:
+def _as_square_array(m, square: bool = True) -> np.ndarray:
+    """The complex128 array of a 2-d (and, unless ``square`` is false,
+    square) matrix whose entries are all finite: the one input check of the
+    eigenvalue and singular value kernels."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={a.ndim}")
+    rows, cols = a.shape
+    if square and rows != cols:
         raise DimensionError(f"square matrix required, got {rows}x{cols}")
-    return m.data
+    if a.size and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 @functools.cache
@@ -223,9 +208,8 @@ def eigvals_general(m) -> np.ndarray:
 
 def singular_values(m) -> np.ndarray:
     """Singular values, sorted descending, all non-negative."""
-    if not isinstance(m, DenseMatrix):
-        m = DenseMatrix(np.asarray(m))
+    a = _as_square_array(m, square=False)
     try:
-        return np.linalg.svd(m.data, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc

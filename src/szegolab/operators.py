@@ -21,7 +21,6 @@ from typing import Mapping
 import numpy as np
 
 from .almostperiodic import APFunction, eval_ap
-from .numkernel import DenseMatrix
 from .symbols import TrigPolynomial
 
 
@@ -152,14 +151,14 @@ def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     return _band_vectors(_reflected(A), n, n - 1, -1)
 
 
-def band_ap_section(A: BandAPOperator, n: int) -> DenseMatrix:
+def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:
     """Finite section over indices 0..n-1."""
-    return DenseMatrix(_dense(band_diagonals(A, n), n))
+    return _dense(band_diagonals(A, n), n)
 
 
-def flip_section(A: BandAPOperator, n: int) -> DenseMatrix:
+def flip_section(A: BandAPOperator, n: int) -> np.ndarray:
     """`flip_diagonals` as a dense matrix."""
-    return DenseMatrix(_dense(flip_diagonals(A, n), n))
+    return _dense(flip_diagonals(A, n), n)
 
 
 def _assemble(E: CompositeOperator, size: int) -> np.ndarray:
@@ -172,7 +171,7 @@ def _assemble(E: CompositeOperator, size: int) -> np.ndarray:
     return total
 
 
-def composite_sections(E: CompositeOperator, n: int) -> tuple[DenseMatrix, DenseMatrix]:
+def composite_sections(E: CompositeOperator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Product of n-sections vs n-crop of the m-truncated full product.
 
     For banded factors the crop is exact once m exceeds n plus the summed
@@ -181,6 +180,4 @@ def composite_sections(E: CompositeOperator, n: int) -> tuple[DenseMatrix, Dense
     if n < 1:
         raise ValueError("section size must be >= 1")
     m = n + 2 * E.total_bandwidth + 8
-    product_of_sections = _assemble(E, n)
-    section_of_product = _assemble(E, m)[:n, :n]
-    return DenseMatrix(product_of_sections), DenseMatrix(section_of_product)
+    return _assemble(E, n), _assemble(E, m)[:n, :n]

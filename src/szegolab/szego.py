@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numkernel
-from .numkernel import DenseMatrix, LogDet
+from .numkernel import LogDet
 from .operators import (
     BandAPOperator,
     CompositeOperator,
@@ -354,7 +354,7 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
 # distribution means
 
 
-def eigen_sample(matrix: DenseMatrix) -> np.ndarray:
+def eigen_sample(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a section; Hermitian input takes the self-adjoint path."""
     try:
         return numkernel.eigvals_hermitian(matrix)
@@ -414,6 +414,7 @@ def _poly_band_diagonal(band: BandAPOperator, m: int, coeffs: np.ndarray) -> np.
 
 
 def _spectral_diagonal(section: np.ndarray, g: TestFunction) -> np.ndarray:
+    section = numkernel._as_square_array(section)  # the kernel's finiteness check
     deviation = float(np.max(np.abs(section - section.conj().T)))
     if deviation > numkernel.HERMITIAN_TOL:
         raise MethodError(
@@ -449,7 +450,7 @@ def limit_prediction(
     if g.kind == "polynomial":
         diag = _poly_band_diagonal(band, m, g.x_coefficients())
     else:
-        diag = _spectral_diagonal(np.asarray(band_ap_section(band, m)), g)
+        diag = _spectral_diagonal(band_ap_section(band, m), g)
     start = (m - window) // 2
     return complex(np.mean(diag[start : start + window]))
 
@@ -462,8 +463,7 @@ def folner_discrepancy(E: CompositeOperator, n: int) -> float:
     """Trace norm of (product of n-sections minus n-section of the product),
     divided by n."""
     prod, crop = composite_sections(E, n)
-    diff = np.asarray(prod) - np.asarray(crop)
-    sv = numkernel.singular_values(DenseMatrix(diff))
+    sv = numkernel.singular_values(prod - crop)
     return float(np.sum(sv) / n)
 
 

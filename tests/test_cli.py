@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 from szegolab.cli import (
     CSV_HEADER,
+    MAX_DEGREE,
     ConfigError,
     emit_report,
     main,
     run_experiment,
     validate_config,
 )
-from szegolab.szego import SzegoReport, sweep
+from szegolab.szego import SzegoReport, TestFunction, sweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -389,6 +390,27 @@ def test_invalid_configs_field_paths(tmp_path):
          "g.domain.radius"),
         ({"g": {"kind": "power", "k": 2, "domain": {"kind": ["disk"], "radius": 1.0}}}, "g.domain.kind"),
         ({"g": {"kind": "named", "name": ["exp"]}}, "g.name"),
+        # finite terms of different frequencies whose magnitudes sum past the float range
+        (
+            {"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": {
+                "0": [{"freq": 0.0, "re": 1e308}, {"freq": 0.25, "re": 1e308}, {"freq": 0.75, "re": 1e308}]}}},
+            "operator.diagonals.0",
+        ),
+        (
+            {"experiment": "folner", "operator": {"kind": "composite", "products": [
+                [{"kind": "ap-multiplier", "terms": [{"freq": 0.25, "re": 1e308, "im": 1e308},
+                                                     {"freq": 0.5, "re": 1e308}]}]]}},
+            "operator.products[0][0].terms",
+        ),
+        ({"experiment": "szego-ratio", "symbol": {"0": 1e308, "1": 1e308, "-1": 1e308}}, "symbol"),
+        (
+            {"experiment": "folner", "operator": {"kind": "composite", "products": [
+                [{"kind": "toeplitz", "symbol": {"0": [1.7e308, 1.7e308]}}]]}},
+            "operator.products[0][0].symbol",
+        ),
+        # a degree of g past MAX_DEGREE
+        ({"g": {"kind": "power", "k": MAX_DEGREE + 1}}, "g.k"),
+        ({"g": {"kind": "poly", "coeffs": [1.0] * (MAX_DEGREE + 2)}}, "g.coeffs"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -422,6 +444,23 @@ def test_int_past_float_range_exits_2_naming_field(tmp_path, capsys, name, path,
     cfg_path.write_text(json.dumps(cfg).replace('"BIG"', "1" + "0" * 400), encoding="utf-8")
     assert main(["validate", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_g_degree_cap(tmp_path, capsys, monkeypatch):
+    cfg = dict(GOLDEN_CONFIGS["singular-dist"], output=str(tmp_path / "out"))
+    for g in ({"kind": "power", "k": MAX_DEGREE}, {"kind": "poly", "coeffs": [1.0] * (MAX_DEGREE + 1)}):
+        assert len(validate_config(dict(cfg, g=g)).g.x_coefficients()) == MAX_DEGREE + 1
+
+    # x^k for k = 10**9 would be a list of 10**9 floats, and 10**400 fits in no
+    # index: the cap is checked before TestFunction.power is called
+    def power(cls, k):
+        raise AssertionError("TestFunction.power called past the degree cap")
+
+    monkeypatch.setattr(TestFunction, "power", classmethod(power))
+    for k in (10**9, 10**400):
+        assert main(["validate", write_config(tmp_path, "cfg.json", dict(cfg, g={"kind": "power", "k": k}))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: g.k:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import scipy.linalg
 
 from szegolab import TrigPolynomial, numkernel
 from szegolab.numkernel import (
-    DenseMatrix,
     DimensionError,
     LogDet,
     SingularMatrixError,
@@ -22,7 +21,9 @@ from szegolab.numkernel import (
     eigvals_hermitian,
     singular_values,
 )
-from szegolab.operators import as_band_operator, band_diagonals
+from szegolab.almostperiodic import APFunction
+from szegolab.operators import BandAPOperator, as_band_operator, band_diagonals
+from szegolab.szego import TestFunction, limit_prediction
 
 
 def exact_det(rows):
@@ -99,8 +100,10 @@ def test_logdet_singular_flag():
 
 def test_eigvals_reject_nonsquare():
     for eigvals in (eigvals_hermitian, eigvals_general):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^square matrix required, got 2x3$"):
             eigvals(np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="^expected a 2-d array, got ndim=1$"):
+        singular_values(np.ones(3))
 
 
 def test_band_solve_rejects_rhs_of_wrong_length():
@@ -109,9 +112,26 @@ def test_band_solve_rejects_rhs_of_wrong_length():
     assert band_solve({}, 0, []).shape == (0,)
 
 
-def test_dense_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        DenseMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+NAN_MATRIX = np.array([[1.0, np.nan], [0.0, 1.0]])
+# three terms of 1e308 each: finite one by one, inf where they add up (n = 0)
+OVERFLOWING = BandAPOperator({0: APFunction([(0.0, 1e308), (0.25, 1e308), (0.75, 1e308)])})
+
+
+@pytest.mark.parametrize(
+    "dense_path",
+    [
+        lambda: eigvals_hermitian(NAN_MATRIX),
+        lambda: eigvals_general(NAN_MATRIX),
+        lambda: singular_values(NAN_MATRIX),
+        # spectral calculus calls numpy's eigh itself, past the kernels
+        lambda: limit_prediction(OVERFLOWING, TestFunction.exp(), 8, 2),
+    ],
+    ids=["eigvals_hermitian", "eigvals_general", "singular_values", "limit_prediction"],
+)
+def test_dense_paths_reject_nonfinite(dense_path):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            dense_path()
 
 
 def test_solve_identity():

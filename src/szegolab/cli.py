@@ -75,6 +75,10 @@ SYMBOL_GRID = 4096
 # Largest degree of a polynomial g (power.k, len(poly.coeffs) - 1).
 MAX_DEGREE = 256
 
+# Largest section size (n_range entries, a geometric stop, the largest
+# distinguished size), prediction.m and |offset| of a symbol or diagonal.
+MAX_SIZE = 2**16
+
 
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
@@ -208,8 +212,8 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
         if not isinstance(block, dict):
             raise ConfigError("distinguished: must be an object")
         length = block.get("length")
-        if not _is_int(length) or length < 1:
-            raise ConfigError("distinguished.length: must be a positive integer")
+        if not _is_int(length) or not 1 <= length <= MAX_SIZE:
+            raise ConfigError(f"distinguished.length: must be an integer from 1 to {MAX_SIZE}")
         if "rational" in block:
             pair = block["rational"]
             if not (
@@ -221,7 +225,12 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
                 raise ConfigError(
                     "distinguished.rational: must be a pair [p, q] of integers with q >= 1"
                 )
-            seq = distinguished_sequence(Fraction(*pair), length)
+            base = Fraction(*pair)
+            if base.denominator * length > MAX_SIZE:
+                raise ConfigError(
+                    f"distinguished.rational: the largest size q * length exceeds {MAX_SIZE}"
+                )
+            seq = distinguished_sequence(base, length)
         else:
             alpha = block.get("alpha", alpha_hint)
             if alpha is None:
@@ -244,8 +253,8 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
         factor = block.get("factor", 2)
         if not _is_int(start) or start < 1:
             raise ConfigError("n_range.start: must be a positive integer")
-        if not _is_int(stop) or stop < start:
-            raise ConfigError("n_range.stop: must be an integer >= start")
+        if not _is_int(stop) or not start <= stop <= MAX_SIZE:
+            raise ConfigError(f"n_range.stop: must be an integer from start to {MAX_SIZE}")
         if not _is_int(factor) or factor < 2:
             raise ConfigError("n_range.factor: must be an integer >= 2")
         sizes = []
@@ -256,10 +265,12 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
         return tuple(sizes), None
     if not isinstance(block, list) or not block:
         raise ConfigError("n_range: must be a list or a geometric range object")
-    if not all(type(n) is int and n >= 1 for n in block):
+    if not all(type(n) is int and 1 <= n <= MAX_SIZE for n in block):
         for i, n in enumerate(block):
             if not _is_int(n) or n < 1:
                 raise ConfigError(f"n_range[{i}]: must be a positive integer")
+            if n > MAX_SIZE:
+                raise ConfigError(f"n_range[{i}]: must be at most {MAX_SIZE}")
     sizes = tuple(block)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("n_range: must be strictly increasing")
@@ -275,6 +286,8 @@ def _offset(key, path, seen: set) -> int:
         raise ConfigError(f"{path}.{key}: offset must be an integer") from None
     if d in seen:
         raise ConfigError(f"{path}.{key}: offset {d} given twice")
+    if abs(d) > MAX_SIZE:
+        raise ConfigError(f"{path}.{key}: offset must lie in [-{MAX_SIZE}, {MAX_SIZE}]")
     seen.add(d)
     return d
 
@@ -425,8 +438,8 @@ def validate_config(raw) -> ExperimentConfig:
             raise ConfigError("prediction: must be an object")
         prediction_m = block.get("m")
         prediction_window = block.get("window")
-        if prediction_m is not None and (not _is_int(prediction_m) or prediction_m < 1):
-            raise ConfigError("prediction.m: must be a positive integer")
+        if prediction_m is not None and not (_is_int(prediction_m) and 1 <= prediction_m <= MAX_SIZE):
+            raise ConfigError(f"prediction.m: must be an integer from 1 to {MAX_SIZE}")
         if prediction_window is not None and (
             not _is_int(prediction_window) or prediction_window < 1
         ):

@@ -7,6 +7,11 @@ constants that govern Toeplitz determinant asymptotics: the geometric mean
 G[a] = exp (log a)_0 and the constant E[a] = exp sum_{k>=1} k (log a)_k
 (log a)_{-k}, together with circle averages (1/2pi) int g(a).
 
+Both constants read one sampling of log a (`_sample_log`): the default grid
+of the bandwidth, doubled until the upper quarter of the computed
+coefficients sits at the rounding floor, and at most to MAX_GRID_FACTOR
+times the default grid.
+
 Uniform grids are sampled by one inverse FFT (`sample_circle`); arbitrary
 angles go through the direct sum of `evaluate`, which pairs the terms of a
 real-valued symbol so its values are exactly real.
@@ -26,9 +31,14 @@ ZERO_PROXIMITY_RATIO = 1e-8
 # eps * max_k |(log a)_k|.  The FFT of the log samples leaves every
 # coefficient an absolute error of about that unit (a median of 0.04 and at
 # most 0.35 of it in the rounding-noise tails of the benchmark's 540
-# strong-szego symbols); a coefficient pair with a factor below the floor
-# cannot be told from 0, so the E[a] tail bound counts it as a resolved 0.
+# strong-szego symbols); a coefficient below the floor cannot be told from
+# 0.  The grid of log a doubles until its upper coefficients reach the
+# floor, and the E[a] tail bound counts a pair with a factor below it as a
+# resolved 0.
 LOG_COEFFICIENT_FLOOR = 16.0
+
+# The grid of log a doubles at most to this multiple of the default grid.
+MAX_GRID_FACTOR = 64
 
 
 class ZeroProximityError(ValueError):
@@ -212,33 +222,70 @@ def log_coefficients(a: TrigPolynomial, grid: int, max_offset: int) -> dict[int,
     return _grid_coefficients(_log_samples(a, grid, max_offset), max_offset)
 
 
-def geometric_mean(a: TrigPolynomial, grid: int | None = None) -> complex:
-    """G[a] = exp (log a)_0, the zeroth Fourier coefficient of log a."""
-    n = grid if grid is not None else _default_grid(a.bandwidth)
-    return complex(np.exp(log_coefficients(a, n, 0)[0]))
+class _LogCoefficients(NamedTuple):
+    """(log a)_0, (log a)_k and (log a)_{-k} for k = 1..N/4, computed on N
+    grid points; ``capped`` when N is the capped grid, not one that
+    resolves log a."""
+
+    c0: complex
+    positive: np.ndarray
+    negative: np.ndarray
+    floor: float  # rounding floor of the computed coefficients
+    capped: bool
+
+    def strong_szego_constant(self) -> SzegoConstant:
+        """E[a] summed over k <= N/8, with the terms N/8 < k <= N/4 as its
+        tail bound, extrapolated past N/4 on the capped grid."""
+        half = len(self.positive) // 2
+        k = np.arange(1, 2 * half + 1)
+        pos, neg = self.positive, self.negative
+        total = complex(np.sum(k[:half] * pos[:half] * neg[:half]))
+        tail = float(np.sum(k[half:] * np.abs(pos[half:]) * np.abs(neg[half:])))
+        if self.capped:
+            tail += _tail_extrapolation(pos, neg, self.floor)
+        return SzegoConstant(complex(np.exp(total)), tail)
 
 
-def strong_szego_constant(a: TrigPolynomial, truncation: int) -> SzegoConstant:
-    """E[a] = exp sum_{k=1..K} k (log a)_k (log a)_{-k}, plus a tail estimate.
+def _sample_log(a: TrigPolynomial) -> _LogCoefficients:
+    """The coefficients of log a from one grid of N points.
 
-    The infinite series is truncated at K = ``truncation``; the reported tail
-    bound sums the next K computed terms and extrapolates the remainder from
-    the observed geometric decay of the coefficient pair products; a pair at
-    the rounding floor of the computed coefficients is a resolved zero.
+    N starts at the default grid of the bandwidth and doubles until every
+    computed (log a)_{+-k} with N/8 < k <= N/4 lies at or below the rounding
+    floor ``LOG_COEFFICIENT_FLOOR * eps * max_k |(log a)_k|``, or until N
+    reaches MAX_GRID_FACTOR times the default grid.  Every grid is checked
+    as `log_coefficients` checks it.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    extended = 2 * truncation
-    n = _default_grid(max(a.bandwidth, extended) * 2)
-    c0, positive, negative = _coefficient_arrays(_log_samples(a, n, extended), extended)
-    k = np.arange(1, extended + 1)
-    total = complex(np.sum(k[:truncation] * positive[:truncation] * negative[:truncation]))
-    size_pos, size_neg = np.abs(positive), np.abs(negative)
-    tail = float(np.sum(k[truncation:] * size_pos[truncation:] * size_neg[truncation:]))
-    peak = max(abs(c0), float(size_pos.max()), float(size_neg.max()))
-    floor = LOG_COEFFICIENT_FLOOR * np.finfo(np.float64).eps * peak
-    tail += _tail_extrapolation(positive, negative, floor)
-    return SzegoConstant(complex(np.exp(total)), tail)
+    first = _default_grid(a.bandwidth)
+    grid = first
+    while True:
+        quarter = grid // 4
+        c0, positive, negative = _coefficient_arrays(_log_samples(a, grid, quarter), quarter)
+        size_pos, size_neg = np.abs(positive), np.abs(negative)
+        peak = max(abs(c0), float(size_pos.max()), float(size_neg.max()))
+        floor = LOG_COEFFICIENT_FLOOR * np.finfo(np.float64).eps * peak
+        window = slice(grid // 8, None)
+        resolved = max(float(size_pos[window].max()), float(size_neg[window].max())) <= floor
+        if resolved or grid >= MAX_GRID_FACTOR * first:
+            return _LogCoefficients(c0, positive, negative, floor, not resolved)
+        grid *= 2
+
+
+def geometric_mean(a: TrigPolynomial) -> complex:
+    """G[a] = exp (log a)_0, the zeroth Fourier coefficient of log a."""
+    return complex(np.exp(_sample_log(a).c0))
+
+
+def strong_szego_constant(a: TrigPolynomial) -> SzegoConstant:
+    """E[a] = exp sum_{k>=1} k (log a)_k (log a)_{-k}, plus a tail bound.
+
+    On the grid of N points that `_sample_log` chooses, the series is summed
+    over k <= N/8 and the bound sums the terms N/8 < k <= N/4.  When the
+    grid stopped at its cap without resolving log a, the bound adds the
+    remainder past N/4 extrapolated from the geometric decay of the
+    coefficient pair products; a pair at the rounding floor of the computed
+    coefficients is a resolved zero.
+    """
+    return _sample_log(a).strong_szego_constant()
 
 
 def _tail_extrapolation(positive: np.ndarray, negative: np.ndarray, floor: float) -> float:

@@ -33,7 +33,7 @@ from .operators import (
     flip_section,
     reversed_diagonals,
 )
-from .symbols import TrigPolynomial, log_coefficients, strong_szego_constant, _default_grid
+from .symbols import TrigPolynomial, _sample_log
 
 
 class DomainError(ValueError):
@@ -316,8 +316,8 @@ class StrongSzegoReport(SzegoReport):
 
 
 def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzegoReport:
-    """det T_n(a) / G[a]^n against E[a], its series truncated at a quarter
-    of the default grid of a.
+    """det T_n(a) / G[a]^n against E[a], both constants from one sampling
+    of log a (`symbols.strong_szego_constant` says where its series stops).
 
     log|det T_n| is the running sum of log|pivot| of one banded LU pass, and
     its phase the running product of the pivot phases; from the pass's first
@@ -325,9 +325,9 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
     own section, and a singular section raises.
     """
     sizes = _validate_sizes(n_range)
-    grid = _default_grid(a.bandwidth)
-    c0 = log_coefficients(a, grid, 0)[0]
-    constant = strong_szego_constant(a, grid // 4)
+    log = _sample_log(a)
+    c0 = log.c0
+    constant = log.strong_szego_constant()
     diagonals = band_diagonals(as_band_operator(a), sizes[-1])
     pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
     log_abs = np.cumsum(np.log(np.abs(pivots)))

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szegolab import cli, symbols, szego
 from szegolab.cli import (
     CSV_HEADER,
     MAX_DEGREE,
+    MAX_SIZE,
     ConfigError,
     emit_report,
     main,
@@ -411,6 +413,21 @@ def test_invalid_configs_field_paths(tmp_path):
         # a degree of g past MAX_DEGREE
         ({"g": {"kind": "power", "k": MAX_DEGREE + 1}}, "g.k"),
         ({"g": {"kind": "poly", "coeffs": [1.0] * (MAX_DEGREE + 2)}}, "g.coeffs"),
+        # a size, prediction.m or offset past MAX_SIZE
+        ({"n_range": [1, 10**12]}, "n_range[1]"),
+        ({"n_range": [1, MAX_SIZE + 1]}, "n_range[1]"),
+        ({"n_range": {"kind": "geometric", "start": 1, "stop": 10**400}}, "n_range.stop"),
+        ({"distinguished": {"rational": [1, 10**400], "length": 2}}, "distinguished.rational"),
+        ({"distinguished": {"rational": [2, 6], "length": MAX_SIZE // 3 + 1}}, "distinguished.rational"),
+        ({"distinguished": {"alpha": 0.25, "length": 10**9}}, "distinguished.length"),
+        ({"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 10**400}}, "prediction.m"),
+        ({"symbol": {"0": 2.0, str(10**12): 0.5}}, f"symbol.{10**12}"),
+        ({"symbol": {"0": 2.0, str(-MAX_SIZE - 1): 0.5}}, f"symbol.{-MAX_SIZE - 1}"),
+        (
+            {"experiment": "eigen-dist", "operator": {"kind": "band-ap", "diagonals": {
+                "0": [{"freq": 0.0, "re": 1.0}], str(10**12): [{"freq": 0.0, "re": 1.0}]}}},
+            f"operator.diagonals.{10**12}",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
@@ -461,6 +478,64 @@ def test_g_degree_cap(tmp_path, capsys, monkeypatch):
         assert main(["validate", write_config(tmp_path, "cfg.json", dict(cfg, g={"kind": "power", "k": k}))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: g.k:") and "Traceback" not in err
+
+
+def test_near_zero_symbol_szego_ratio_predicts_g(tmp_path):
+    # (1 + 0.99z)(1 + 0.99/z) has G[a] = 1; its log coefficients 0.99^k / k
+    # need a grid of 32768 points, and the ratios converge to 1 by n = 2048
+    cfg = ratio_config(
+        tmp_path,
+        symbol={"0": 1.9801, "1": 0.99, "-1": 0.99},
+        n_range={"kind": "geometric", "start": 4, "stop": 2048},
+        tolerance=1e-10,
+    )
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "ratio.json").read_text(encoding="ascii"))
+    assert abs(complex(*summary["predicted"]) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["szego-ratio", "strong-szego"])
+def test_one_log_sampling_per_run(tmp_path, monkeypatch, name):
+    # G[a] and E[a] read one sampling of log a
+    calls = []
+    original = symbols._sample_log
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    for module in (symbols, szego, cli):
+        if vars(module).get("_sample_log") is original:
+            monkeypatch.setattr(module, "_sample_log", counted)
+    cfg = dict(GOLDEN_CONFIGS[name], output=str(tmp_path / name))
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 0
+    assert len(calls) == 1
+
+
+def test_size_cap(tmp_path, capsys, monkeypatch):
+    cfg = ratio_config(tmp_path, experiment="singular-dist", g={"kind": "power", "k": 2})
+    at_cap = [
+        {"n_range": [1, MAX_SIZE]},
+        {"n_range": {"kind": "geometric", "start": MAX_SIZE, "stop": MAX_SIZE}},
+        {"distinguished": {"rational": [2, 8], "length": MAX_SIZE // 4}},  # q = 4 once reduced
+        {"symbol": {"0": 2.0, str(MAX_SIZE): 0.5, str(-MAX_SIZE): 0.5}},
+    ]
+    for overrides in at_cap:
+        assert max(validate_config(dict(cfg, **overrides)).sizes) <= MAX_SIZE
+    twin = dict(GOLDEN_CONFIGS["eigen-dist-band-ap"], output="out", prediction={"m": MAX_SIZE})
+    assert validate_config(twin).prediction_m == MAX_SIZE
+
+    # the largest distinguished size is checked before its tuple of
+    # length sizes is built
+    def sequence(base, length):
+        raise AssertionError("distinguished_sequence called past the size cap")
+
+    monkeypatch.setattr(cli, "distinguished_sequence", sequence)
+    for pair, length in (([1, 1], 10**9), ([1, 3], MAX_SIZE)):
+        over = dict(cfg, distinguished={"rational": pair, "length": length})
+        assert main(["validate", write_config(tmp_path, "cfg.json", over)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: distinguished.") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -146,13 +146,13 @@ def test_geometric_mean_examples():
 
 
 def test_strong_szego_constant_examples():
-    value, tail = strong_szego_constant(EXP_COS, 16)
+    value, tail = strong_szego_constant(EXP_COS)
     assert value == pytest.approx(math.exp(0.25), abs=1e-12)
     assert tail <= 1e-12
-    value_c, _ = strong_szego_constant(TrigPolynomial({0: 5.0}), 8)
+    value_c, _ = strong_szego_constant(TrigPolynomial({0: 5.0}))
     assert value_c == pytest.approx(1.0, abs=1e-12)
     double = fourier_symbol(lambda t: np.exp(np.cos(t) + np.cos(2 * t)), 32)
-    value_d, _ = strong_szego_constant(double, 16)
+    value_d, _ = strong_szego_constant(double)
     assert value_d == pytest.approx(math.exp(0.75), abs=1e-10)
 
 
@@ -172,13 +172,13 @@ def test_golden_strong_szego_constants_mpmath_oracle():
         e_exact = complex(mpmath.fprod(1 / (1 - inner[0] / r) for r in outer))
     a = TrigPolynomial(GOLDEN_STRONG)
     assert abs(geometric_mean(a) - g_exact) <= 1e-13
-    value, tail = strong_szego_constant(a, 256)
+    value, tail = strong_szego_constant(a)
     assert abs(value - e_exact) <= 1e-13
     assert tail <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "a, truncation",
+    "a, stretch",
     [
         (TrigPolynomial({0: 4.0, 1: 1.0}), 16),  # analytic: (log a)_{-k} = 0
         (TrigPolynomial({0: 4.0, 1: 1.0}), 256),
@@ -186,22 +186,50 @@ def test_golden_strong_szego_constants_mpmath_oracle():
         (TrigPolynomial({0: 3.0, 1: 0.5j, -1: 0.25, -2: 0.1 - 0.2j}), 16),
     ],
 )
-def test_strong_szego_tail_bound_ignores_rounding_noise(a, truncation):
-    # the pairs at k = 2K are rounding noise (1e-30 and below); a geometric
-    # rate fitted to noise used to give inf
-    assert strong_szego_constant(a, truncation).tail_bound <= 1e-12
+def test_strong_szego_tail_bound_ignores_rounding_noise(a, stretch):
+    # b(z) = a(z^m) has (log b)_{mk} = (log a)_k and no other coefficients,
+    # so its grid must double until the gaps of m resolve (up to 64 times
+    # the default grid for m = 256); then G[b] = G[a] and E[b] = E[a]^m.
+    # The pairs past N/8 are rounding noise (1e-30 and below), which the
+    # tail bound must not read as an unresolved remainder.
+    b = TrigPolynomial({stretch * k: c for k, c in a.coeffs.items()})
+    for symbol in (a, b):
+        assert strong_szego_constant(symbol).tail_bound <= 1e-12
+    assert abs(geometric_mean(b) - geometric_mean(a)) <= 1e-13 * abs(geometric_mean(a))
+    e_a, e_b = strong_szego_constant(a).value, strong_szego_constant(b).value
+    assert abs(e_b - e_a**stretch) <= 1e-13 * abs(e_a**stretch)
 
 
 def test_strong_szego_tail_bound_resolved_slow_decay():
     # (1 + 0.99z)(1 + 0.99/z): (log a)_{+-k} = (-1)^{k+1} 0.99^k / k, pairs
-    # near 1e-10 at k = 512; E[a] = 1 / (1 - 0.9801), of which the
-    # truncation at K = 256 leaves out the remainder sum_{k>256} 0.9801^k / k
+    # near 1e-10 at k = 512; the grid doubles to 32768 points, where the
+    # series is summed to k = 4096 and E[a] = 1 / (1 - 0.9801) is resolved
     a = TrigPolynomial({0: 1.9801, 1: 0.99, -1: 0.99})
-    value, tail = strong_szego_constant(a, 256)
-    remainder = sum(0.9801**k / k for k in range(257, 5000))
-    assert value == pytest.approx(math.exp(-remainder) / (1.0 - 0.9801), rel=1e-12)
+    value, tail = strong_szego_constant(a)
+    assert value == pytest.approx(1.0 / (1.0 - 0.9801), rel=1e-12)
+    assert tail <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.9, 0.97, 0.99])
+def test_near_zero_symbol_constants(r):
+    # a = (1 + rz)(1 + r/z) comes within (1 - r)^2 of zero: (log a)_{+-k} =
+    # (-1)^{k+1} r^k / k decay slowly, G[a] = 1 and E[a] = 1 / (1 - r^2)
+    a = TrigPolynomial({0: 1.0 + r * r, 1: r, -1: r})
+    assert abs(geometric_mean(a) - 1.0) <= 1e-13
+    value, tail = strong_szego_constant(a)
+    assert abs(value * (1.0 - r * r) - 1.0) <= 1e-12
+    assert tail <= 1e-12
+
+
+def test_strong_szego_capped_grid_extrapolates_tail():
+    # r = 0.999 would need a grid of 2^18 points, four times past the cap
+    # of 64 times the default grid: the series stops at k = 8192 and the
+    # tail bound adds the extrapolated remainder, which covers the error
+    r = 0.999
+    a = TrigPolynomial({0: 1.0 + r * r, 1: r, -1: r})
+    value, tail = strong_szego_constant(a)
     assert 0.0 < tail < math.inf
-    assert tail == pytest.approx(remainder, rel=1e-3)
+    assert abs(value * (1.0 - r * r) - 1.0) <= tail
 
 
 def test_tail_extrapolation_flat_pairs_stay_infinite():
@@ -226,7 +254,7 @@ def test_symbol_average_examples():
 def test_geometric_mean_matches_log_average():
     for a in (TWO_PLUS_COS, EXP_COS, TrigPolynomial({0: 4.0, 1: 1.0, -1: 1.0})):
         avg = symbol_average(a, TestFunction.log(), 1024)
-        assert geometric_mean(a, 1024) == pytest.approx(np.exp(avg), abs=1e-10)
+        assert geometric_mean(a) == pytest.approx(np.exp(avg), abs=1e-10)
 
 
 def test_log_coefficients_conjugate_symmetry_exact():

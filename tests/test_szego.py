@@ -383,7 +383,7 @@ def test_strong_szego_ratio_exp_cos():
 def test_strong_szego_ratio_series_vs_determinant():
     # two routes to E[a]: the coefficient series and the determinant ratio
     rep = strong_szego_ratio(TWO_PLUS_COS, [16, 32, 64])
-    series = strong_szego_constant(TWO_PLUS_COS, 64)
+    series = strong_szego_constant(TWO_PLUS_COS)
     assert rep.values[-1] == pytest.approx(series.value, abs=1e-10)
     assert series.tail_bound <= 1e-20
 

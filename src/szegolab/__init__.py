@@ -14,9 +14,7 @@ from .numkernel import (
 )
 from .symbols import (
     TrigPolynomial,
-    evaluate,
     geometric_mean,
-    log_coefficients,
     strong_szego_constant,
     symbol_average,
 )

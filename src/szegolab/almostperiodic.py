@@ -311,10 +311,3 @@ def distinguished_sequence(freq_base, length: int) -> DistinguishedSequence:
             f"{len(values)} distinct denominators (terminated: {cf.terminated})"
         )
     return DistinguishedSequence(tuple(values), "cf-denominators")
-
-
-def ap_from_json(obj) -> APFunction:
-    terms = []
-    for item in obj:
-        terms.append((float(item["freq"]), complex(item.get("re", 0.0), item.get("im", 0.0))))
-    return APFunction(terms)

@@ -24,7 +24,6 @@ from .almostperiodic import (
     DEFAULT_MAX_TERMS,
     DEFAULT_Q_CAP,
     APFunction,
-    ap_from_json,
     check_approximation_bounds,
     convergent_error_bound,
     distinguished_sequence,
@@ -38,7 +37,7 @@ from .operators import (
     as_band_operator,
     band_ap_section,
 )
-from .symbols import TrigPolynomial, geometric_mean, sample_circle, symbol_average, symbol_from_json
+from .symbols import TrigPolynomial, geometric_mean, sample_circle, symbol_average
 from .szego import (
     TestFunction,
     cluster_partial_limits,
@@ -241,6 +240,10 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
                 seq = distinguished_sequence(float(alpha), length)
             except ValueError as exc:
                 raise ConfigError(f"distinguished.alpha: {exc}") from exc
+            if seq.values[-1] > MAX_SIZE:
+                raise ConfigError(
+                    f"distinguished.length: the largest size {seq.values[-1]} exceeds {MAX_SIZE}"
+                )
         return seq.values, seq.source
     if "n_range" not in raw:
         raise ConfigError("n_range: missing required field")
@@ -296,12 +299,14 @@ def _parse_symbol(obj, path="symbol") -> TrigPolynomial:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: must be an object")
     seen = set()
+    coeffs = {}
     for key, val in obj.items():
-        _offset(key, path, seen)
-        pair = val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
-        if not all(_is_number(v) for v in pair):
+        k = _offset(key, path, seen)
+        re, im = val if isinstance(val, list) and len(val) == 2 else (val, 0.0)
+        if not (_is_number(re) and _is_number(im)):
             raise ConfigError(f"{path}.{key}: must be a finite number or an [re, im] pair")
-    symbol = symbol_from_json(obj)
+        coeffs[k] = complex(re, im)
+    symbol = TrigPolynomial(coeffs)
     if not math.isfinite(sum(math.hypot(c.real, c.imag) for c in symbol.coeffs.values())):
         raise ConfigError(f"{path}: coefficient magnitudes sum past the float range")
     return symbol
@@ -312,6 +317,7 @@ def _parse_terms(obj, path) -> APFunction:
     required, and every given field must be a finite real number."""
     if not isinstance(obj, list):
         raise ConfigError(f"{path}: must be a list of {{freq, re, im}} terms")
+    terms = []
     for i, term in enumerate(obj):
         if not isinstance(term, dict):
             raise ConfigError(f"{path}[{i}]: must be an object")
@@ -319,8 +325,9 @@ def _parse_terms(obj, path) -> APFunction:
         for name in ("freq", "re", "im"):
             if name in term and not _is_number(term[name]):
                 raise ConfigError(f"{path}[{i}].{name}: must be a finite number")
+        terms.append((float(term["freq"]), complex(term.get("re", 0.0), term.get("im", 0.0))))
     try:
-        f = ap_from_json(obj)  # every field is finite: a ValueError means a sum overflowed
+        f = APFunction(terms)  # every field is finite: a ValueError means a sum overflowed
         if math.isfinite(f.sup_bound):
             return f
     except ValueError:

@@ -1,20 +1,18 @@
 """Trigonometric symbols on the unit circle.
 
 A symbol is a function a(e^{it}) = sum_k a_k e^{ikt} with finitely many
-nonzero Fourier coefficients.  This module evaluates symbols, takes the
-continuous branch of log a on a uniform grid, and computes the two
+nonzero Fourier coefficients.  This module samples symbols on uniform
+grids, takes the continuous branch of log a there, and computes the two
 constants that govern Toeplitz determinant asymptotics: the geometric mean
 G[a] = exp (log a)_0 and the constant E[a] = exp sum_{k>=1} k (log a)_k
 (log a)_{-k}, together with circle averages (1/2pi) int g(a).
 
-Both constants read one sampling of log a (`_sample_log`): the default grid
-of the bandwidth, doubled until the upper quarter of the computed
-coefficients sits at the rounding floor, and at most to MAX_GRID_FACTOR
-times the default grid.
-
-Uniform grids are sampled by one inverse FFT (`sample_circle`); arbitrary
-angles go through the direct sum of `evaluate`, which pairs the terms of a
-real-valued symbol so its values are exactly real.
+Every value of a symbol comes from one inverse FFT on a uniform grid
+(`sample_circle`), exactly real for a real-valued symbol.  Both constants
+read one sampling of log a (`_sample_log`): the default grid of the
+bandwidth, doubled until the upper quarter of the computed coefficients
+sits at the rounding floor, and at most to MAX_GRID_FACTOR times the
+default grid.
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ class TrigPolynomial:
     """Finite Fourier series: coefficient map {offset k: a_k}.
 
     Real-valued symbols (a_{-k} = conj(a_k) for every k) are detected:
-    `evaluate` sums them through a paired path and `sample_circle` through a
-    real inverse FFT, so both return exactly real samples and sections built
-    from them are exactly Hermitian.
+    `sample_circle` samples them through a real inverse FFT, so their
+    samples are exactly real and sections built from them are exactly
+    Hermitian.
     """
 
     __slots__ = ("coeffs",)
@@ -70,9 +68,6 @@ class TrigPolynomial:
                 clean[int(k)] = c
         self.coeffs = dict(sorted(clean.items()))
 
-    def coefficient(self, k: int) -> complex:
-        return self.coeffs.get(k, 0j)
-
     @property
     def bandwidth(self) -> int:
         return max(map(abs, self.coeffs), default=0)
@@ -82,9 +77,6 @@ class TrigPolynomial:
         return all(
             self.coeffs.get(-k, 0j) == c.conjugate() for k, c in self.coeffs.items()
         )
-
-    def __call__(self, t):
-        return evaluate(self, t)
 
     def __eq__(self, other):
         return isinstance(other, TrigPolynomial) and self.coeffs == other.coeffs
@@ -103,25 +95,6 @@ def _default_grid(bandwidth: int) -> int:
     while n < 8 * max(1, bandwidth):
         n *= 2
     return n
-
-
-def evaluate(a: TrigPolynomial, t):
-    """a(e^{it}) = sum_k a_k e^{ikt}; accepts a scalar angle or an array."""
-    tv = np.asarray(t, dtype=np.float64)
-    if a.is_real_valued:
-        out = np.zeros(tv.shape, dtype=np.float64)
-        out += a.coefficient(0).real
-        for k, c in a.coeffs.items():
-            if k > 0:
-                out += 2.0 * (c * np.exp(1j * k * tv)).real
-        result = out.astype(np.complex128)
-    else:
-        result = np.zeros(tv.shape, dtype=np.complex128)
-        for k, c in a.coeffs.items():
-            result += c * np.exp(1j * k * tv)
-    if np.isscalar(t) or tv.ndim == 0:
-        return complex(result)
-    return result
 
 
 def sample_circle(a: TrigPolynomial, n: int) -> np.ndarray:
@@ -157,37 +130,29 @@ def _phase_increments(samples: np.ndarray) -> np.ndarray:
     return np.angle(ratios)
 
 
-def _coefficient_arrays(
-    samples: np.ndarray, max_offset: int
-) -> tuple[complex, np.ndarray, np.ndarray]:
-    """DFT coefficients c_0, (c_1..c_K) and (c_{-1}..c_{-K}), K = max_offset;
-    conjugate symmetry is forced exactly when the samples are real."""
+def _coefficient_arrays(samples: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
+    """DFT coefficients c_0, (c_1..c_K) and (c_{-1}..c_{-K}), K = N/4 for N
+    samples; conjugate symmetry is forced exactly when the samples are real."""
     n = len(samples)
+    quarter = n // 4
     fft = np.fft.fft(samples) / n
-    positive = fft[1 : max_offset + 1]
+    positive = fft[1 : quarter + 1]
     if np.all(samples.imag == 0.0):
         return complex(fft[0].real), positive, positive.conj()
-    return complex(fft[0]), positive, fft[n - max_offset :][::-1]
+    return complex(fft[0]), positive, fft[n - quarter :][::-1]
 
 
-def _grid_coefficients(samples: np.ndarray, max_offset: int) -> dict[int, complex]:
-    """DFT coefficients for |k| <= max_offset, as {k: c_k}."""
-    c0, positive, negative = _coefficient_arrays(samples, max_offset)
-    coeffs = {0: c0}
-    coeffs.update(zip(range(1, max_offset + 1), positive.tolist(), strict=True))
-    coeffs.update(zip(range(-1, -max_offset - 1, -1), negative.tolist(), strict=True))
-    return coeffs
+def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
+    """The continuous branch of log b on ``grid`` uniform points, where the
+    symbol is a(z) = b(z^stride).
 
-
-def _log_samples(a: TrigPolynomial, grid: int, max_offset: int) -> np.ndarray:
-    """The continuous branch of log a on the grid; see `log_coefficients`."""
-    if grid < 4 or grid & (grid - 1):
-        raise ValueError(f"grid must be a power of two >= 4, got {grid}")
-    if max_offset < 0 or grid < 4 * max_offset:
-        raise ValueError(
-            f"grid {grid} too small for max_offset {max_offset} (need grid >= 4*K)"
-        )
-    samples = sample_circle(a, grid)
+    Requires no zeros of b on the grid, a phase step below pi/2 between
+    neighbouring grid points, and winding number 0 (otherwise there is no
+    continuous branch); an error names the winding number of a, ``stride``
+    times that of b.  The branch is fixed by unwrapping the argument along
+    the grid.
+    """
+    samples = sample_circle(b, grid)
     _check_zero_proximity(samples)
     increments = _phase_increments(samples)
     closing = float(np.angle(samples[0] / samples[-1]))
@@ -196,7 +161,7 @@ def _log_samples(a: TrigPolynomial, grid: int, max_offset: int) -> np.ndarray:
     largest = max(float(np.abs(increments).max()), abs(closing))
     if largest >= np.pi / 2:
         raise ZeroProximityError(f"phase of a turns by {largest:.3e} rad between grid points")
-    winding = int(round((float(np.sum(increments)) + closing) / (2.0 * np.pi)))
+    winding = stride * int(round((float(np.sum(increments)) + closing) / (2.0 * np.pi)))
     if winding != 0:
         raise BranchError(
             f"log a has no continuous branch: winding number {winding}"
@@ -210,63 +175,58 @@ def _log_samples(a: TrigPolynomial, grid: int, max_offset: int) -> np.ndarray:
     return logs
 
 
-def log_coefficients(a: TrigPolynomial, grid: int, max_offset: int) -> dict[int, complex]:
-    """Fourier coefficients {k: (log a)_k}, |k| <= max_offset, of the
-    continuous branch of log a, computed on ``grid`` uniform points.
-
-    Requires a power-of-two grid with grid >= 4*max_offset, no zeros of a on
-    the grid, a phase step below pi/2 between neighbouring grid points, and
-    winding number 0 (otherwise there is no continuous branch).  The branch
-    is fixed by unwrapping the argument along the grid.
-    """
-    return _grid_coefficients(_log_samples(a, grid, max_offset), max_offset)
-
-
 class _LogCoefficients(NamedTuple):
-    """(log a)_0, (log a)_k and (log a)_{-k} for k = 1..N/4, computed on N
-    grid points; ``capped`` when N is the capped grid, not one that
-    resolves log a."""
+    """(log a)_0, (log a)_{mk} and (log a)_{-mk} for k = 1..N/4, computed on
+    N grid points, where m is the ``stride``: log a has no coefficient at an
+    offset that is not a multiple of m.  ``capped`` when N is the capped
+    grid, not one that resolves log a."""
 
     c0: complex
     positive: np.ndarray
     negative: np.ndarray
     floor: float  # rounding floor of the computed coefficients
     capped: bool
+    stride: int
 
     def strong_szego_constant(self) -> SzegoConstant:
         """E[a] summed over k <= N/8, with the terms N/8 < k <= N/4 as its
-        tail bound, extrapolated past N/4 on the capped grid."""
+        tail bound, extrapolated past N/4 on the capped grid; the pair of
+        offset mk carries the factor mk."""
         half = len(self.positive) // 2
-        k = np.arange(1, 2 * half + 1)
+        k = self.stride * np.arange(1, 2 * half + 1)
         pos, neg = self.positive, self.negative
         total = complex(np.sum(k[:half] * pos[:half] * neg[:half]))
         tail = float(np.sum(k[half:] * np.abs(pos[half:]) * np.abs(neg[half:])))
         if self.capped:
-            tail += _tail_extrapolation(pos, neg, self.floor)
+            tail += self.stride * _tail_extrapolation(pos, neg, self.floor)
         return SzegoConstant(complex(np.exp(total)), tail)
 
 
 def _sample_log(a: TrigPolynomial) -> _LogCoefficients:
     """The coefficients of log a from one grid of N points.
 
-    N starts at the default grid of the bandwidth and doubles until every
-    computed (log a)_{+-k} with N/8 < k <= N/4 lies at or below the rounding
-    floor ``LOG_COEFFICIENT_FLOOR * eps * max_k |(log a)_k|``, or until N
-    reaches MAX_GRID_FACTOR times the default grid.  Every grid is checked
-    as `log_coefficients` checks it.
+    When the offsets of a share the factor m > 1, a(z) = b(z^m) and
+    (log a)_{mk} = (log b)_k are its only coefficients, so b is sampled on
+    its own grid.  N starts at the default grid of the bandwidth and doubles
+    until every computed coefficient of index N/8 < k <= N/4 lies at or
+    below the rounding floor ``LOG_COEFFICIENT_FLOOR * eps * max_k
+    |(log a)_k|``, or until N reaches MAX_GRID_FACTOR times the default
+    grid.  Every grid is checked as `_log_samples` says.
     """
+    stride = math.gcd(*a.coeffs) or 1
+    if stride > 1:
+        a = TrigPolynomial({k // stride: c for k, c in a.coeffs.items()})
     first = _default_grid(a.bandwidth)
     grid = first
     while True:
-        quarter = grid // 4
-        c0, positive, negative = _coefficient_arrays(_log_samples(a, grid, quarter), quarter)
+        c0, positive, negative = _coefficient_arrays(_log_samples(a, grid, stride))
         size_pos, size_neg = np.abs(positive), np.abs(negative)
         peak = max(abs(c0), float(size_pos.max()), float(size_neg.max()))
         floor = LOG_COEFFICIENT_FLOOR * np.finfo(np.float64).eps * peak
         window = slice(grid // 8, None)
         resolved = max(float(size_pos[window].max()), float(size_neg[window].max())) <= floor
         if resolved or grid >= MAX_GRID_FACTOR * first:
-            return _LogCoefficients(c0, positive, negative, floor, not resolved)
+            return _LogCoefficients(c0, positive, negative, floor, not resolved, stride)
         grid *= 2
 
 
@@ -315,15 +275,3 @@ def symbol_average(a: TrigPolynomial, g, grid: int) -> complex:
     """(1/N) sum_j g(a(e^{2 pi i j / N})), the trapezoid circle average of
     the `TestFunction` g."""
     return complex(np.mean(g.apply(sample_circle(a, grid))))
-
-
-def symbol_from_json(obj: Mapping) -> TrigPolynomial:
-    coeffs = {}
-    for key, val in obj.items():
-        k = int(key)
-        if isinstance(val, (int, float)):
-            coeffs[k] = complex(val)
-        else:
-            re, im = val
-            coeffs[k] = complex(re, im)
-    return TrigPolynomial(coeffs)

@@ -497,8 +497,8 @@ def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
     The margin is 1e-6 of the largest singular value met at any size, so
     this loop stays outside `sweep`.  Verdict 'stability-consistent' when
     both families stay above the margin across the whole range,
-    'unstable-evidence' when either family decays below a much smaller
-    threshold, otherwise 'inconclusive'.
+    'unstable-evidence' when every section is 0 or either family decays
+    below a much smaller threshold, otherwise 'inconclusive'.
     """
     sizes = _validate_sizes(n_range)
     band = as_band_operator(A)
@@ -514,7 +514,9 @@ def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
     decay_threshold = 1e-8 * norm_scale
     mins = np.minimum(section_mins, flip_mins)
     flags = tuple("section" if s <= f else "flip" for s, f in zip(section_mins, flip_mins))
-    if min(section_mins + flip_mins) >= margin:
+    if norm_scale == 0.0:  # every section is singular
+        verdict = "unstable-evidence"
+    elif min(section_mins + flip_mins) >= margin:
         verdict = "stability-consistent"
     elif _decays(section_mins, decay_threshold) or _decays(flip_mins, decay_threshold):
         verdict = "unstable-evidence"

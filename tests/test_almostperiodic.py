@@ -9,13 +9,13 @@ import pytest
 
 from szegolab.almostperiodic import (
     APFunction,
-    ap_from_json,
     check_approximation_bounds,
     distinguished_sequence,
     eval_ap,
     expand_cf,
     mean_value,
 )
+from szegolab.cli import _parse_terms
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -238,4 +238,4 @@ def test_apfunction_arithmetic():
 def test_ap_json_roundtrip():
     a = APFunction([(0.3, 1 - 2j), (0.0, 4.0)])
     obj = [{"freq": f, "re": c.real, "im": c.imag} for f, c in a.terms]
-    assert ap_from_json(json.loads(json.dumps(obj))) == a
+    assert _parse_terms(json.loads(json.dumps(obj)), "terms") == a

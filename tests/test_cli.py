@@ -420,6 +420,9 @@ def test_invalid_configs_field_paths(tmp_path):
         ({"distinguished": {"rational": [1, 10**400], "length": 2}}, "distinguished.rational"),
         ({"distinguished": {"rational": [2, 6], "length": MAX_SIZE // 3 + 1}}, "distinguished.rational"),
         ({"distinguished": {"alpha": 0.25, "length": 10**9}}, "distinguished.length"),
+        # golden-ratio denominators: the 24th is the Fibonacci number 75025
+        ({"experiment": "mathieu-dist", "alpha": GOLDEN_ALPHA, "lambda": 1.0, "distinguished": {"length": 24}},
+         "distinguished.length"),
         ({"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 10**400}}, "prediction.m"),
         ({"symbol": {"0": 2.0, str(10**12): 0.5}}, f"symbol.{10**12}"),
         ({"symbol": {"0": 2.0, str(-MAX_SIZE - 1): 0.5}}, f"symbol.{-MAX_SIZE - 1}"),
@@ -518,6 +521,7 @@ def test_size_cap(tmp_path, capsys, monkeypatch):
         {"n_range": [1, MAX_SIZE]},
         {"n_range": {"kind": "geometric", "start": MAX_SIZE, "stop": MAX_SIZE}},
         {"distinguished": {"rational": [2, 8], "length": MAX_SIZE // 4}},  # q = 4 once reduced
+        {"distinguished": {"alpha": GOLDEN_ALPHA, "length": 23}},  # largest size 46368
         {"symbol": {"0": 2.0, str(MAX_SIZE): 0.5, str(-MAX_SIZE): 0.5}},
     ]
     for overrides in at_cap:
@@ -767,6 +771,22 @@ def test_stability_run(tmp_path):
     assert run_experiment(cfg) == 0
     summary = json.loads((tmp_path / "stab.json").read_text())
     assert summary["verdict"] == "stability-consistent"
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [{"kind": "toeplitz", "symbol": {"0": 0}}, {"kind": "band-ap", "diagonals": {}}],
+    ids=["zero-symbol", "no-diagonals"],
+)
+def test_stability_zero_operator_is_unstable_evidence(tmp_path, operator):
+    # every section of the zero operator is singular: margin 0 and every
+    # smallest singular value 0 must not read as staying above the margin
+    cfg = {"experiment": "stability", "operator": operator, "n_range": [4, 8, 16],
+           "output": str(tmp_path / "stab")}
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 0
+    summary = json.loads((tmp_path / "stab.json").read_text())
+    assert summary["norm_scale"] == 0.0
+    assert summary["verdict"] == "unstable-evidence"
 
 
 def test_strong_szego_singular_section_names_size(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Symbol analysis checks: evaluation, log branches, G[a] and E[a]."""
+"""Symbol analysis checks: circle samples, log branches, G[a] and E[a]."""
 
 import json
 import math
@@ -9,18 +9,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv
 
+from szegolab.cli import _parse_symbol
 from szegolab.symbols import (
     BranchError,
     TrigPolynomial,
     ZeroProximityError,
+    _coefficient_arrays,
+    _log_samples,
+    _sample_log,
     _tail_extrapolation,
-    evaluate,
     geometric_mean,
-    log_coefficients,
     sample_circle,
     strong_szego_constant,
     symbol_average,
-    symbol_from_json,
 )
 from szegolab.szego import TestFunction
 
@@ -33,6 +34,11 @@ def fourier_symbol(fn, max_offset):
     """The Fourier coefficients of fn(t), |k| <= max_offset, from 1024 grid points."""
     c = np.fft.fft(fn(2.0 * np.pi * np.arange(1024) / 1024)) / 1024
     return TrigPolynomial({k: c[k] for k in range(-max_offset, max_offset + 1)})
+
+
+def direct_sum(a, t):
+    """sum_k a_k e^{ikt}, term by term at the angles t."""
+    return sum(c * np.exp(1j * k * t) for k, c in a.coeffs.items())
 
 
 def product_symbol(a, b):
@@ -62,18 +68,6 @@ SAMPLED_SYMBOLS = {
 }
 
 
-def test_evaluate_examples():
-    a = TrigPolynomial({1: 1.0, -1: 1.0})
-    assert evaluate(a, 0.0) == pytest.approx(2.0)
-    assert abs(evaluate(a, math.pi / 2)) <= 1e-15
-    assert evaluate(TrigPolynomial({0: 3.0}), 1.234) == pytest.approx(3.0)
-
-
-def test_evaluate_real_symbol_exactly_real():
-    samples = evaluate(TWO_PLUS_COS, np.linspace(0, 6, 100))
-    assert np.all(samples.imag == 0.0)
-
-
 @pytest.mark.parametrize("n", [4, 5, 8, 32, 33, 64, 1024, 8192])
 @pytest.mark.parametrize("name", sorted(SAMPLED_SYMBOLS))
 def test_sample_circle_matches_direct_sum(name, n):
@@ -81,7 +75,7 @@ def test_sample_circle_matches_direct_sum(name, n):
     # into the same bin; the direct sum is the oracle
     a = SAMPLED_SYMBOLS[name]
     samples = sample_circle(a, n)
-    direct = evaluate(a, 2.0 * np.pi * np.arange(n) / n)
+    direct = direct_sum(a, 2.0 * np.pi * np.arange(n) / n)
     scale = sum(abs(c) for c in a.coeffs.values())
     assert samples.shape == (n,) and samples.dtype == np.complex128
     assert np.max(np.abs(samples - direct)) <= 1e-13 * scale
@@ -90,53 +84,51 @@ def test_sample_circle_matches_direct_sum(name, n):
 
 
 def test_winding_number_examples():
-    # log_coefficients computes the winding number and names a nonzero one
+    # sampling log a computes the winding number and names a nonzero one;
+    # z^-2 is sampled as b(z^2) with b = 1/z, and the error names a's -2
     for a, winding in ((TrigPolynomial({1: 1.0}), 1), (TrigPolynomial({-2: 1.0}), -2)):
         with pytest.raises(BranchError, match=f"winding number {winding}$"):
-            log_coefficients(a, 256, 0)
-    log_coefficients(TWO_PLUS_COS, 256, 0)  # winding number 0: no BranchError
+            geometric_mean(a)
+    geometric_mean(TWO_PLUS_COS)  # winding number 0: no BranchError
 
 
 def test_winding_zero_proximity():
     # |1 + e^{it}| vanishes at t = pi, which the even grid hits exactly
     with pytest.raises(ZeroProximityError):
-        log_coefficients(TrigPolynomial({0: 1.0, 1: 1.0}), 256, 0)
+        geometric_mean(TrigPolynomial({0: 1.0, 1: 1.0}))
     # 1 + 2 cos t changes sign between grid points: two phase steps of +-pi
     with pytest.raises(ZeroProximityError, match="between grid points"):
         geometric_mean(TrigPolynomial({0: 1.0, 1: 1.0, -1: 1.0}))
 
 
 def test_log_coefficients_exp_cos():
-    data = log_coefficients(EXP_COS, 1024, 4)
-    assert data[1] == pytest.approx(0.5, abs=1e-12)
-    assert data[-1] == pytest.approx(0.5, abs=1e-12)
-    assert abs(data[0]) <= 1e-12
-    assert abs(data[2]) <= 1e-12
+    # log exp(cos t) = cos t: (log a)_{+-1} = 1/2 and every other one is 0
+    log = _sample_log(EXP_COS)
+    assert log.positive[0] == pytest.approx(0.5, abs=1e-12)
+    assert log.negative[0] == pytest.approx(0.5, abs=1e-12)
+    assert abs(log.c0) <= 1e-12
+    assert np.max(np.abs(log.positive[1:])) <= 1e-12
+    assert np.max(np.abs(log.negative[1:])) <= 1e-12
 
 
 def test_log_coefficients_constant():
-    data = log_coefficients(TrigPolynomial({0: 3.0}), 1024, 2)
-    assert data[0] == pytest.approx(math.log(3.0), abs=1e-14)
-    assert abs(data[1]) <= 1e-14
+    log = _sample_log(TrigPolynomial({0: 3.0}))
+    assert log.c0 == pytest.approx(math.log(3.0), abs=1e-14)
+    assert np.max(np.abs(log.positive)) <= 1e-14
+    assert np.max(np.abs(log.negative)) <= 1e-14
 
 
 def test_log_coefficients_quadrature_oracle():
     oracle = quad(lambda t: math.log(2 + math.cos(t)), 0, 2 * math.pi)[0] / (2 * math.pi)
     assert oracle == pytest.approx(LOG_MEAN_2COS, abs=1e-9)
-    data = log_coefficients(TWO_PLUS_COS, 1024, 0)
-    assert data[0] == pytest.approx(LOG_MEAN_2COS, abs=1e-12)
+    assert _sample_log(TWO_PLUS_COS).c0 == pytest.approx(LOG_MEAN_2COS, abs=1e-12)
 
 
 def test_log_coefficients_branch_error():
     with pytest.raises(BranchError):
-        log_coefficients(TrigPolynomial({1: 1.0}), 1024, 0)
-
-
-def test_log_coefficients_grid_validation():
-    with pytest.raises(ValueError):
-        log_coefficients(TWO_PLUS_COS, 1000, 4)  # not a power of two
-    with pytest.raises(ValueError):
-        log_coefficients(TWO_PLUS_COS, 64, 32)  # grid < 4K
+        geometric_mean(TrigPolynomial({1: 1.0}))
+    with pytest.raises(BranchError):
+        strong_szego_constant(TrigPolynomial({1: 1.0}))
 
 
 def test_geometric_mean_examples():
@@ -188,10 +180,9 @@ def test_golden_strong_szego_constants_mpmath_oracle():
 )
 def test_strong_szego_tail_bound_ignores_rounding_noise(a, stretch):
     # b(z) = a(z^m) has (log b)_{mk} = (log a)_k and no other coefficients,
-    # so its grid must double until the gaps of m resolve (up to 64 times
-    # the default grid for m = 256); then G[b] = G[a] and E[b] = E[a]^m.
-    # The pairs past N/8 are rounding noise (1e-30 and below), which the
-    # tail bound must not read as an unresolved remainder.
+    # so G[b] = G[a] and E[b] = E[a]^m.  The pairs past N/8 are rounding
+    # noise (1e-30 and below), which the tail bound must not read as an
+    # unresolved remainder.
     b = TrigPolynomial({stretch * k: c for k, c in a.coeffs.items()})
     for symbol in (a, b):
         assert strong_szego_constant(symbol).tail_bound <= 1e-12
@@ -232,6 +223,22 @@ def test_strong_szego_capped_grid_extrapolates_tail():
     assert abs(value * (1.0 - r * r) - 1.0) <= tail
 
 
+def test_common_offset_factor_samples_reduced_symbol():
+    # a(z) = b(z^m) for b = 2 + cos t = c (1 + rz)(1 + r/z), r = 2 - sqrt 3:
+    # log a is sampled as log b on b's own grid, G[a] = G[b] and
+    # log E[a] = m log E[b] = m log(1 / (1 - r^2))
+    m = 4096
+    a = TrigPolynomial({0: 2.0, m: 0.5, -m: 0.5})
+    log = _sample_log(a)
+    assert (log.stride, 4 * len(log.positive)) == (m, 1024)
+    assert abs(geometric_mean(a) - (2 + math.sqrt(3)) / 2) <= 1e-15
+    r = 2 - math.sqrt(3)
+    value, tail = strong_szego_constant(a)
+    expected = m * math.log(1.0 / (1.0 - r * r))
+    assert abs(math.log(abs(value)) - expected) <= 1e-14 * expected
+    assert abs(value.imag) <= 1e-14 * abs(value) and tail <= 1e-12
+
+
 def test_tail_extrapolation_flat_pairs_stay_infinite():
     # resolved pairs (far above the floor) that do not decay leave an
     # unbounded remainder
@@ -258,9 +265,8 @@ def test_geometric_mean_matches_log_average():
 
 
 def test_log_coefficients_conjugate_symmetry_exact():
-    data = log_coefficients(TWO_PLUS_COS, 512, 16)
-    for k in range(1, 17):
-        assert data[-k] == data[k].conjugate()
+    log = _sample_log(TWO_PLUS_COS)
+    assert np.array_equal(log.negative, log.positive.conj())
 
 
 def _random_positive_symbol(rng):
@@ -282,12 +288,15 @@ def test_geometric_mean_multiplicative():
 
 
 def test_grid_doubling_stability():
-    data1 = log_coefficients(TWO_PLUS_COS, 1024, 8)
-    data2 = log_coefficients(TWO_PLUS_COS, 2048, 8)
-    for k in range(-8, 9):
-        assert abs(data1[k] - data2[k]) < 1e-12
+    # the grid _sample_log chooses agrees with twice as many points
+    log = _sample_log(TWO_PLUS_COS)
+    grid = 4 * len(log.positive)
+    c0, positive, negative = _coefficient_arrays(_log_samples(TWO_PLUS_COS, 2 * grid, 1))
+    assert abs(log.c0 - c0) < 1e-12
+    assert np.max(np.abs(log.positive[:8] - positive[:8])) < 1e-12
+    assert np.max(np.abs(log.negative[:8] - negative[:8])) < 1e-12
 
 
 def test_symbol_json_roundtrip():
     obj = {str(k): [c.real, c.imag] for k, c in TWO_PLUS_COS.coeffs.items()}
-    assert symbol_from_json(json.loads(json.dumps(obj))) == TWO_PLUS_COS
+    assert _parse_symbol(json.loads(json.dumps(obj))) == TWO_PLUS_COS

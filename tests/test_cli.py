@@ -420,9 +420,6 @@ def test_invalid_configs_field_paths(tmp_path):
         ({"distinguished": {"rational": [1, 10**400], "length": 2}}, "distinguished.rational"),
         ({"distinguished": {"rational": [2, 6], "length": MAX_SIZE // 3 + 1}}, "distinguished.rational"),
         ({"distinguished": {"alpha": 0.25, "length": 10**9}}, "distinguished.length"),
-        # golden-ratio denominators: the 24th is the Fibonacci number 75025
-        ({"experiment": "mathieu-dist", "alpha": GOLDEN_ALPHA, "lambda": 1.0, "distinguished": {"length": 24}},
-         "distinguished.length"),
         ({"experiment": "eigen-dist", "operator": MATHIEU, "prediction": {"m": 10**400}}, "prediction.m"),
         ({"symbol": {"0": 2.0, str(10**12): 0.5}}, f"symbol.{10**12}"),
         ({"symbol": {"0": 2.0, str(-MAX_SIZE - 1): 0.5}}, f"symbol.{-MAX_SIZE - 1}"),
@@ -431,6 +428,9 @@ def test_invalid_configs_field_paths(tmp_path):
                 "0": [{"freq": 0.0, "re": 1.0}], str(10**12): [{"freq": 0.0, "re": 1.0}]}}},
             f"operator.diagonals.{10**12}",
         ),
+        # golden-ratio denominators: the 24th is the Fibonacci number 75025
+        ({"experiment": "mathieu-dist", "alpha": GOLDEN_ALPHA, "lambda": 1.0, "distinguished": {"length": 24}},
+         "distinguished.length"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -3,9 +3,11 @@
 One config describes one experiment over a sweep of section sizes.  Outputs
 are bit-stable: fixed 17-significant-digit decimal formatting, LF line
 endings, and no randomness anywhere in the pipeline, so identical configs
-produce byte-identical artifacts.
+produce byte-identical artifacts.  Artifacts are written as ASCII bytes and
+a config is read as bytes, decoded once as UTF-8 (line endings read as text
+mode reads them); the output directory is created only when it is missing.
 
-Exit codes: 0 ok, 1 numeric failure, 2 config failure.
+Exit codes: 0 ok, 1 numeric or output failure, 2 config failure.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .szego import (
     stability_probe,
     strong_szego_ratio,
     sweep,
+    _Sizes,
 )
 
 EXPERIMENTS = (
@@ -83,16 +86,28 @@ class ConfigError(ValueError):
     """Config validation failure; the message names the offending field."""
 
 
+class OutputError(Exception):
+    """An artifact or its directory could not be written; the message is
+    ``<path>: <reason>``."""
+
+    def __init__(self, exc: OSError, path):
+        super().__init__(f"{exc.filename or path}: {exc.strerror or exc}")
+
+
 def _write_lines(path, lines) -> None:
-    """Write ASCII lines, each ended by LF."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ASCII lines, each ended by LF; raises OutputError."""
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise OutputError(exc, path) from exc
 
 
 def emit_report(report, path) -> None:
     """Write a report as one CSV file: header plus one line per row.
 
-    Bit-stable output; I/O errors propagate untouched.
+    Bit-stable output; a failed write raises OutputError.
     """
     pred = "%.17g,%.17g" % (report.predicted.real, report.predicted.imag)
     flags = report.flags or ("",) * len(report.sizes)
@@ -514,7 +529,7 @@ def validate_config(raw) -> ExperimentConfig:
         kind=kind,
         output=output,
         tolerance=float(tolerance),
-        sizes=sizes,
+        sizes=_Sizes(sizes),  # positive and strictly increasing, as checked above
         symbol=symbol,
         operator=operator,
         g=g,
@@ -639,13 +654,17 @@ _RUNNERS = {
 def run_experiment(cfg) -> int:
     """Execute a validated config; writes <output>.csv and <output>.json.
 
-    Returns 0 on a passing verdict, 1 on a failed one.
+    Returns 0 on a passing verdict, 1 on a failed one; raises OutputError
+    when the output directory or an artifact cannot be written.
     """
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
     prefix = Path(cfg.output)
-    if prefix.parent != Path(""):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    if not prefix.parent.is_dir():
+        try:
+            prefix.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(exc, prefix.parent) from exc
     csv_path = prefix.with_name(prefix.name + ".csv")
     json_path = prefix.with_name(prefix.name + ".json")
     if cfg.kind == "cf-expand":
@@ -678,8 +697,11 @@ def run_experiment(cfg) -> int:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # text mode's newline translation, so error offsets match it
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
@@ -721,6 +743,9 @@ def main(argv=None) -> int:
         return 0
     try:
         return run_experiment(cfg)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,10 @@ the matrix entry at (i, j) is diagonal[i - j] evaluated at the column index
 j.  One routine evaluates the diagonals on a column range into diagonal
 storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
 (`flip_diagonals`) and the reversed section W_n A_n W_n
-(`reversed_diagonals`).  Dense sections scatter that storage into a
-matrix.
+(`reversed_diagonals`).  A constant diagonal (every diagonal of a Toeplitz
+operator) is filled from its one value, bit for bit what `eval_ap` gives,
+so no array is evaluated for it.  Dense sections scatter that storage into
+a matrix.
 """
 
 from __future__ import annotations
@@ -96,18 +98,21 @@ def almost_mathieu(alpha: float, lam: float, theta: float = 0.0) -> BandAPOperat
 def _band_vectors(diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1):
     """A size x size section in diagonal storage: offset d -> vector v with
     v[j] = entry (j + d, j) = diagonals[d](start + step * j) on the valid
-    column range and 0 outside it (one value, broadcast over the range, when
-    the diagonal is constant)."""
+    column range and 0 outside it.  A constant diagonal is filled from its
+    one value, bit for bit what `eval_ap` gives, without evaluating it."""
     if size < 1:
         raise ValueError("section size must be >= 1")
     vectors: dict[int, np.ndarray] = {}
     for d, f in diagonals.items():
         if abs(d) < size:
             lo, hi = max(0, -d), size - max(0, d)
-            constant = len(f.terms) == 1 and f.terms[0][0] == 0.0
-            at = np.zeros(1) if constant else np.arange(start + step * lo, start + step * hi, step)
             v = vectors[d] = np.zeros(size, dtype=np.complex128)
-            v[lo:hi] = eval_ap(f, at)
+            if len(f.terms) == 1 and f.terms[0][0] == 0.0:
+                # eval_ap's value c * e^0, added to 0: a signed zero part reads +0.0
+                c = f.terms[0][1]
+                v[lo:hi] = complex(c.real + 0.0, c.imag + 0.0)
+            else:
+                v[lo:hi] = eval_ap(f, np.arange(start + step * lo, start + step * hi, step))
     return vectors
 
 

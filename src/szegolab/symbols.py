@@ -8,7 +8,9 @@ G[a] = exp (log a)_0 and the constant E[a] = exp sum_{k>=1} k (log a)_k
 (log a)_{-k}, together with circle averages (1/2pi) int g(a).
 
 Every value of a symbol comes from one inverse FFT on a uniform grid
-(`sample_circle`), exactly real for a real-valued symbol.  Both constants
+(`sample_circle`), exactly real for a real-valued symbol; each sampling
+of log a takes |a| once, for the zero-proximity check and for log |a|.
+Both constants
 read one sampling of log a (`_sample_log`): the default grid of the
 bandwidth, doubled until the upper quarter of the computed coefficients
 sits at the rounding floor, and at most to MAX_GRID_FACTOR times the
@@ -113,8 +115,8 @@ def sample_circle(a: TrigPolynomial, n: int) -> np.ndarray:
     return np.fft.ifft(spec, norm="forward")
 
 
-def _check_zero_proximity(samples: np.ndarray):
-    mags = np.abs(samples)
+def _check_zero_proximity(mags: np.ndarray):
+    """``mags`` are the |a| of the samples."""
     peak = float(mags.max()) if mags.size else 0.0
     low = float(mags.min()) if mags.size else 0.0
     if peak == 0.0 or low <= ZERO_PROXIMITY_RATIO * peak:
@@ -153,7 +155,8 @@ def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
     the grid.
     """
     samples = sample_circle(b, grid)
-    _check_zero_proximity(samples)
+    mags = np.abs(samples)
+    _check_zero_proximity(mags)
     increments = _phase_increments(samples)
     closing = float(np.angle(samples[0] / samples[-1]))
     # Unwrapping needs steps well below pi: a real symbol changing sign steps
@@ -169,7 +172,7 @@ def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
     phases = np.concatenate(([0.0], np.cumsum(increments))) + float(
         np.angle(samples[0])
     )
-    logs = np.log(np.abs(samples)) + 1j * phases
+    logs = np.log(mags) + 1j * phases
     if np.all(phases == 0.0):
         logs = logs.real + 0j  # real positive symbol: keep logs exactly real
     return logs

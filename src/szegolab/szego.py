@@ -200,7 +200,8 @@ class SzegoReport:
 
 
 class _Sizes(tuple):
-    """Section sizes `_validate_sizes` has already checked."""
+    """Section sizes already checked to be positive and strictly increasing,
+    by `_validate_sizes` or by the CLI's config validation."""
 
 
 def _validate_sizes(n_range: Sequence[int]) -> _Sizes:

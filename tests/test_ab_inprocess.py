@@ -1,0 +1,43 @@
+"""tools/ab_inprocess.py: in-process A/B timing of two checkouts."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab_inprocess.py"
+
+
+def run_tool(old_root, new_root):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(old_root), str(new_root),
+         "--workload", "det-sweep", "--seed", "1", "--pairs", "2", "--tiny"],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+
+
+def test_repository_against_itself():
+    proc = run_tool(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert "median new / old" in proc.stdout
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["workload"], result["configs"], result["pairs"]) == ("det-sweep", 7, 2)
+    assert result["old_ms"] > 0 and result["new_ms"] > 0 and result["median_ratio"] > 0
+    assert 0 <= result["new_faster"] <= 2
+
+
+def test_refuses_to_time_checkouts_whose_artifacts_differ(tmp_path):
+    # a copy whose CSV header differs writes different bytes for every config
+    shutil.copytree(ROOT / "src" / "szegolab", tmp_path / "src" / "szegolab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "szegolab" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    cli.write_text(source.replace('CSV_HEADER = "n,', 'CSV_HEADER = "size,', 1), encoding="utf-8")
+    proc = run_tool(tmp_path, ROOT)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith(
+        "artifacts differ between the checkouts, not timed: ratio-2pluscos-contiguous, "
+    )
+    assert "median" not in proc.stdout

@@ -564,6 +564,27 @@ def test_unparsable_config_file_exits_2(tmp_path, capsys, content, reason):
     assert reason in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{\r\n  "experiment": "szego-ratio",\r\n  "output": "x",,\r\n}',
+        b'{\r  "experiment": "szego-ratio",\r  "tolerance": 1e-6 x\r}',
+        b'{"experiment": "szego-ratio",\r\n "output": "a\rb"}',
+    ],
+    ids=["crlf", "cr", "cr-in-string"],
+)
+def test_config_error_offsets_are_those_of_text_mode(tmp_path, capsys, content):
+    # the config is read as bytes; a JSON error names the line, column and
+    # character that reading it in text mode (universal newlines) names
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    with open(cfg_path, encoding="utf-8") as fh:
+        with pytest.raises(ValueError) as text_mode:
+            json.load(fh)
+    assert main(["validate", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: config: invalid JSON in {cfg_path}: {text_mode.value}\n"
+
+
 @pytest.mark.parametrize("kind", ["eigen-dist", "stability"])
 def test_distinguished_sizes_fall_back_on_operator_alpha(kind):
     # without distinguished.alpha the almost Mathieu operator's alpha sets
@@ -633,6 +654,25 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["run", cfg_path]) == 1
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_output_directory_blocked_by_file_is_output_error(tmp_path, capsys):
+    # validation does not look at the file system; the run names the blocker
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    cfg_path = write_config(tmp_path, "cfg.json", ratio_config(tmp_path, output=str(blocker / "out")))
+    assert main(["validate", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["run", cfg_path]) == 1
+    assert capsys.readouterr().err == f"output error: {blocker}: File exists\n"
+
+
+def test_artifact_path_is_directory_is_output_error(tmp_path, capsys):
+    (tmp_path / "o.csv").mkdir()
+    cfg_path = write_config(tmp_path, "cfg.json", ratio_config(tmp_path, output=str(tmp_path / "o")))
+    assert main(["run", cfg_path]) == 1
+    assert capsys.readouterr().err == f"output error: {tmp_path / 'o.csv'}: Is a directory\n"
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_symbol_with_zeros_on_circle_exits_1(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from szegolab.almostperiodic import APFunction, eval_ap
 from szegolab.cli import validate_config
@@ -291,3 +293,49 @@ def test_inverse_corner_reflection_identity():
         x = band_solve(band_diagonals(as_band_operator(TWO_PLUS_COS), n), n, e0)
         y = band_solve(band_diagonals(as_band_operator(reflected(TWO_PLUS_COS)), n), n, e0)
         assert abs(x[0] - y[0]) <= 1e-10
+
+
+def same_bits(x, y):
+    """Equal complex arrays, bit for bit (signed zeros included)."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def eval_ap_vectors(diagonals, size, start, step):
+    """Diagonal storage with every diagonal evaluated by `eval_ap` over its
+    column range: v[j] = diagonals[d](start + step * j)."""
+    out = {}
+    for d, f in diagonals.items():
+        if abs(d) < size:
+            lo, hi = max(0, -d), size - max(0, d)
+            v = out[d] = np.zeros(size, dtype=np.complex128)
+            with np.errstate(over="ignore"):  # c * e^0 may raise the flag near the float range
+                v[lo:hi] = eval_ap(f, np.arange(start + step * lo, start + step * hi, step))
+    return out
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(re=PARTS, im=PARTS, real=st.booleans(), general=st.booleans(),
+       d=st.integers(-4, 4), n=st.integers(1, 9))
+def test_constant_diagonal_storage_is_eval_ap_bit_for_bit(re, im, real, general, d, n):
+    # a constant diagonal is filled from one value; it must be what eval_ap
+    # gives at every column of the section, the flip and the reversed section
+    c = complex(re, math.copysign(0.0, im) if real else im)
+    assume(c != 0)  # a zero diagonal is dropped
+    f = APFunction([(0.0, c)]) if general else APFunction.constant(c)
+    assert f.is_real_valued == (c.imag == 0.0)
+    op = BandAPOperator({d: f, d + 1: APFunction.cosine(0.5, GOLDEN, 0.1)})
+    reflected_diagonals = {-k: g for k, g in op.diagonals.items()}
+    for got, want in (
+        (band_diagonals(op, n), eval_ap_vectors(op.diagonals, n, 0, 1)),
+        (flip_diagonals(op, n), eval_ap_vectors(reflected_diagonals, n, -1, -1)),
+        (reversed_diagonals(op, n), eval_ap_vectors(reflected_diagonals, n, n - 1, -1)),
+    ):
+        assert got.keys() == want.keys()
+        for k in got:
+            assert same_bits(got[k], want[k]), (k, got[k], want[k])

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
@@ -81,6 +83,51 @@ def test_sample_circle_matches_direct_sum(name, n):
     assert np.max(np.abs(samples - direct)) <= 1e-13 * scale
     if a.is_real_valued:
         assert np.all(samples.imag == 0.0)
+
+
+def folded_samples(a, n):
+    """The samples of a on n points from every a_k added into bin k mod n
+    by np.add.at, then one inverse FFT (real for a real-valued symbol)."""
+    spec = np.zeros(n, dtype=np.complex128)
+    offsets = np.array(list(a.coeffs), dtype=np.int64)
+    values = np.array(list(a.coeffs.values()), dtype=np.complex128)
+    np.add.at(spec, offsets % n, values)
+    if a.is_real_valued:
+        return np.fft.irfft(spec[: n // 2 + 1], n, norm="forward").astype(np.complex128)
+    return np.fft.ifft(spec, norm="forward")
+
+
+COEFFICIENT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, allow_nan=False)
+)
+
+
+@st.composite
+def symbols_with_signed_zeros(draw):
+    """A symbol of bandwidth <= 12 whose coefficients may carry -0.0 parts;
+    real-valued (conjugate pairs) about half the time."""
+    offsets = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8, unique=True))
+    real = draw(st.booleans())
+    coeffs = {}
+    for k in offsets:
+        c = complex(draw(COEFFICIENT_PARTS), draw(COEFFICIENT_PARTS))
+        if real:
+            c = complex(c.real, math.copysign(0.0, c.imag)) if k == 0 else c
+            coeffs[-k] = c.conjugate()
+        coeffs[k] = c
+    a = TrigPolynomial(coeffs)
+    assume(a.coeffs)
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=symbols_with_signed_zeros(), n=st.integers(1, 64))
+def test_sample_circle_is_the_add_at_fold_bit_for_bit(a, n):
+    # folding grids (n <= 2 * bandwidth) and grids with one a_k per bin alike:
+    # a coefficient's -0.0 part reads +0.0 once added into its zero bin, so
+    # a faster scatter into the bins has to keep these bits
+    samples = sample_circle(a, n)
+    assert samples.tobytes() == folded_samples(a, n).tobytes()
 
 
 def test_winding_number_examples():

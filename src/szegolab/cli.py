@@ -3,9 +3,13 @@
 One config describes one experiment over a sweep of section sizes.  Outputs
 are bit-stable: fixed 17-significant-digit decimal formatting, LF line
 endings, and no randomness anywhere in the pipeline, so identical configs
-produce byte-identical artifacts.  Artifacts are written as ASCII bytes and
-a config is read as bytes, decoded once as UTF-8 (line endings read as text
-mode reads them); the output directory is created only when it is missing.
+produce byte-identical artifacts.  Artifacts are written as ASCII bytes: a
+report's CSV table by one ``%`` operation over a row template, and a JSON
+summary by a direct writer that reproduces ``json.dumps(obj,
+sort_keys=True, indent=2)`` byte for byte.  A config is read as bytes,
+decoded once as UTF-8 (line endings read as text mode reads them); the
+output directory is created only when it is missing, and an artifact path
+that is a directory fails the run before anything is computed.
 
 Exit codes: 0 ok, 1 numeric or output failure, 2 config failure.
 """
@@ -13,11 +17,15 @@ Exit codes: 0 ok, 1 numeric or output failure, 2 config failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -94,9 +102,8 @@ class OutputError(Exception):
         super().__init__(f"{exc.filename or path}: {exc.strerror or exc}")
 
 
-def _write_lines(path, lines) -> None:
-    """Write ASCII lines, each ended by LF; raises OutputError."""
-    data = ("\n".join(lines) + "\n").encode("ascii")
+def _write_bytes(path, data: bytes) -> None:
+    """Write one artifact; raises OutputError."""
     try:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -104,23 +111,72 @@ def _write_lines(path, lines) -> None:
         raise OutputError(exc, path) from exc
 
 
+def _write_lines(path, lines) -> None:
+    """Write ASCII lines, each ended by LF; raises OutputError."""
+    _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
 def emit_report(report, path) -> None:
     """Write a report as one CSV file: header plus one line per row.
 
-    Bit-stable output; a failed write raises OutputError.
+    Bit-stable output; a failed write raises OutputError.  The table is one
+    ``%`` operation: a row template with the predicted pair inlined, filled
+    from the flat list of cells, five per row.
     """
+    count = len(report.sizes)
     pred = "%.17g,%.17g" % (report.predicted.real, report.predicted.imag)
-    flags = report.flags or ("",) * len(report.sizes)
-    lines = [CSV_HEADER]
-    lines.extend(
-        "%d,%.17g,%.17g,%s,%.17g,%s" % (n, v.real, v.imag, pred, r, f)
-        for n, v, r, f in zip(report.sizes, report.values.tolist(), report.residuals.tolist(), flags)
-    )
-    _write_lines(path, lines)
+    template = CSV_HEADER + "\n" + ("%d,%.17g,%.17g," + pred + ",%.17g,%s\n") * count
+    cells = [""] * (5 * count)
+    cells[0::5] = report.sizes
+    cells[1::5] = report.values.real.tolist()
+    cells[2::5] = report.values.imag.tolist()
+    cells[3::5] = report.residuals.tolist()
+    if report.flags:
+        cells[4::5] = report.flags
+    _write_bytes(path, (template % tuple(cells)).encode("ascii"))
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, float, bool and None.  Any
+    other object raises TypeError, as json does, and so does a key that is
+    not a str, which json would convert."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
+        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _write_json(path, obj) -> None:
-    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=2)])
+    _write_bytes(path, (_json_text(obj) + "\n").encode("ascii"))
 
 
 def _pair(z: complex) -> list[float]:
@@ -283,14 +339,14 @@ def _parse_sizes(raw, alpha_hint=None) -> tuple[tuple[int, ...], str | None]:
         return tuple(sizes), None
     if not isinstance(block, list) or not block:
         raise ConfigError("n_range: must be a list or a geometric range object")
-    if not all(type(n) is int and 1 <= n <= MAX_SIZE for n in block):
-        for i, n in enumerate(block):
+    if set(map(type, block)) != {int} or min(block) < 1 or max(block) > MAX_SIZE:
+        for i, n in enumerate(block):  # name the first bad entry
             if not _is_int(n) or n < 1:
                 raise ConfigError(f"n_range[{i}]: must be a positive integer")
             if n > MAX_SIZE:
                 raise ConfigError(f"n_range[{i}]: must be at most {MAX_SIZE}")
     sizes = tuple(block)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+    if not all(map(lt, sizes, sizes[1:])):
         raise ConfigError("n_range: must be strictly increasing")
     return sizes, None
 
@@ -655,7 +711,8 @@ def run_experiment(cfg) -> int:
     """Execute a validated config; writes <output>.csv and <output>.json.
 
     Returns 0 on a passing verdict, 1 on a failed one; raises OutputError
-    when the output directory or an artifact cannot be written.
+    when the output directory or an artifact cannot be written, before
+    anything is computed when an artifact path is a directory.
     """
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
@@ -667,6 +724,9 @@ def run_experiment(cfg) -> int:
             raise OutputError(exc, prefix.parent) from exc
     csv_path = prefix.with_name(prefix.name + ".csv")
     json_path = prefix.with_name(prefix.name + ".json")
+    for path in (csv_path, json_path):  # fail before the sweep, not after it
+        if path.is_dir():
+            raise OutputError(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path)), path)
     if cfg.kind == "cf-expand":
         return _run_cf_expand(cfg, csv_path, json_path)
     report, extras = _RUNNERS[cfg.kind](cfg)

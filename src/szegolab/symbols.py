@@ -9,12 +9,13 @@ G[a] = exp (log a)_0 and the constant E[a] = exp sum_{k>=1} k (log a)_k
 
 Every value of a symbol comes from one inverse FFT on a uniform grid
 (`sample_circle`), exactly real for a real-valued symbol; each sampling
-of log a takes |a| once, for the zero-proximity check and for log |a|.
-Both constants
-read one sampling of log a (`_sample_log`): the default grid of the
-bandwidth, doubled until the upper quarter of the computed coefficients
-sits at the rounding floor, and at most to MAX_GRID_FACTOR times the
-default grid.
+of log a takes |a| once, for the zero-proximity check and for log |a|, and
+the phase steps in one pass over the closed ring of samples, closing step
+included, which give the step check, the winding number and the unwrapped
+phase.  Both constants read one sampling of log a (`_sample_log`): the
+default grid of the bandwidth, doubled until the upper quarter of the
+computed coefficients sits at the rounding floor, and at most to
+MAX_GRID_FACTOR times the default grid.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ ZERO_PROXIMITY_RATIO = 1e-8
 # floor, and the E[a] tail bound counts a pair with a factor below it as a
 # resolved 0.
 LOG_COEFFICIENT_FLOOR = 16.0
+_FLOOR_UNIT = LOG_COEFFICIENT_FLOOR * np.finfo(np.float64).eps  # times max_k |(log a)_k|
 
 # The grid of log a doubles at most to this multiple of the default grid.
 MAX_GRID_FACTOR = 64
@@ -126,12 +128,6 @@ def _check_zero_proximity(mags: np.ndarray):
         )
 
 
-def _phase_increments(samples: np.ndarray) -> np.ndarray:
-    # Principal argument of consecutive ratios; each step lands in (-pi, pi].
-    ratios = samples[1:] / samples[:-1]
-    return np.angle(ratios)
-
-
 def _coefficient_arrays(samples: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     """DFT coefficients c_0, (c_1..c_K) and (c_{-1}..c_{-K}), K = N/4 for N
     samples; conjugate symmetry is forced exactly when the samples are real."""
@@ -139,7 +135,7 @@ def _coefficient_arrays(samples: np.ndarray) -> tuple[complex, np.ndarray, np.nd
     quarter = n // 4
     fft = np.fft.fft(samples) / n
     positive = fft[1 : quarter + 1]
-    if np.all(samples.imag == 0.0):
+    if not samples.imag.any():
         return complex(fft[0].real), positive, positive.conj()
     return complex(fft[0]), positive, fft[n - quarter :][::-1]
 
@@ -152,28 +148,33 @@ def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
     neighbouring grid points, and winding number 0 (otherwise there is no
     continuous branch); an error names the winding number of a, ``stride``
     times that of b.  The branch is fixed by unwrapping the argument along
-    the grid.
+    the grid: one principal argument per step of the closed ring of samples,
+    each in (-pi, pi], the closing step from the last sample to the first
+    being the last.
     """
     samples = sample_circle(b, grid)
     mags = np.abs(samples)
     _check_zero_proximity(mags)
-    increments = _phase_increments(samples)
-    closing = float(np.angle(samples[0] / samples[-1]))
+    ring = np.empty_like(samples)
+    ring[:-1] = samples[1:]
+    ring[-1] = samples[0]
+    steps = np.angle(ring / samples)
     # Unwrapping needs steps well below pi: a real symbol changing sign steps
     # by +-pi, and two such steps of opposite signed zero cancel in the winding.
-    largest = max(float(np.abs(increments).max()), abs(closing))
+    largest = float(np.abs(steps).max())
     if largest >= np.pi / 2:
         raise ZeroProximityError(f"phase of a turns by {largest:.3e} rad between grid points")
-    winding = stride * int(round((float(np.sum(increments)) + closing) / (2.0 * np.pi)))
+    phases = np.empty(grid)
+    phases[0] = 0.0
+    np.cumsum(steps[:-1], out=phases[1:])
+    winding = stride * int(round((float(phases[-1]) + float(steps[-1])) / (2.0 * np.pi)))
     if winding != 0:
         raise BranchError(
             f"log a has no continuous branch: winding number {winding}"
         )
-    phases = np.concatenate(([0.0], np.cumsum(increments))) + float(
-        np.angle(samples[0])
-    )
+    phases += float(np.angle(samples[0]))
     logs = np.log(mags) + 1j * phases
-    if np.all(phases == 0.0):
+    if not phases.any():
         logs = logs.real + 0j  # real positive symbol: keep logs exactly real
     return logs
 
@@ -225,7 +226,7 @@ def _sample_log(a: TrigPolynomial) -> _LogCoefficients:
         c0, positive, negative = _coefficient_arrays(_log_samples(a, grid, stride))
         size_pos, size_neg = np.abs(positive), np.abs(negative)
         peak = max(abs(c0), float(size_pos.max()), float(size_neg.max()))
-        floor = LOG_COEFFICIENT_FLOOR * np.finfo(np.float64).eps * peak
+        floor = _FLOOR_UNIT * peak
         window = slice(grid // 8, None)
         resolved = max(float(size_pos[window].max()), float(size_neg[window].max())) <= floor
         if resolved or grid >= MAX_GRID_FACTOR * first:

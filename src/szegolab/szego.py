@@ -16,6 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,7 +190,7 @@ class SzegoReport:
     skipped: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
+        if not all(map(lt, self.sizes, self.sizes[1:])):
             raise ValueError("report indices must be strictly increasing")
         if not np.isfinite(self.residuals).all():
             raise ValueError("residuals must be finite")
@@ -207,12 +208,12 @@ class _Sizes(tuple):
 def _validate_sizes(n_range: Sequence[int]) -> _Sizes:
     if type(n_range) is _Sizes:
         return n_range
-    sizes = _Sizes(int(n) for n in n_range)
+    sizes = _Sizes(map(int, n_range))
     if not sizes:
         raise ValueError("empty size range")
-    if any(n < 1 for n in sizes):
+    if min(sizes) < 1:
         raise ValueError("section sizes must be positive")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+    if not all(map(lt, sizes, sizes[1:])):
         raise ValueError("section sizes must be strictly increasing")
     return sizes
 
@@ -228,19 +229,22 @@ def sweep(
     leaves no row; any other error propagates with an ``n=<size>: `` prefix.
     Without a prediction the last value serves as the limit estimate.
     """
-    entries: list[tuple[int, complex]] = []
+    sizes = _validate_sizes(n_range)
+    values: list[complex] = []
     skipped: list[tuple[int, str]] = []
-    for n in _validate_sizes(n_range):
+    for n in sizes:
         try:
-            entries.append((n, measure(n)))
+            values.append(measure(n))
         except SkippedSize as skip:
             skipped.append((n, str(skip)))
         except Exception as exc:  # carry the failing size with the error
             exc.args = (f"n={n}: {exc}",)
             raise
-    if not entries:
+    if not values:
         raise EmptyReportError("all requested sections were singular")
-    sizes, values = zip(*entries)
+    if skipped:
+        gone = {n for n, _ in skipped}
+        sizes = tuple(n for n in sizes if n not in gone)
     values = np.array(values, dtype=np.complex128)
     pred = complex(predicted) if predicted is not None else complex(values[-1])
     with np.errstate(over="ignore"):  # an infinite residual fails the report's check

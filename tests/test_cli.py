@@ -675,6 +675,19 @@ def test_artifact_path_is_directory_is_output_error(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("artifact", ["o.csv", "o.json"])
+def test_artifact_path_is_directory_fails_before_the_sweep(tmp_path, capsys, monkeypatch, artifact):
+    calls = []
+    runner = cli._RUNNERS["szego-ratio"]
+    monkeypatch.setitem(cli._RUNNERS, "szego-ratio", lambda cfg: calls.append(cfg) or runner(cfg))
+    (tmp_path / artifact).mkdir()
+    cfg_path = write_config(tmp_path, "cfg.json", ratio_config(tmp_path, output=str(tmp_path / "o")))
+    assert main(["run", cfg_path]) == 1
+    assert capsys.readouterr().err == f"output error: {tmp_path / artifact}: Is a directory\n"
+    assert calls == []  # no size was measured
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", artifact])
+
+
 def test_symbol_with_zeros_on_circle_exits_1(tmp_path, capsys):
     # 1 + 2 cos t vanishes at t = 2 pi / 3 and 4 pi / 3: G[a] does not exist
     cfg = ratio_config(tmp_path, symbol={"0": [1.0, 0.0], "1": [1.0, 0.0], "-1": [1.0, 0.0]})
@@ -929,3 +942,55 @@ def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predict
             for n, v, r in zip(sizes, values, expected)
         ]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "\u00e9\u2028\u4e2d", "\ud800", "\U0001f600"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(["\n", "\u00e9", "\ud800"])), inner,
+                        max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=JSON_VALUES)
+def test_json_writer_is_json_dumps_byte_for_byte(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_writer_edge_values(tmp_path):
+    for obj in ({}, [], {"a": {}, "b": []}, [[], {}], (), {"x": ()}, np.float64(0.1), {"f": np.float64(-0.0)},
+                10**100, -(10**100), [True, False, None], {"z": 1, "a": [1.5, "\u00e9"]}):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    path = tmp_path / "s.json"
+    obj = {"predicted": [math.nan, -math.inf], "clusters": [{"center": [5e-324, 1e308]}]}
+    cli._write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [np.int64(1), {1, 2}, [np.int64(3)], {"a": {"b": set()}}, 1j, b"x"])
+def test_json_writer_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._json_text(obj)
+
+
+def test_json_writer_refuses_keys_that_are_not_str():
+    # json.dumps would write 1 as "1"; the writer takes str keys only
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._json_text({1: 2})

@@ -13,10 +13,14 @@ from scipy.special import iv
 
 from szegolab.cli import _parse_symbol
 from szegolab.symbols import (
+    LOG_COEFFICIENT_FLOOR,
+    MAX_GRID_FACTOR,
     BranchError,
     TrigPolynomial,
     ZeroProximityError,
+    _check_zero_proximity,
     _coefficient_arrays,
+    _default_grid,
     _log_samples,
     _sample_log,
     _tail_extrapolation,
@@ -128,6 +132,107 @@ def test_sample_circle_is_the_add_at_fold_bit_for_bit(a, n):
     # a faster scatter into the bins has to keep these bits
     samples = sample_circle(a, n)
     assert samples.tobytes() == folded_samples(a, n).tobytes()
+
+
+def _reference_phase_increments(samples):
+    ratios = samples[1:] / samples[:-1]
+    return np.angle(ratios)
+
+
+def _reference_log_samples(b, grid, stride):
+    """log b as the step-by-step unwrapping sampled it: the open chain of
+    steps, the closing step apart, the winding from their pairwise sum."""
+    samples = sample_circle(b, grid)
+    mags = np.abs(samples)
+    _check_zero_proximity(mags)
+    increments = _reference_phase_increments(samples)
+    closing = float(np.angle(samples[0] / samples[-1]))
+    largest = max(float(np.abs(increments).max()), abs(closing))
+    if largest >= np.pi / 2:
+        raise ZeroProximityError(f"phase of a turns by {largest:.3e} rad between grid points")
+    winding = stride * int(round((float(np.sum(increments)) + closing) / (2.0 * np.pi)))
+    if winding != 0:
+        raise BranchError(f"log a has no continuous branch: winding number {winding}")
+    phases = np.concatenate(([0.0], np.cumsum(increments))) + float(np.angle(samples[0]))
+    logs = np.log(mags) + 1j * phases
+    if np.all(phases == 0.0):
+        logs = logs.real + 0j
+    return logs
+
+
+def _reference_sample_log(a):
+    """(c0, positive, negative, floor, capped, stride) as `_sample_log`
+    computes them, on `_reference_log_samples`."""
+    stride = math.gcd(*a.coeffs) or 1
+    if stride > 1:
+        a = TrigPolynomial({k // stride: c for k, c in a.coeffs.items()})
+    first = grid = _default_grid(a.bandwidth)
+    while True:
+        logs = _reference_log_samples(a, grid, stride)
+        n = len(logs)
+        fft = np.fft.fft(logs) / n
+        positive = fft[1 : n // 4 + 1]
+        if np.all(logs.imag == 0.0):
+            c0, negative = complex(fft[0].real), positive.conj()
+        else:
+            c0, negative = complex(fft[0]), fft[n - n // 4 :][::-1]
+        size_pos, size_neg = np.abs(positive), np.abs(negative)
+        peak = max(abs(c0), float(size_pos.max()), float(size_neg.max()))
+        floor = LOG_COEFFICIENT_FLOOR * np.finfo(np.float64).eps * peak
+        window = slice(grid // 8, None)
+        resolved = max(float(size_pos[window].max()), float(size_neg[window].max())) <= floor
+        if resolved or grid >= MAX_GRID_FACTOR * first:
+            return c0, positive, negative, floor, not resolved, stride
+        grid *= 2
+
+
+def _log_outcome(sample, a):
+    """The bits of a sampling of log a, or the type and message of its error."""
+    try:
+        c0, positive, negative, floor, capped, stride = sample(a)
+    except (ZeroProximityError, BranchError) as exc:
+        return type(exc), str(exc)
+    return (np.complex128(c0).tobytes(), positive.tobytes(), negative.tobytes(),
+            np.float64(floor).tobytes(), capped, stride)
+
+
+@st.composite
+def log_symbols(draw):
+    """Real-positive, complex and sign-changing symbols, and symbols of
+    winding number d != 0, with their offsets spread by a stride m, so that
+    a(z) = b(z^m)."""
+    kind = draw(st.sampled_from(["real-positive", "complex", "sign-changing", "winding"]))
+    stride = draw(st.sampled_from([1, 1, 2, 3, 16]))
+    real = kind in ("real-positive", "sign-changing")
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=5, unique=True)):
+        c = complex(draw(COEFFICIENT_PARTS), 0.0 if real else draw(COEFFICIENT_PARTS))
+        coeffs[k] = c
+        if real:
+            coeffs[-k] = c.conjugate()
+    spread = sum(abs(c) for c in coeffs.values())
+    assume(spread > 0)
+    dominant = draw(st.sampled_from([-2, -1, 1, 2])) if kind == "winding" else 0
+    margin = draw(st.sampled_from([1e-6, 1e-2, 0.5, 2.0]))
+    if kind == "sign-changing":  # a_0 inside the range of the rest: a changes sign
+        coeffs[0] = complex(draw(st.floats(-0.5, 0.5)) * spread)
+    else:
+        phase = 1.0 if real else complex(*draw(st.tuples(COEFFICIENT_PARTS, COEFFICIENT_PARTS)))
+        if phase == 0:
+            phase = 1.0
+        coeffs[dominant] = (1.0 + margin) * spread * phase / abs(phase)
+        if real and dominant == 0:
+            coeffs[0] = complex(coeffs[0].real)
+    return TrigPolynomial({stride * k: c for k, c in coeffs.items()})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=log_symbols())
+def test_log_sampling_is_the_stepwise_unwrapping_bit_for_bit(a):
+    # one pass over the closed ring of phase steps gives the same c0,
+    # coefficients, floor, cap and stride, and the same errors with their
+    # winding number, as the open chain of steps plus a closing step
+    assert _log_outcome(lambda b: tuple(_sample_log(b)), a) == _log_outcome(_reference_sample_log, a)
 
 
 def test_winding_number_examples():

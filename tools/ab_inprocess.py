@@ -1,6 +1,7 @@
 """Time two checkouts of szegolab against each other in one process.
 
-Usage: python tools/ab_inprocess.py <old-root> <new-root> --workload W --seed S --pairs N [--tiny]
+Usage: python tools/ab_inprocess.py <old-root> <new-root> --workload W --seed S --pairs N
+       [--tiny] [--per-config]
 
 Generates the configs of `szegobench/workloads.py` from <new-root> and
 imports the `szegolab` package of each checkout's src/ in this process,
@@ -17,7 +18,12 @@ and every timed pass is checked against the reference.
 
 Prints both median pass times, the median over the pairs of the ratio
 new / old, and the pairs the new side won, then one JSON object with the
-same figures as the last line.  BLAS runs on one thread, as in
+same figures as the last line.  With ``--per-config`` it also prints, for
+each config, both sides' median time of its `main` call, the median over
+the pairs of their ratio new / old and the pairs the new side won, and the
+JSON object gains the same figures as a ``per_config`` map keyed by config
+name: a tail percentile of `szegobench/run.py` sits in one config's block
+of run times, so a claim on it rests on that config's figures.  BLAS runs on one thread, as in
 `szegobench/run.py`.  Nothing in either checkout is modified; configs and
 artifacts go to a temporary directory.
 """
@@ -49,22 +55,24 @@ class Side:
         self.modules = _import_package(root)
         self.main = self.modules["szegolab.cli"].main
         self.times: list[float] = []
+        self.config_times: list[list[float]] = []  # per pass, one per config
 
-    def run_pass(self, runs) -> tuple[float, list]:
+    def run_pass(self, runs) -> tuple[list[float], list]:
         """Every (config, csv path, json path) of ``runs`` through this side's
-        `main`: (seconds spent in `main`, [(exit code, csv bytes, json bytes)])."""
+        `main`: ([seconds spent in each `main` call], [(exit code, csv bytes,
+        json bytes)])."""
         _drop_package()
         sys.modules.update(self.modules)
         for _, csv_path, json_path in runs:
             csv_path.unlink(missing_ok=True)
             json_path.unlink(missing_ok=True)
-        spent = 0.0
+        spent = []
         codes = []
         with contextlib.redirect_stderr(io.StringIO()):
             for config, _, _ in runs:
                 t0 = time.perf_counter()
                 codes.append(self.main(["run", config]))
-                spent += time.perf_counter() - t0
+                spent.append(time.perf_counter() - t0)
         return spent, [
             (rc, *(p.read_bytes() if p.exists() else None for p in (csv_path, json_path)))
             for rc, (_, csv_path, json_path) in zip(codes, runs)
@@ -94,7 +102,20 @@ def _differing(names, old, new) -> list[str]:
     return [name for name, a, b in zip(names, old, new) if a != b]
 
 
-def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int, tiny: bool) -> int:
+def _figures(old_times: list[float], new_times: list[float]) -> dict:
+    """Both medians in ms, the median over the pairs of new / old and the
+    pairs the new side won."""
+    ratios = [b / a for a, b in zip(old_times, new_times)]
+    return {
+        "old_ms": 1e3 * statistics.median(old_times),
+        "new_ms": 1e3 * statistics.median(new_times),
+        "median_ratio": statistics.median(ratios),
+        "new_faster": sum(r < 1.0 for r in ratios),
+    }
+
+
+def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int, tiny: bool,
+            per_config: bool = False) -> int:
     sys.dont_write_bytecode = True  # leave both checkouts as they were
     sys.path.insert(0, str(new_root / "szegobench"))
     import workloads
@@ -122,18 +143,15 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
                 if moved:
                     print(f"{side.label} artifacts differ from its first pass: {', '.join(moved)}")
                     return 1
-                side.times.append(spent)
-    ratios = [b / a for a, b in zip(old.times, new.times)]
+                side.times.append(sum(spent))
+                side.config_times.append(spent)
     result = {
         "workload": workload,
         "seed": seed,
         "tiny": tiny,
         "configs": len(cases),
         "pairs": pairs,
-        "old_ms": 1e3 * statistics.median(old.times),
-        "new_ms": 1e3 * statistics.median(new.times),
-        "median_ratio": statistics.median(ratios),
-        "new_faster": sum(r < 1.0 for r in ratios),
+        **_figures(old.times, new.times),
     }
     print(f"{workload} seed {seed}{' (tiny)' if tiny else ''}: {len(cases)} configs, "
           f"{pairs} pairs, old first in even pairs")
@@ -141,6 +159,16 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
     print(f"  new median pass   {result['new_ms']:10.3f} ms")
     print(f"  median new / old  {result['median_ratio']:10.4f}")
     print(f"  new faster in     {result['new_faster']}/{pairs} pairs")
+    if per_config:
+        result["per_config"] = {
+            name: _figures([t[i] for t in old.config_times], [t[i] for t in new.config_times])
+            for i, name in enumerate(names)
+        }
+        width = max(map(len, names))
+        print(f"  {'config':<{width}}  {'old ms':>10}  {'new ms':>10}  {'new / old':>9}  new faster")
+        for name, fig in result["per_config"].items():
+            print(f"  {name:<{width}}  {fig['old_ms']:10.4f}  {fig['new_ms']:10.4f}  "
+                  f"{fig['median_ratio']:9.4f}  {fig['new_faster']}/{pairs}")
     print(json.dumps(result))
     return 0
 
@@ -153,11 +181,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--tiny", action="store_true", help="shrink every size, as the harness self-test does")
+    parser.add_argument("--per-config", action="store_true",
+                        help="also print each config's median times, ratio and wins")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return compare(args.old_root.resolve(), args.new_root.resolve(), args.workload, args.seed,
-                   args.pairs, args.tiny)
+                   args.pairs, args.tiny, args.per_config)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
@@ -226,8 +226,14 @@ def log_symbols(draw):
     return TrigPolynomial({stride * k: c for k, c in coeffs.items()})
 
 
+# 1 - 0.999 e^{i(t + h/2)} on the default grid of 1024 points, h = 2 pi / 1024:
+# its phase turns fastest at t = -h/2, inside the closing step
+CLOSING_STEP_LARGEST = TrigPolynomial({0: 1.0, 1: -0.999 * np.exp(0.5j * 2 * np.pi / 1024)})
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(a=log_symbols())
+@example(a=CLOSING_STEP_LARGEST)
 def test_log_sampling_is_the_stepwise_unwrapping_bit_for_bit(a):
     # one pass over the closed ring of phase steps gives the same c0,
     # coefficients, floor, cap and stride, and the same errors with their

@@ -23,9 +23,9 @@ each config, both sides' median time of its `main` call, the median over
 the pairs of their ratio new / old and the pairs the new side won, and the
 JSON object gains the same figures as a ``per_config`` map keyed by config
 name: a tail percentile of `szegobench/run.py` sits in one config's block
-of run times, so a claim on it rests on that config's figures.  BLAS runs on one thread, as in
-`szegobench/run.py`.  Nothing in either checkout is modified; configs and
-artifacts go to a temporary directory.
+of run times, so a claim on it rests on that config's figures.  BLAS runs
+on one thread, as in `szegobench/run.py`.  Nothing in either checkout is
+modified; configs and artifacts go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ class Side:
         self.label = label
         self.modules = _import_package(root)
         self.main = self.modules["szegolab.cli"].main
-        self.times: list[float] = []
-        self.config_times: list[list[float]] = []  # per pass, one per config
+        self.passes: list[list[float]] = []  # per timed pass, seconds per config
 
     def run_pass(self, runs) -> tuple[list[float], list]:
         """Every (config, csv path, json path) of ``runs`` through this side's
@@ -143,15 +142,14 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
                 if moved:
                     print(f"{side.label} artifacts differ from its first pass: {', '.join(moved)}")
                     return 1
-                side.times.append(sum(spent))
-                side.config_times.append(spent)
+                side.passes.append(spent)
     result = {
         "workload": workload,
         "seed": seed,
         "tiny": tiny,
         "configs": len(cases),
         "pairs": pairs,
-        **_figures(old.times, new.times),
+        **_figures([sum(p) for p in old.passes], [sum(p) for p in new.passes]),
     }
     print(f"{workload} seed {seed}{' (tiny)' if tiny else ''}: {len(cases)} configs, "
           f"{pairs} pairs, old first in even pairs")
@@ -161,7 +159,7 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
     print(f"  new faster in     {result['new_faster']}/{pairs} pairs")
     if per_config:
         result["per_config"] = {
-            name: _figures([t[i] for t in old.config_times], [t[i] for t in new.config_times])
+            name: _figures([p[i] for p in old.passes], [p[i] for p in new.passes])
             for i, name in enumerate(names)
         }
         width = max(map(len, names))

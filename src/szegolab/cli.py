@@ -111,11 +111,6 @@ def _write_bytes(path, data: bytes) -> None:
         raise OutputError(exc, path) from exc
 
 
-def _write_lines(path, lines) -> None:
-    """Write ASCII lines, each ended by LF; raises OutputError."""
-    _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
 def emit_report(report, path) -> None:
     """Write a report as one CSV file: header plus one line per row.
 
@@ -674,7 +669,7 @@ def _run_cf_expand(cfg: ExperimentConfig, csv_path, json_path) -> int:
     lines = [CF_CSV_HEADER]
     for i, (b, (p, q)) in enumerate(zip(cf.quotients, cf.convergents)):
         lines.append("%d,%d,%d,%d,%.17g" % (i + 1, b, p, q, convergent_error_bound(cf, i)))
-    _write_lines(csv_path, lines)
+    _write_bytes(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
     bounds_ok = check_approximation_bounds(cf)
     if cf.convergents:
         p, q = cf.convergents[-1]

@@ -10,10 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_inprocess.py"
 
 
-def run_tool(old_root, new_root, *extra):
+def run_tool(old_root, new_root):
     return subprocess.run(
         [sys.executable, str(TOOL), str(old_root), str(new_root),
-         "--workload", "det-sweep", "--seed", "1", "--pairs", "2", "--tiny", *extra],
+         "--workload", "det-sweep", "--seed", "1", "--pairs", "2", "--tiny"],
         capture_output=True, text=True, timeout=300, check=False,
     )
 
@@ -26,15 +26,8 @@ def test_repository_against_itself():
     assert (result["workload"], result["configs"], result["pairs"]) == ("det-sweep", 7, 2)
     assert result["old_ms"] > 0 and result["new_ms"] > 0 and result["median_ratio"] > 0
     assert 0 <= result["new_faster"] <= 2
-    assert "per_config" not in result  # only with --per-config
-
-
-def test_per_config_figures():
-    proc = run_tool(ROOT, ROOT, "--per-config")
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
     per_config = result["per_config"]
-    assert len(per_config) == result["configs"] == 7
+    assert len(per_config) == 7
     assert "ratio-2pluscos-contiguous" in per_config and "strong-expcos" in per_config
     for name, fig in per_config.items():
         assert sorted(fig) == ["median_ratio", "new_faster", "new_ms", "old_ms"]

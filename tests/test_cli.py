@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szegolab import cli, symbols, szego
@@ -968,14 +968,23 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(obj=JSON_VALUES)
+@example(obj={})
+@example(obj=[])
+@example(obj={"a": {}, "b": []})
+@example(obj=[[], {}])
+@example(obj=())
+@example(obj={"x": ()})
+@example(obj=np.float64(0.1))
+@example(obj={"f": np.float64(-0.0)})
+@example(obj=10**100)
+@example(obj=-(10**100))
+@example(obj=[True, False, None])
+@example(obj={"z": 1, "a": [1.5, "\u00e9"]})
 def test_json_writer_is_json_dumps_byte_for_byte(obj):
     assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
-def test_json_writer_edge_values(tmp_path):
-    for obj in ({}, [], {"a": {}, "b": []}, [[], {}], (), {"x": ()}, np.float64(0.1), {"f": np.float64(-0.0)},
-                10**100, -(10**100), [True, False, None], {"z": 1, "a": [1.5, "\u00e9"]}):
-        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+def test_write_json_writes_the_json_dumps_bytes(tmp_path):
     path = tmp_path / "s.json"
     obj = {"predicted": [math.nan, -math.inf], "clusters": [{"center": [5e-324, 1e308]}]}
     cli._write_json(path, obj)

@@ -1,7 +1,7 @@
 """Time two checkouts of szegolab against each other in one process.
 
 Usage: python tools/ab_inprocess.py <old-root> <new-root> --workload W --seed S --pairs N
-       [--tiny] [--per-config]
+       [--tiny]
 
 Generates the configs of `szegobench/workloads.py` from <new-root> and
 imports the `szegolab` package of each checkout's src/ in this process,
@@ -17,13 +17,11 @@ run, the old side first in even pairs and the new side first in odd ones,
 and every timed pass is checked against the reference.
 
 Prints both median pass times, the median over the pairs of the ratio
-new / old, and the pairs the new side won, then one JSON object with the
-same figures as the last line.  With ``--per-config`` it also prints, for
-each config, both sides' median time of its `main` call, the median over
-the pairs of their ratio new / old and the pairs the new side won, and the
-JSON object gains the same figures as a ``per_config`` map keyed by config
-name: a tail percentile of `szegobench/run.py` sits in one config's block
-of run times, so a claim on it rests on that config's figures.  BLAS runs
+new / old, and the pairs the new side won, then the same figures for each
+config's `main` call, then one JSON object with all of them as the last
+line, the configs' figures as a ``per_config`` map keyed by config name: a
+tail percentile of `szegobench/run.py` sits in one config's block of run
+times, so a claim on it rests on that config's figures.  BLAS runs
 on one thread, as in `szegobench/run.py`.  Nothing in either checkout is
 modified; configs and artifacts go to a temporary directory.
 """
@@ -113,8 +111,7 @@ def _figures(old_times: list[float], new_times: list[float]) -> dict:
     }
 
 
-def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int, tiny: bool,
-            per_config: bool = False) -> int:
+def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int, tiny: bool) -> int:
     sys.dont_write_bytecode = True  # leave both checkouts as they were
     sys.path.insert(0, str(new_root / "szegobench"))
     import workloads
@@ -150,6 +147,10 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
         "configs": len(cases),
         "pairs": pairs,
         **_figures([sum(p) for p in old.passes], [sum(p) for p in new.passes]),
+        "per_config": {
+            name: _figures([p[i] for p in old.passes], [p[i] for p in new.passes])
+            for i, name in enumerate(names)
+        },
     }
     print(f"{workload} seed {seed}{' (tiny)' if tiny else ''}: {len(cases)} configs, "
           f"{pairs} pairs, old first in even pairs")
@@ -157,16 +158,11 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
     print(f"  new median pass   {result['new_ms']:10.3f} ms")
     print(f"  median new / old  {result['median_ratio']:10.4f}")
     print(f"  new faster in     {result['new_faster']}/{pairs} pairs")
-    if per_config:
-        result["per_config"] = {
-            name: _figures([p[i] for p in old.passes], [p[i] for p in new.passes])
-            for i, name in enumerate(names)
-        }
-        width = max(map(len, names))
-        print(f"  {'config':<{width}}  {'old ms':>10}  {'new ms':>10}  {'new / old':>9}  new faster")
-        for name, fig in result["per_config"].items():
-            print(f"  {name:<{width}}  {fig['old_ms']:10.4f}  {fig['new_ms']:10.4f}  "
-                  f"{fig['median_ratio']:9.4f}  {fig['new_faster']}/{pairs}")
+    width = max(map(len, names))
+    print(f"  {'config':<{width}}  {'old ms':>10}  {'new ms':>10}  {'new / old':>9}  new faster")
+    for name, fig in result["per_config"].items():
+        print(f"  {name:<{width}}  {fig['old_ms']:10.4f}  {fig['new_ms']:10.4f}  "
+              f"{fig['median_ratio']:9.4f}  {fig['new_faster']}/{pairs}")
     print(json.dumps(result))
     return 0
 
@@ -179,13 +175,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--tiny", action="store_true", help="shrink every size, as the harness self-test does")
-    parser.add_argument("--per-config", action="store_true",
-                        help="also print each config's median times, ratio and wins")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return compare(args.old_root.resolve(), args.new_root.resolve(), args.workload, args.seed,
-                   args.pairs, args.tiny, args.per_config)
+                   args.pairs, args.tiny)
 
 
 if __name__ == "__main__":

@@ -43,11 +43,13 @@ from .szego import (
     cluster_partial_limits,
     det_ratio_sequence,
     det_ratio_via_cramer,
+    eigen_dist_mean,
     eigen_mean,
     eigen_sample,
     folner_discrepancy,
     g_limit_constant,
     limit_prediction,
+    singular_dist_mean,
     singular_mean,
     stability_probe,
     strong_szego_ratio,

@@ -39,24 +39,21 @@ from .almostperiodic import (
     distinguished_sequence,
     expand_cf,
 )
-from .numkernel import singular_values
 from .operators import (
     BandAPOperator,
     CompositeOperator,
     almost_mathieu,
     as_band_operator,
-    band_ap_section,
 )
 from .symbols import TrigPolynomial, geometric_mean, sample_circle, symbol_average
 from .szego import (
     TestFunction,
     cluster_partial_limits,
     det_ratio_sequence,
-    eigen_mean,
-    eigen_sample,
+    eigen_dist_mean,
     folner_discrepancy,
     limit_prediction,
-    singular_mean,
+    singular_dist_mean,
     stability_probe,
     strong_szego_ratio,
     sweep,
@@ -621,7 +618,12 @@ def _run_strong_szego(cfg: ExperimentConfig):
 
 
 def _run_eigen_dist(cfg: ExperimentConfig):
-    """eigen-dist, and mathieu-dist over the almost Mathieu operator."""
+    """eigen-dist, and mathieu-dist over the almost Mathieu operator.
+
+    Each size is `szego.eigen_dist_mean`: the banded trace (1/n) tr p(A_n)
+    for a polynomial g without a domain, the eigenvalues of the dense
+    section for any other g.
+    """
     if cfg.predicted_override is not None:
         predicted = cfg.predicted_override
     elif cfg.symbol is not None:
@@ -632,7 +634,7 @@ def _run_eigen_dist(cfg: ExperimentConfig):
         )
     report = sweep(
         cfg.sizes,
-        lambda n: eigen_mean(eigen_sample(band_ap_section(cfg.operator, n)), cfg.g),
+        lambda n: eigen_dist_mean(cfg.operator, cfg.g, n),
         predicted,
     )
     if cfg.kind == "mathieu-dist":
@@ -641,10 +643,13 @@ def _run_eigen_dist(cfg: ExperimentConfig):
 
 
 def _run_singular_dist(cfg: ExperimentConfig):
+    """Each size is `szego.singular_dist_mean`: the banded trace
+    (1/n) tr q(A_n^H A_n) for g(x) = q(x^2) without a domain, the SVD of the
+    dense section for any other g."""
     predicted = np.mean(cfg.g.apply(np.abs(sample_circle(cfg.symbol, SYMBOL_GRID))))
     report = sweep(
         cfg.sizes,
-        lambda n: singular_mean(singular_values(band_ap_section(cfg.operator, n)), cfg.g),
+        lambda n: singular_dist_mean(cfg.operator, cfg.g, n),
         predicted,
     )
     return report, {}

@@ -1,7 +1,8 @@
 """Complex linear algebra kernel.
 
 Determinants and linear solves of banded sections, eigenvalues and singular
-values of dense complex matrices.  Every factorization for a determinant or
+values of dense complex matrices, and the singular values of real symmetric
+matrices as the moduli of their eigenvalues.  Every factorization for a determinant or
 a solve is LAPACK's partially pivoted band LU (``zgbtrf``) in O(n w^2) for
 bandwidth w: one factorization gives the successive determinant ratios up to
 its first row swap, one more per size each larger determinant, and
@@ -12,7 +13,8 @@ floating point; determinants are only ever exposed in log-magnitude/phase
 form because section determinants grow geometrically with the section size.
 
 Dense matrices are plain numpy arrays.  The eigenvalue and singular value
-kernels read them as complex128 and check them where they read them: 2-d,
+kernels read them as complex128 (float64 for the real symmetric ones, which
+also take a stack of matrices) and check them where they read them: 2-d,
 square where the operation needs it, and every entry finite.
 
 Only the band LU (behind `band_logdet`, `band_solve` and `band_lu_pivots`)
@@ -213,3 +215,19 @@ def singular_values(m) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
+
+
+def symmetric_singular_values(m) -> np.ndarray:
+    """Singular values of a real symmetric matrix, or of each matrix of a
+    stack, sorted descending along the last axis: the moduli of its
+    eigenvalues.  ``np.linalg.eigvalsh`` reads the lower triangle only, so
+    the symmetry is the caller's to establish."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"square matrices required, got shape {a.shape}")
+    if a.size and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    try:
+        return np.sort(np.abs(np.linalg.eigvalsh(a)))[..., ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc

@@ -11,8 +11,8 @@ storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
 (`flip_diagonals`) and the reversed section W_n A_n W_n
 (`reversed_diagonals`).  A constant diagonal (every diagonal of a Toeplitz
 operator) is filled from its one value, bit for bit what `eval_ap` gives,
-so no array is evaluated for it.  Dense sections scatter that storage into
-a matrix.
+so no array is evaluated for it.  `dense_section` scatters that storage
+into a matrix.
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ def _band_vectors(diagonals: Mapping[int, APFunction], size: int, start: int = 0
     return vectors
 
 
-def _dense(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
-    """The size x size matrix with entry (j + d, j) = vectors[d][j]."""
+def dense_section(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
+    """The size x size matrix with entry (j + d, j) = vectors[d][j] (diagonal
+    storage as `band_diagonals` gives it)."""
     m = np.zeros((size, size), dtype=np.complex128)
     flat = m.reshape(-1)  # a view: entry (j + d, j) is flat[j * (size + 1) + d * size]
     for d, v in vectors.items():
@@ -158,26 +159,27 @@ def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
 
 def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:
     """Finite section over indices 0..n-1."""
-    return _dense(band_diagonals(A, n), n)
+    return dense_section(band_diagonals(A, n), n)
 
 
 def flip_section(A: BandAPOperator, n: int) -> np.ndarray:
     """`flip_diagonals` as a dense matrix."""
-    return _dense(flip_diagonals(A, n), n)
+    return dense_section(flip_diagonals(A, n), n)
 
 
 def _assemble(E: CompositeOperator, size: int) -> np.ndarray:
     total = np.zeros((size, size), dtype=np.complex128)
     for prod in E.products:
-        acc = _dense(band_diagonals(prod[0], size), size)
+        acc = dense_section(band_diagonals(prod[0], size), size)
         for f in prod[1:]:
-            acc = acc @ _dense(band_diagonals(f, size), size)
+            acc = acc @ dense_section(band_diagonals(f, size), size)
         total += acc
     return total
 
 
 def composite_sections(E: CompositeOperator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product of n-sections vs n-crop of the m-truncated full product.
+    """Product of n-sections vs n-crop of the m-truncated full product, as
+    dense matrices (`szego.folner_discrepancy` forms both in band storage).
 
     For banded factors the crop is exact once m exceeds n plus the summed
     factor bandwidths; m doubles that margin and adds slack.

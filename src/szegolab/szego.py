@@ -8,6 +8,20 @@ singular value distribution means, diagonal-based limit predictions, Folner
 trace-norm discrepancies, and observational stability probes.  Every
 size-indexed quantity is swept by `sweep`: one measurement per section size
 against one predicted limit.
+
+Each quantity is read from the band storage of the sections (offset ->
+diagonal vector, `operators.band_diagonals`) where that storage determines
+it, and a dense spectrum is taken only where the quantity needs one:
+
+- the eigenvalue mean of a polynomial g without a domain is the trace
+  (1/n) tr p(A_n), from banded powers (`eigen_dist_mean`), and the singular
+  value mean of g(x) = q(x^2) is (1/n) tr q(A_n^H A_n) (`singular_dist_mean`);
+  any other g takes the eigenvalues or singular values of the dense section;
+- the Folner discrepancy takes the SVD of the trailing corner of total
+  bandwidth size only, where the two band products differ;
+- the stability probe slices every size from one assembly at the largest
+  size, and takes |eigenvalues| for singular values when both the section and
+  the flip section are exactly real symmetric.
 """
 
 from __future__ import annotations
@@ -29,9 +43,8 @@ from .operators import (
     as_band_operator,
     band_ap_section,
     band_diagonals,
-    composite_sections,
+    dense_section,
     flip_diagonals,
-    flip_section,
     reversed_diagonals,
 )
 from .symbols import TrigPolynomial, _sample_log
@@ -377,14 +390,54 @@ def singular_mean(singular_values: np.ndarray, g: TestFunction) -> float:
     return complex(np.mean(g.apply(singular_values))).real
 
 
+def eigen_dist_mean(A, g: TestFunction, n: int) -> complex:
+    """(1/n) sum_i g(lambda_i) over the eigenvalues of the n-section of A.
+
+    For a polynomial g without a domain this is the trace (1/n) tr p(A_n),
+    read off banded powers in O(n w deg g); it is exact also on non-normal
+    sections, whose computed eigenvalues are not.  On an exactly Hermitian
+    section with real coefficients the real part is reported, as the
+    eigenvalues give it.  Any other g (one with a domain, which is checked
+    against the eigenvalues, or a named function) takes the eigenvalues of
+    the dense section (`eigen_sample`, `eigen_mean`).
+    """
+    band = as_band_operator(A)
+    if g.kind != "polynomial" or g.domain is not None:
+        return eigen_mean(eigen_sample(band_ap_section(band, n)), g)
+    vectors = band_diagonals(band, n)
+    coeffs = g.x_coefficients()
+    value = _trace_mean(vectors, n, coeffs, g)
+    if not coeffs.imag.any() and _is_hermitian(vectors, n):
+        return complex(value.real)
+    return value
+
+
+def singular_dist_mean(A, g: TestFunction, n: int) -> float:
+    """(1/n) sum_i g(sigma_i) over the singular values of the n-section of A.
+
+    For g(x) = q(x^2), a polynomial in even powers without a domain, this is
+    (1/n) tr q(A_n^H A_n), from banded products in O(n w^2 deg g); for x^2
+    it is the squared moduli of the band vectors summed.  Any other g takes
+    the singular values of the dense section (`singular_mean`).
+    """
+    band = as_band_operator(A)
+    if g.kind == "polynomial" and g.domain is None and not any(p % 2 for p, _ in g.data):
+        q = g.x_coefficients()[::2]
+        vectors = band_diagonals(band, n)
+        gram = _band_matmul(_adjoint(vectors, n), vectors, n, main_only=len(q) <= 2)
+        return _trace_mean(gram, n, q, g).real
+    return singular_mean(numkernel.singular_values(band_ap_section(band, n)), g)
+
+
 # ---------------------------------------------------------------------------
-# limit predictions
+# band storage algebra: offset d -> vector v, v[j] = entry (j + d, j)
 
 
 def _band_matmul(
-    a: dict[int, np.ndarray], b: dict[int, np.ndarray], m: int
+    a: dict[int, np.ndarray], b: dict[int, np.ndarray], m: int, main_only: bool = False
 ) -> dict[int, np.ndarray]:
-    """Product of two banded matrices in diagonal storage.
+    """Product of two m x m banded matrices in diagonal storage; only its
+    main diagonal when ``main_only``.
 
     (AB)(j+d, j) = sum_{d1+d2=d} A(j+d2+d1, j+d2) B(j+d2, j); the stored
     vectors are zero outside their valid ranges, so only index bounds need
@@ -394,7 +447,7 @@ def _band_matmul(
     for d1, va in a.items():
         for d2, vb in b.items():
             d = d1 + d2
-            if not -m < d < m:
+            if not -m < d < m or (main_only and d):
                 continue
             lo = max(0, -d2)
             hi = m - max(0, d2)
@@ -405,17 +458,58 @@ def _band_matmul(
     return out
 
 
-def _poly_band_diagonal(band: BandAPOperator, m: int, coeffs: np.ndarray) -> np.ndarray:
-    """Main diagonal of p(section) using banded products; the k-th power of a
-    bandwidth-w section has bandwidth k*w, so the cost stays linear in m."""
-    base = band_diagonals(band, m)
+def _adjoint(vectors: dict[int, np.ndarray], m: int) -> dict[int, np.ndarray]:
+    """A^H of the m x m matrix A in diagonal storage: its entry (j, j + d) is
+    the conjugate of entry (j + d, j) of A, so offset -d holds v_d shifted
+    by d."""
+    out: dict[int, np.ndarray] = {}
+    for d, v in vectors.items():
+        lo, hi = max(0, -d), m - max(0, d)
+        u = out[-d] = np.zeros(m, dtype=np.complex128)
+        u[lo + d : hi + d] = np.conj(v[lo:hi])
+    return out
+
+
+def _is_hermitian(vectors: dict[int, np.ndarray], m: int) -> bool:
+    """Whether the matrix equals its adjoint entry for entry, with no
+    tolerance: entry (j + d, j) is the conjugate of entry (j, j + d)."""
+    for d, v in vectors.items():
+        lo, hi = max(0, -d), m - max(0, d)
+        w = vectors.get(-d)
+        if w is None:
+            if v[lo:hi].any():
+                return False
+        elif not (v[lo:hi] == np.conj(w[lo + d : hi + d])).all():
+            return False
+    return True
+
+
+def _poly_diagonal(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray) -> np.ndarray:
+    """Main diagonal of p(B) = sum_k coeffs[k] B^k for the m x m matrix B in
+    diagonal storage, from banded products: the k-th power of a bandwidth-w
+    matrix has bandwidth k*w, so the cost stays linear in m."""
     diag = np.full(m, coeffs[0], dtype=np.complex128)
     power = None
-    for k in range(1, len(coeffs)):
-        power = base if power is None else _band_matmul(power, base, m)
+    top = len(coeffs) - 1
+    for k in range(1, top + 1):
+        power = base if power is None else _band_matmul(power, base, m, main_only=k == top)
         if coeffs[k] != 0 and 0 in power:
             diag = diag + coeffs[k] * power[0]
     return diag
+
+
+def _trace_mean(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray, g: TestFunction) -> complex:
+    """(1/m) tr p(B), with p the polynomial of g; a trace that is not finite
+    fails naming g, as `TestFunction.apply` does for a sample."""
+    with np.errstate(all="ignore"):  # overflowing powers are caught below
+        value = complex(np.mean(_poly_diagonal(base, m, coeffs)))
+    if not cmath.isfinite(value):
+        raise ValueError(f"g={g.label} not finite on the section: (1/n) tr g = {value}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# limit predictions
 
 
 def _spectral_diagonal(section: np.ndarray, g: TestFunction) -> np.ndarray:
@@ -453,7 +547,7 @@ def limit_prediction(
             f"window {window} does not fit centrally in truncation {m}"
         )
     if g.kind == "polynomial":
-        diag = _poly_band_diagonal(band, m, g.x_coefficients())
+        diag = _poly_diagonal(band_diagonals(band, m), m, g.x_coefficients())
     else:
         diag = _spectral_diagonal(band_ap_section(band, m), g)
     start = (m - window) // 2
@@ -464,12 +558,35 @@ def limit_prediction(
 # Folner discrepancy
 
 
+def _band_product(factors: Sequence[BandAPOperator], m: int) -> dict[int, np.ndarray]:
+    """Product of the m-sections of the factors, in diagonal storage."""
+    acc = band_diagonals(factors[0], m)
+    for f in factors[1:]:
+        acc = _band_matmul(acc, band_diagonals(f, m), m)
+    return acc
+
+
 def folner_discrepancy(E: CompositeOperator, n: int) -> float:
     """Trace norm of (product of n-sections minus n-section of the product),
-    divided by n."""
-    prod, crop = composite_sections(E, n)
-    sv = numkernel.singular_values(prod - crop)
-    return float(np.sum(sv) / n)
+    divided by n.
+
+    Both are band products: the n-section of the product is the leading
+    block of the product of m-sections, m = n + total bandwidth w.  They
+    differ only on paths that leave the indices below n, which start and end
+    within w of n, so the SVD is taken of the trailing c x c corner,
+    c = min(n, w), alone (`operators.composite_sections` gives the dense
+    n x n matrices).
+    """
+    width = E.total_bandwidth
+    c = min(n, width)
+    if c == 0:  # products of multipliers: the sections multiply exactly
+        return 0.0
+    corner = np.zeros((c, c), dtype=np.complex128)
+    for factors in E.products:
+        for sign, m in ((1, n), (-1, n + width)):
+            block = {d: v[n - c : n] for d, v in _band_product(factors, m).items() if abs(d) < c}
+            corner += sign * dense_section(block, c)
+    return float(np.sum(numkernel.singular_values(corner)) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +616,33 @@ def _decays(values: Sequence[float], threshold: float) -> bool:
 def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
     """Smallest singular values of the sections and of the flipped corner.
 
-    The margin is 1e-6 of the largest singular value met at any size, so
-    this loop stays outside `sweep`.  Verdict 'stability-consistent' when
+    Both are assembled once, at the largest size; each size reads their
+    leading blocks, which are bit for bit its own sections.  When both are
+    exactly real symmetric (read off the band storage), their singular
+    values are the moduli of their eigenvalues, from one real symmetric
+    eigenvalue call per size on the pair; otherwise each block takes the
+    SVD.  The margin is 1e-6 of the largest singular value met at any size,
+    so this loop stays outside `sweep`.  Verdict 'stability-consistent' when
     both families stay above the margin across the whole range,
     'unstable-evidence' when every section is 0 or either family decays
     below a much smaller threshold, otherwise 'inconclusive'.
     """
     sizes = _validate_sizes(n_range)
     band = as_band_operator(A)
+    top = sizes[-1]
+    storage = (band_diagonals(band, top), flip_diagonals(band, top))
+    pair = np.stack([dense_section(v, top) for v in storage])
+    symmetric = all(_is_hermitian(v, top) and not any(x.imag.any() for x in v.values()) for v in storage)
+    if symmetric:
+        pair = pair.real
     section_mins, flip_mins = [], []
     norm_scale = 0.0
     for n in sizes:
-        sv_section = numkernel.singular_values(band_ap_section(band, n))
-        sv_flip = numkernel.singular_values(flip_section(band, n))
+        blocks = pair[:, :n, :n]
+        if symmetric:
+            sv_section, sv_flip = numkernel.symmetric_singular_values(blocks)
+        else:
+            sv_section, sv_flip = map(numkernel.singular_values, blocks)
         norm_scale = max(norm_scale, float(sv_section[0]), float(sv_flip[0]))
         section_mins.append(float(sv_section[-1]))
         flip_mins.append(float(sv_flip[-1]))

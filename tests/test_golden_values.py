@@ -1,0 +1,130 @@
+"""The golden artifacts of the spectral kinds against values computed
+independently from their configs: closed forms, exact fractions and mpmath
+at 30 digits.  `test_cli.test_golden_artifacts` checks that a run writes the
+golden bytes; this checks that those bytes are right, each within a stated
+multiple of the rounding unit times the norm scale of its quantity."""
+
+import json
+import sys
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from test_cli import GOLDEN_CONFIGS, GOLDEN_DIR
+
+EPS = sys.float_info.epsilon
+
+# A written value may differ from the exact one by ULPS * EPS * scale, with
+# scale the norm bound of its quantity: ||A||^deg g for a trace mean, ||A||
+# for a singular value.  Assembly rounds each entry, and a trace of powers
+# and an eigenvalue solver each add a few rounding units of the scale.
+ULPS = 8
+
+
+def _rows(name):
+    lines = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="ascii").splitlines()[1:]
+    out = []
+    for line in lines:
+        n, er, ei, pr, pi, res, flags = line.split(",")
+        out.append((int(n), complex(float(er), float(ei)), complex(float(pr), float(pi)), float(res), flags))
+    return out
+
+
+def _summary(name):
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="ascii"))
+
+
+def _close(written, exact, scale):
+    return abs(complex(written) - complex(exact)) <= ULPS * EPS * scale
+
+
+def _check_table(name, exact_values, predicted, scale):
+    """Rows: the exact value, zero imaginary part, the predicted value, and
+    the residual |value - predicted| (within the same bound); the summary's
+    final residual is the last row's."""
+    rows = _rows(name)
+    assert [r[0] for r in rows] == list(exact_values)
+    for n, value, pred, residual, _ in rows:
+        assert value.imag == 0.0, (name, n)
+        assert _close(value, exact_values[n], scale), (name, n, value, exact_values[n])
+        assert _close(pred, predicted, scale), (name, n, pred, predicted)
+        assert _close(residual, abs(exact_values[n] - predicted), scale), (name, n, residual)
+    summary = _summary(name)
+    assert summary["final_residual"] == rows[-1][3]
+    assert _close(complex(*summary["predicted"]), predicted, scale)
+    assert summary["verdict"] == "pass"
+
+
+def test_eigen_dist_toeplitz_is_the_closed_form():
+    # x^2 over z + 1/z: (1/n) tr A_n^2 = 2(n - 1)/n, exact in binary at these n
+    cfg = GOLDEN_CONFIGS["eigen-dist-toeplitz"]
+    exact = {n: Fraction(2 * (n - 1), n) for n in cfg["n_range"]}
+    _check_table("eigen-dist-toeplitz", exact, 2.0, scale=4.0)
+    assert {n: Fraction(r[1].real) for n, r in zip(exact, _rows("eigen-dist-toeplitz"))} == exact
+
+
+def test_singular_dist_is_the_exact_fraction():
+    # x^4 over T_n(1 + z): (1/n) tr (T_n^H T_n)^2 = (6n - 5)/n: 13/3, 43/8, 187/32
+    cfg = GOLDEN_CONFIGS["singular-dist"]
+    exact = {n: Fraction(6 * n - 5, n) for n in cfg["n_range"]}
+    assert list(exact.values()) == [Fraction(13, 3), Fraction(43, 8), Fraction(187, 32)]
+    _check_table("singular-dist", exact, 6.0, scale=16.0)
+    assert Fraction(_rows("singular-dist")[-1][1].real) == Fraction(187, 32)
+
+
+def _mathieu_diagonal(cfg, j):
+    alpha, lam, theta = (mpmath.mpf(cfg[k]) for k in ("alpha", "lambda", "theta"))
+    return lam * mpmath.cos(2 * mpmath.pi * (j * alpha + theta))
+
+
+@pytest.mark.parametrize("name", ["mathieu-dist", "eigen-dist-almost-mathieu"])
+def test_mathieu_x2_is_the_trace(name):
+    # (1/n) tr A_n^2 = (2(n - 1) + sum_j d_j^2)/n; the prediction is the mean
+    # of the diagonal 2 + d_j^2 of A^2 over the central window of m = 4 * 21
+    cfg = GOLDEN_CONFIGS[name]
+    params = cfg if name == "mathieu-dist" else cfg["operator"]
+    sizes = [r[0] for r in _rows(name)]
+    assert sizes == [1, 2, 3, 5, 8, 13, 21]  # Fibonacci denominators of the golden alpha
+    m = 4 * sizes[-1]
+    window = range((m - m // 2) // 2, (m - m // 2) // 2 + m // 2)
+    with mpmath.workdps(30):
+        square = {j: _mathieu_diagonal(params, j) ** 2 for j in range(m)}
+        exact = {n: complex((2 * (n - 1) + mpmath.fsum(square[j] for j in range(n))) / n) for n in sizes}
+        predicted = complex(2 + mpmath.fsum(square[j] for j in window) / len(window))
+    scale = (2 + params["lambda"]) ** 2
+    _check_table(name, exact, predicted, scale)
+
+
+def test_stability_rows_margin_and_norm_scale_are_mpmath_svd():
+    cfg = GOLDEN_CONFIGS["stability"]
+    params = dict(cfg["operator"], theta=0.0)
+
+    def singular_values(n, flip):
+        mat = mpmath.zeros(n, n)
+        for j in range(n):
+            mat[j, j] = _mathieu_diagonal(params, -1 - j if flip else j)
+            if j + 1 < n:
+                mat[j + 1, j] = mat[j, j + 1] = 1
+        return [abs(s) for s in mpmath.svd_c(mat, compute_uv=False)]
+
+    rows = _rows("stability")
+    norm_scale, mins = 0.0, []
+    with mpmath.workdps(30):
+        for n, value, _, _, flag in rows:
+            section, flip = singular_values(n, False), singular_values(n, True)
+            norm_scale = max(norm_scale, float(max(section)), float(max(flip)))
+            mins.append((n, float(min(section)), float(min(flip)), value, flag))
+    scale = 2 + params["lambda"]
+    margin = 1e-6 * norm_scale
+    summary = _summary("stability")
+    assert _close(summary["norm_scale"], norm_scale, scale)
+    assert _close(summary["margin"], margin, 1e-6 * scale)
+    for (n, section, flip, value, flag), row in zip(mins, rows):
+        assert value.imag == 0.0
+        assert _close(value, min(section, flip), scale), (n, value, min(section, flip))
+        assert flag == ("section" if section <= flip else "flip"), n
+        assert _close(row[2], margin, 1e-6 * scale) and row[3] == 0.0  # every row above the margin
+    assert min(min(s, f) for _, s, f, _, _ in mins) >= margin
+    assert summary["verdict"] == "stability-consistent"
+    assert summary["final_residual"] == 0.0 and summary["predicted"] == [summary["margin"], 0.0]

@@ -7,7 +7,9 @@ distinguished sequences, strong Szego determinant ratios, eigenvalue and
 singular value distribution means, diagonal-based limit predictions, Folner
 trace-norm discrepancies, and observational stability probes.  Every
 size-indexed quantity is swept by `sweep`: one measurement per section size
-against one predicted limit.
+against one predicted limit, and one report constructor for the residuals.
+Determinant ratios measure only the sizes past their pivot pass that way;
+the sizes within it read their ratios off the pivots at once.
 
 Each quantity is read from the band storage of the sections (offset ->
 diagonal vector, `operators.band_diagonals`) where that storage determines
@@ -26,6 +28,7 @@ it, and a dense spectrum is taken only where the quantity needs one:
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -231,18 +234,22 @@ def _validate_sizes(n_range: Sequence[int]) -> _Sizes:
     return sizes
 
 
-def sweep(
-    n_range: Sequence[int],
-    measure: Callable[[int], complex],
-    predicted: complex | None = None,
-) -> SzegoReport:
-    """The per-size loop: ``measure(n)`` at every size against one prediction.
+def _report(sizes, values, skipped, predicted) -> SzegoReport:
+    """The one constructor of a measured report: residual i is
+    |values[i] - predicted|, and without a prediction the last value serves
+    as the limit estimate."""
+    if not len(values):
+        raise EmptyReportError("all requested sections were singular")
+    values = np.asarray(values, dtype=np.complex128)
+    pred = complex(predicted) if predicted is not None else complex(values[-1])
+    with np.errstate(over="ignore"):  # an infinite residual fails the report's check
+        d = values - pred  # np.hypot rounds as abs(complex) does; np.abs may not
+        return SzegoReport(tuple(sizes), values, np.hypot(d.real, d.imag), None, pred, tuple(skipped))
 
-    A measurement raising `SkippedSize` records the size and its reason and
-    leaves no row; any other error propagates with an ``n=<size>: `` prefix.
-    Without a prediction the last value serves as the limit estimate.
-    """
-    sizes = _validate_sizes(n_range)
+
+def _measure_each(sizes: tuple[int, ...], measure: Callable[[int], complex]):
+    """``measure(n)`` at every size: (the sizes that gave a value, the
+    values, the skipped (size, reason) pairs)."""
     values: list[complex] = []
     skipped: list[tuple[int, str]] = []
     for n in sizes:
@@ -253,16 +260,26 @@ def sweep(
         except Exception as exc:  # carry the failing size with the error
             exc.args = (f"n={n}: {exc}",)
             raise
-    if not values:
-        raise EmptyReportError("all requested sections were singular")
     if skipped:
         gone = {n for n, _ in skipped}
         sizes = tuple(n for n in sizes if n not in gone)
-    values = np.array(values, dtype=np.complex128)
-    pred = complex(predicted) if predicted is not None else complex(values[-1])
-    with np.errstate(over="ignore"):  # an infinite residual fails the report's check
-        d = values - pred  # np.hypot rounds as abs(complex) does; np.abs may not
-        return SzegoReport(sizes, values, np.hypot(d.real, d.imag), None, pred, tuple(skipped))
+    return sizes, values, skipped
+
+
+def sweep(
+    n_range: Sequence[int],
+    measure: Callable[[int], complex],
+    predicted: complex | None = None,
+) -> SzegoReport:
+    """The per-size loop: ``measure(n)`` at every size against one prediction.
+
+    A measurement raising `SkippedSize` records the size and its reason and
+    leaves no row; any other error propagates with an ``n=<size>: `` prefix.
+    Without a prediction the last value serves as the limit estimate.  The
+    loop is `_measure_each` and the report comes from `_report`, which
+    `det_ratio_sequence` shares for its sizes past the pivot pass.
+    """
+    return _report(*_measure_each(_validate_sizes(n_range), measure), predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -278,27 +295,36 @@ def det_ratio_sequence(
 
     ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
     the largest size gives every ratio as a pivot, up to the pass's first
-    row swap or zero pivot (`numkernel.band_lu_pivots`).  From that size on
-    each ratio comes from the band LU of the two sections (each factored
-    once), as exp(difference of log magnitudes) times the phase ratio;
-    singular sections are skipped.  Without an explicit prediction the
-    final ratio serves as the limit estimate.
+    row swap or zero pivot (`numkernel.band_lu_pivots`), so the sizes up to
+    that ``stop`` take their ratios by one gather from the pivot array (a
+    slice when they are 1, 2, ...).
+    Only the sizes past it go through `sweep`'s per-size loop: each ratio
+    comes from the band LU of the two sections (each factored once), as
+    exp(difference of log magnitudes) times the phase ratio, and a singular
+    section is skipped.  Both parts form one report by `sweep`'s report
+    constructor; without an explicit prediction the final ratio serves as
+    the limit estimate.
     """
     sizes = _validate_sizes(n_range)
     diagonals = band_diagonals(as_band_operator(A), sizes[-1])
     pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
-    pivots = pivots.tolist()
+    in_pass = bisect.bisect_right(sizes, stop)
     logdet = functools.cache(lambda k: numkernel.band_logdet(diagonals, k))
 
     def ratio(n):
-        if n <= stop:
-            return pivots[n - 1]
         num, den = logdet(n), logdet(n - 1)
         if num.singular_flag or den.singular_flag:
             raise SkippedSize(f"singular section at {'n' if num.singular_flag else 'n-1'}")
         return cmath.exp(num.log_abs - den.log_abs) * (num.phase / den.phase)
 
-    return sweep(sizes, ratio, predicted)
+    kept, measured, skipped = _measure_each(sizes[in_pass:], ratio)
+    if in_pass and sizes[in_pass - 1] == in_pass:  # sizes 1, 2, ..., in_pass
+        values = pivots[:in_pass]
+    else:
+        values = pivots[np.array(sizes[:in_pass], dtype=np.intp) - 1]
+    if measured:
+        values = np.concatenate((values, np.array(measured, dtype=np.complex128)))
+    return _report(sizes[:in_pass] + kept, values, skipped, predicted)
 
 
 def _corner_of_inverse(diagonals: dict[int, np.ndarray], n: int) -> complex:
@@ -537,7 +563,8 @@ def limit_prediction(
     calculus on Hermitian input), and averages the main diagonal over a
     central window (default m // 2), discarding boundary effects.  For a
     Toeplitz operator the circle average `symbols.symbol_average` of g over
-    its symbol is the same limit.
+    its symbol is the same limit.  A prediction that is not finite fails
+    naming g and m, as `_trace_mean` does for a size.
     """
     band = as_band_operator(A)
     if window is None:
@@ -546,12 +573,16 @@ def limit_prediction(
         raise WindowError(
             f"window {window} does not fit centrally in truncation {m}"
         )
-    if g.kind == "polynomial":
-        diag = _poly_diagonal(band_diagonals(band, m), m, g.x_coefficients())
-    else:
-        diag = _spectral_diagonal(band_ap_section(band, m), g)
     start = (m - window) // 2
-    return complex(np.mean(diag[start : start + window]))
+    with np.errstate(all="ignore"):  # overflowing powers are caught below
+        if g.kind == "polynomial":
+            diag = _poly_diagonal(band_diagonals(band, m), m, g.x_coefficients())
+        else:
+            diag = _spectral_diagonal(band_ap_section(band, m), g)
+        value = complex(np.mean(diag[start : start + window]))
+    if not cmath.isfinite(value):
+        raise ValueError(f"prediction: g={g.label} not finite on the m={m} section")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -681,29 +712,50 @@ def cluster_partial_limits(values: Sequence[complex], gap: float = 1e-6) -> tupl
     otherwise.  A center more than 2 gap to the left of a value that opens a
     group is out of reach of every later value, so its group leaves the
     scan.  Groups are returned ordered by center.
+
+    The order makes repeated values adjacent, and a converged sequence is
+    mostly repeats.  A value equal to the one before it joins that value's
+    group without a search when the group provably still wins: the moved
+    center is no farther from it than the distance the last search found
+    (``gap`` when the value opened the group), while every other group in
+    reach is as far as before, and earlier groups, which win ties, farther.
+    Otherwise it is searched as any value.  A group keeps a running total
+    summed in visiting order, so its center has the bits of sum(group) / count,
+    and its radius is taken over its distinct members.
     """
     z = np.asarray(values, dtype=np.complex128)
     pts = z[np.lexsort((z.imag, z.real))].tolist()  # stable, as sorted() is
-    groups: list[list[complex]] = []
+    members: list[list[complex]] = []  # distinct members of each group, in order
+    counts: list[int] = []
     centers: list[complex] = []
     totals: list[complex] = []  # running sum(group), started from 0 as sum() is
     active: list[int] = []  # groups in reach, in creation order
     reach = math.nextafter(gap, math.inf)  # dist < reach: dist <= gap
+    prev, last, bound = None, -1, gap  # the previous value, its group, the guard
     for v in pts:
-        best, best_dist = -1, reach
-        for i in active:
-            dist = abs(v - centers[i])
-            if dist < best_dist:  # strict: the first of equally near groups wins
-                best, best_dist = i, dist
-        if best >= 0:
-            groups[best].append(v)
-            totals[best] += v
-            centers[best] = totals[best] / len(groups[best])
-            continue
-        active = [i for i in active if v.real - centers[i].real <= 2 * gap]
-        active.append(len(groups))
-        groups.append([v])
-        centers.append(v)
-        totals.append(0 + v)
-    out = (Cluster(c, max(abs(v - c) for v in grp), len(grp)) for grp, c in zip(groups, centers))
+        if not (v == prev and abs(v - centers[last]) <= bound):
+            prev = v
+            best, best_dist = -1, reach
+            for i in active:
+                dist = abs(v - centers[i])
+                if dist < best_dist:  # strict: the first of equally near groups wins
+                    best, best_dist = i, dist
+            if best < 0:
+                active = [i for i in active if v.real - centers[i].real <= 2 * gap]
+                last, bound = len(members), gap
+                active.append(last)
+                members.append([v])
+                counts.append(1)
+                centers.append(v)
+                totals.append(0 + v)
+                continue
+            last, bound = best, best_dist
+            if v != members[best][-1]:
+                members[best].append(v)
+        counts[last] += 1
+        totals[last] += v
+        centers[last] = totals[last] / counts[last]
+    out = (
+        Cluster(c, max(abs(v - c) for v in grp), k) for grp, c, k in zip(members, centers, counts)
+    )
     return tuple(sorted(out, key=lambda c: (c.center.real, c.center.imag)))

@@ -36,6 +36,18 @@ def test_repository_against_itself():
         assert f"  {name} " in proc.stdout
     # the configs' medians add up to about the median pass
     assert sum(fig["old_ms"] for fig in per_config.values()) > 0.5 * result["old_ms"]
+    # every run of every timed pass, pooled: det-sweep's tail is p80
+    pooled = result["pooled"]
+    assert sorted(pooled) == sorted([
+        "runs", "percentile", "old_p50_ms", "new_p50_ms", "p50_ratio",
+        "old_tail_ms", "new_tail_ms", "tail_ratio",
+    ])
+    assert (pooled["runs"], pooled["percentile"]) == (14, 80)
+    for side in ("old", "new"):
+        assert 0 < pooled[f"{side}_p50_ms"] <= pooled[f"{side}_tail_ms"]
+    assert pooled["p50_ratio"] > 0 and pooled["tail_ratio"] > 0
+    assert "pooled runs, 14 a side" in proc.stdout
+    assert " p50 " in proc.stdout and " p80 " in proc.stdout
 
 
 def test_refuses_to_time_checkouts_whose_artifacts_differ(tmp_path):

@@ -917,16 +917,25 @@ EDGE_FLOATS = st.sampled_from(
 )
 FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
 COMPLEX = st.builds(complex, FLOATS, FLOATS)
+# a small pool, so that a long report holds both zeros and long runs of one
+# ordinary value in one column, as a converged sweep does
+POOL = st.sampled_from([0.0, -0.0, 5e-324, 1.8660254037844386])
+RUNS = st.lists(st.tuples(st.builds(complex, POOL, POOL), st.integers(1, 40)), min_size=1, max_size=8)
+LONG = RUNS.map(lambda runs: [v for v, k in runs for _ in range(k)][:96])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    values=st.lists(COMPLEX, min_size=1, max_size=6),
+    values=st.one_of(st.lists(COMPLEX, min_size=1, max_size=6), LONG),
     predicted=COMPLEX,
     flags=st.lists(st.sampled_from(["", "section", "flip"]), min_size=6, max_size=6),
 )
+@example(values=[0j] * 30 + [complex(1.8660254037844386, -0.0)] * 40, predicted=1.5 + 0j, flags=[""] * 6)
+@example(values=[complex(-0.0, 0.0)] * 35 + [0j] * 35 + [complex(0.0, -0.0)] * 10, predicted=0j, flags=["flip"] * 6)
+@example(values=[complex(-0.0, 0.0), 0j] * 40, predicted=0j, flags=["", "section"] * 3)  # no runs
 def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predicted, flags):
     sizes = range(1, len(values) + 1)
+    flags = list(itertools.islice(itertools.cycle(flags), len(values)))
     expected = [_abs_or_inf(v - predicted) for v in values]
     if not all(math.isfinite(r) for r in expected):
         with pytest.raises(ValueError, match="residuals must be finite"):
@@ -935,7 +944,7 @@ def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predict
     report = sweep(sizes, lambda n: values[n - 1], predicted)
     assert [r.hex() for r in report.residuals.tolist()] == [r.hex() for r in expected]
     path = tmp_path_factory.getbasetemp() / "rows.csv"
-    for row_flags in (None, tuple(flags[: len(values)])):
+    for row_flags in (None, tuple(flags)):
         emit_report(dataclasses.replace(report, flags=row_flags), path)
         lines = [CSV_HEADER] + [
             _row_oracle(n, v, predicted, r, row_flags[n - 1] if row_flags else "")

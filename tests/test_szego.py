@@ -636,10 +636,47 @@ def test_cluster_partial_limits_matches_quadratic_reference(seed):
     # real limits with -0.0 imaginary parts, and the interleaved 1 +- i pair
     values += [complex(x, -0.0) for x in (-0.0, 0.0, 2.5, 2.5 + 1e-9, -1e-9)]
     values += [1 + 1j, 1 + 1e-9 - 1j, 1 + 2e-9 + 1j, 1 + 3e-9 - 1j]
+    # long runs of bit-identical values, as a converged ratio sweep gives:
+    # noise-free picks of the limits, one real limit with both signs of a
+    # zero imaginary part, a run exactly gap above the center its first
+    # value meets, and the 400 ratios of 2 + cos t
+    values += list(limits[rng.integers(0, 4, 200)])
+    x = limits[0].real
+    values += [complex(x, 0.0), complex(x, -0.0), complex(x, -0.0)] * 20
+    values += [complex(-0.0, -0.0), complex(0.0, 0.0), complex(-0.0, 0.0)] * 10
+    values += [complex(-30.0, 0.0)] + [complex(-30.0, 1e-6)] * 25
+    values += det_ratio_sequence(TWO_PLUS_COS, range(1, 401)).values.tolist()
     rng.shuffle(values)
     got = cluster_partial_limits(values)
     assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values))
     assert sum(c.count for c in got) == len(values)
+
+
+def test_cluster_partial_limits_of_nothing_is_empty():
+    assert cluster_partial_limits([]) == ()
+    assert cluster_partial_limits(np.zeros(0, dtype=np.complex128)) == ()
+
+
+@pytest.mark.parametrize(
+    "base, gap_ulps, picks",
+    [
+        # (real, imag) offsets in ulps of base, each repeated the given times
+        (1.0, 1, [(-6, 0, 2), (4, 1, 1), (-6, 1, 6)]),
+        (0.7, 2, [(-3, 1, 5), (-5, 2, 1), (6, 1, 3), (2, -1, 3), (-2, 0, 5)]),
+        (1e-300, 3, [(4, 0, 2), (-5, 0, 4), (0, 2, 4), (-4, 2, 6), (-2, 1, 6), (1, -1, 2)]),
+        # the repeat's group was found at less than gap, and rounding moves
+        # its center farther from the repeat than another group in reach
+        (3.0, 1, [(2, 0, 3), (5, 0, 1), (3, 0, 5), (2, -1, 3), (3, 2, 3)]),
+        (0.7, 2, [(1, 0, 5), (-1, -1, 6), (0, 1, 6), (-1, 0, 6), (6, 0, 4), (5, -1, 1)]),
+    ],
+)
+def test_cluster_partial_limits_repeats_on_an_ulp_gap_match_reference(base, gap_ulps, picks):
+    # on a gap of a few ulps, rounding can move a center away from the value
+    # repeated into it, so a repeat must not join its group unchecked
+    ulp = math.ulp(base)
+    values = [complex(base + re * ulp, im * ulp) for re, im, k in picks for _ in range(k)]
+    got = cluster_partial_limits(values, gap_ulps * ulp)
+    assert _cluster_bits(got) == _cluster_bits(_cluster_quadratic(values, gap_ulps * ulp))
 
 
 def test_cluster_partial_limits_converging_sequence_matches_reference():

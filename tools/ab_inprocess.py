@@ -18,11 +18,15 @@ and every timed pass is checked against the reference.
 
 Prints both median pass times, the median over the pairs of the ratio
 new / old, and the pairs the new side won, then the same figures for each
-config's `main` call, then one JSON object with all of them as the last
-line, the configs' figures as a ``per_config`` map keyed by config name: a
-tail percentile of `szegobench/run.py` sits in one config's block of run
-times, so a claim on it rests on that config's figures.  BLAS runs
-on one thread, as in `szegobench/run.py`.  Nothing in either checkout is
+config's `main` call, then the percentiles a run-time claim is judged on:
+each side's `main` times pooled over all its timed passes, their median and
+the workload's tail percentile (read from the ``TAIL`` table of
+`szegobench/run.py`), with the ratio new / old of each.  The last line is
+one JSON object with all of them, the configs' figures as a ``per_config``
+map keyed by config name (a tail percentile of `szegobench/run.py` sits in
+one config's block of run times, so a claim on it rests on that config's
+figures) and the pooled percentiles as a ``pooled`` map.  BLAS runs on one
+thread, as in `szegobench/run.py`.  Nothing in either checkout is
 modified; configs and artifacts go to a temporary directory.
 """
 
@@ -111,9 +115,20 @@ def _figures(old_times: list[float], new_times: list[float]) -> dict:
     }
 
 
+def _pooled(old_runs: list[float], new_runs: list[float], percentile: int, tail_of) -> dict:
+    """The median and the tail percentile (by the harness's ``tail_of``) of
+    each side's pooled run times in ms, with the ratio new / old of each."""
+    out = {"runs": len(old_runs), "percentile": percentile}
+    for key, stat in (("p50", statistics.median), ("tail", lambda x: tail_of(x, percentile)[0])):
+        old, new = stat(old_runs), stat(new_runs)
+        out.update({f"old_{key}_ms": 1e3 * old, f"new_{key}_ms": 1e3 * new, f"{key}_ratio": new / old})
+    return out
+
+
 def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int, tiny: bool) -> int:
     sys.dont_write_bytecode = True  # leave both checkouts as they were
     sys.path.insert(0, str(new_root / "szegobench"))
+    import run as harness
     import workloads
 
     cases = workloads.generate(workload, seed, tiny)
@@ -151,6 +166,8 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
             name: _figures([p[i] for p in old.passes], [p[i] for p in new.passes])
             for i, name in enumerate(names)
         },
+        "pooled": _pooled([x for p in old.passes for x in p], [x for p in new.passes for x in p],
+                          harness.TAIL[workload][0], harness.tail_of),
     }
     print(f"{workload} seed {seed}{' (tiny)' if tiny else ''}: {len(cases)} configs, "
           f"{pairs} pairs, old first in even pairs")
@@ -163,6 +180,13 @@ def compare(old_root: Path, new_root: Path, workload: str, seed: int, pairs: int
     for name, fig in result["per_config"].items():
         print(f"  {name:<{width}}  {fig['old_ms']:10.4f}  {fig['new_ms']:10.4f}  "
               f"{fig['median_ratio']:9.4f}  {fig['new_faster']}/{pairs}")
+    pooled = result["pooled"]
+    label = f"pooled runs, {pooled['runs']} a side"
+    width = max(width, len(label))
+    print(f"  {label:<{width}}  {'old ms':>10}  {'new ms':>10}  {'new / old':>9}")
+    for key, label in (("p50", "p50"), ("tail", f"p{pooled['percentile']}")):
+        print(f"  {label:>{width}}  {pooled[f'old_{key}_ms']:10.4f}  {pooled[f'new_{key}_ms']:10.4f}  "
+              f"{pooled[f'{key}_ratio']:9.4f}")
     print(json.dumps(result))
     return 0
 

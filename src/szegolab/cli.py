@@ -6,12 +6,13 @@ endings, and no randomness anywhere in the pipeline, so identical configs
 produce byte-identical artifacts.  Artifacts are written as ASCII bytes: a
 report's CSV table by one ``%`` operation over a row template, and a JSON
 summary by a direct writer that reproduces ``json.dumps(obj,
-sort_keys=True, indent=2)`` byte for byte.  A long report whose rows mostly
-repeat the row before them, as a converged sweep's do, formats each
-distinct float once, keyed by its bits.  A config is read as bytes,
-decoded once as UTF-8 (line endings read as text mode reads them); the
-output directory is created only when it is missing, and an artifact path
-that is a directory fails the run before anything is computed.
+sort_keys=True, indent=2)`` byte for byte.  A long report formats each
+distinct row once, keyed by the bits of its floats, so a converged sweep
+pays for its handful of distinct values, not for its rows.  A config is
+read as bytes, decoded once as UTF-8 (line endings read as text mode reads
+them); the output directory is created only when it is missing, and an
+artifact path that is a directory fails the run before anything is
+computed.
 
 Exit codes: 0 ok, 1 numeric or output failure, 2 config failure.
 """
@@ -110,34 +111,23 @@ def _write_bytes(path, data: bytes) -> None:
         raise OutputError(exc, path) from exc
 
 
-# Reports of at least this many rows look for repeated rows; below it the
-# numpy calls that find them cost more than the formatting they save.
+# Reports of at least this many rows format each distinct row once; below it
+# the numpy calls that find the distinct rows cost more than they save.
 REPEAT_ROWS = 64
 
 
-def _float_texts(report, pred: str) -> list[str] | None:
-    """The text ``re,im,<pred>,residual`` of every row of a report, or None
-    when fewer than half of its rows repeat the row before them.
+def _row_texts(report, pred: str) -> list[str]:
+    """The text ``re,im,<pred>,residual`` of every row of a report, each
+    distinct row formatted once.
 
-    A converged sweep repeats a handful of values over most of its rows.  A
-    row whose three floats equal the row before it bit for bit reuses that
-    row's text, and each distinct float64 of the others is formatted once,
-    keyed by its bits, so 0.0 and -0.0 (and NaN payloads) keep their own
-    text.
+    A converged sweep repeats a handful of rows, in runs or in cycles.  Rows
+    are keyed by the bits of their three floats, so 0.0 and -0.0 (and NaN
+    payloads) keep their own text.
     """
-    floats = np.stack((report.values.real, report.values.imag, report.residuals))
-    bits = floats.view(np.uint64)
-    starts = np.flatnonzero(np.concatenate(([True], (bits[:, 1:] != bits[:, :-1]).any(axis=0))))
-    runs = len(starts)
-    if 2 * runs > len(report.sizes):
-        return None
-    texts: dict[int, str] = {}
-    cells = [
-        texts[b] if b in texts else texts.setdefault(b, "%.17g" % x)
-        for b, x in zip(bits[:, starts].ravel().tolist(), floats[:, starts].ravel().tolist())
-    ]
-    rows = map(("%s,%s," + pred + ",%s").__mod__, zip(cells[:runs], cells[runs : 2 * runs], cells[2 * runs :]))
-    return np.repeat(np.array(list(rows), dtype=object), np.diff(starts, append=bits.shape[1])).tolist()
+    floats = np.stack((report.values.real, report.values.imag, report.residuals), axis=1)
+    keys, inverse = np.unique(floats.view(np.dtype((np.void, 24))).ravel(), return_inverse=True)
+    texts = (("%.17g,%.17g," + pred + ",%.17g\n") * len(keys)) % tuple(keys.view(np.float64).tolist())
+    return np.array(texts.split(), dtype=object)[inverse].tolist()
 
 
 def emit_report(report, path) -> None:
@@ -145,15 +135,14 @@ def emit_report(report, path) -> None:
 
     Bit-stable output; a failed write raises OutputError.  The table is one
     ``%`` operation over a row template with the predicted pair inlined.  A
-    report of `REPEAT_ROWS` rows or more whose rows mostly repeat the row
-    before them fills the template with the text of each row's float part,
-    formatted once per distinct float64, keyed by its bits (`_float_texts`);
-    any other report fills it from the flat list of cells, five per row.
+    report of fewer than `REPEAT_ROWS` rows fills it from the flat list of
+    cells, five per row; a longer one fills it with the text of each row's
+    float part, formatted once per distinct row, keyed by its bits
+    (`_row_texts`).
     """
     count = len(report.sizes)
     pred = "%.17g,%.17g" % (report.predicted.real, report.predicted.imag)
-    texts = _float_texts(report, pred) if count >= REPEAT_ROWS else None
-    if texts is None:
+    if count < REPEAT_ROWS:
         row, width = "%d,%.17g,%.17g," + pred + ",%.17g,%s\n", 5
         cells = [""] * (width * count)
         cells[1::5] = report.values.real.tolist()
@@ -162,7 +151,7 @@ def emit_report(report, path) -> None:
     else:
         row, width = "%d,%s,%s\n", 3
         cells = [""] * (width * count)
-        cells[1::3] = texts
+        cells[1::3] = _row_texts(report, pred)
     cells[0::width] = report.sizes
     if report.flags:
         cells[width - 1 :: width] = report.flags

@@ -296,8 +296,7 @@ def det_ratio_sequence(
     ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
     the largest size gives every ratio as a pivot, up to the pass's first
     row swap or zero pivot (`numkernel.band_lu_pivots`), so the sizes up to
-    that ``stop`` take their ratios by one gather from the pivot array (a
-    slice when they are 1, 2, ...).
+    that ``stop`` take their ratios by one gather from the pivot array.
     Only the sizes past it go through `sweep`'s per-size loop: each ratio
     comes from the band LU of the two sections (each factored once), as
     exp(difference of log magnitudes) times the phase ratio, and a singular
@@ -318,12 +317,9 @@ def det_ratio_sequence(
         return cmath.exp(num.log_abs - den.log_abs) * (num.phase / den.phase)
 
     kept, measured, skipped = _measure_each(sizes[in_pass:], ratio)
-    if in_pass and sizes[in_pass - 1] == in_pass:  # sizes 1, 2, ..., in_pass
-        values = pivots[:in_pass]
-    else:
-        values = pivots[np.array(sizes[:in_pass], dtype=np.intp) - 1]
+    values = pivots[np.array(sizes[:in_pass], dtype=np.intp) - 1]
     if measured:
-        values = np.concatenate((values, np.array(measured, dtype=np.complex128)))
+        values = np.concatenate((values, measured))
     return _report(sizes[:in_pass] + kept, values, skipped, predicted)
 
 

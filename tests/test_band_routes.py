@@ -4,10 +4,7 @@ trace against the SVD, the Folner corner against the full difference, and
 the stability probe's |eigenvalues| and sliced blocks against per-size SVDs."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -175,23 +172,17 @@ def test_overflowing_trace_fails_its_size_naming_g(tmp_path, capsys):
     assert err.startswith("numeric failure: n=4: ") and "g=x^256" in err
 
 
-def test_overflowing_prediction_fails_naming_g_on_one_stderr_line(tmp_path):
+def test_overflowing_prediction_fails_naming_g_on_one_stderr_line(tmp_path, capsys):
     # as above without a pinned value: the prediction's powers overflow first,
     # silently, and the run fails before any size is measured
     big = [{"freq": 0.0, "re": 1e3, "im": 0.0}]
     cfg = {"experiment": "eigen-dist", "g": {"kind": "power", "k": 256}, "n_range": [4, 8],
-           "operator": {"kind": "band-ap", "diagonals": {"0": big, "1": big, "-1": big}},
-           "output": str(tmp_path / "out")}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "szegolab.cli", "run", str(path)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=120, check=False,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == "numeric failure: prediction: g=x^256 not finite on the m=32 section\n"
+           "operator": {"kind": "band-ap", "diagonals": {"0": big, "1": big, "-1": big}}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, cfg) == 1
+    assert caught == []
+    assert capsys.readouterr().err == "numeric failure: prediction: g=x^256 not finite on the m=32 section\n"
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -924,16 +924,9 @@ RUNS = st.lists(st.tuples(st.builds(complex, POOL, POOL), st.integers(1, 40)), m
 LONG = RUNS.map(lambda runs: [v for v, k in runs for _ in range(k)][:96])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    values=st.one_of(st.lists(COMPLEX, min_size=1, max_size=6), LONG),
-    predicted=COMPLEX,
-    flags=st.lists(st.sampled_from(["", "section", "flip"]), min_size=6, max_size=6),
-)
-@example(values=[0j] * 30 + [complex(1.8660254037844386, -0.0)] * 40, predicted=1.5 + 0j, flags=[""] * 6)
-@example(values=[complex(-0.0, 0.0)] * 35 + [0j] * 35 + [complex(0.0, -0.0)] * 10, predicted=0j, flags=["flip"] * 6)
-@example(values=[complex(-0.0, 0.0), 0j] * 40, predicted=0j, flags=["", "section"] * 3)  # no runs
-def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predicted, flags):
+def _check_report_rows(path, values, predicted, flags):
+    """Both the unflagged and the flagged report of ``values`` match the
+    per-row oracle byte for byte."""
     sizes = range(1, len(values) + 1)
     flags = list(itertools.islice(itertools.cycle(flags), len(values)))
     expected = [_abs_or_inf(v - predicted) for v in values]
@@ -943,7 +936,6 @@ def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predict
         return
     report = sweep(sizes, lambda n: values[n - 1], predicted)
     assert [r.hex() for r in report.residuals.tolist()] == [r.hex() for r in expected]
-    path = tmp_path_factory.getbasetemp() / "rows.csv"
     for row_flags in (None, tuple(flags)):
         emit_report(dataclasses.replace(report, flags=row_flags), path)
         lines = [CSV_HEADER] + [
@@ -951,6 +943,26 @@ def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predict
             for n, v, r in zip(sizes, values, expected)
         ]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+FLAGS = st.lists(st.sampled_from(["", "section", "flip"]), min_size=6, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(COMPLEX, min_size=1, max_size=6), predicted=COMPLEX, flags=FLAGS)
+def test_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predicted, flags):
+    _check_report_rows(tmp_path_factory.getbasetemp() / "rows.csv", values, predicted, flags)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.one_of(LONG, st.lists(COMPLEX, min_size=64, max_size=80)), predicted=COMPLEX, flags=FLAGS)
+@example(values=[0j] * 30 + [complex(1.8660254037844386, -0.0)] * 40, predicted=1.5 + 0j, flags=[""] * 6)
+@example(values=[complex(-0.0, 0.0)] * 35 + [0j] * 35 + [complex(0.0, -0.0)] * 10, predicted=0j, flags=["flip"] * 6)
+@example(values=[complex(-0.0, 0.0), 0j] * 40, predicted=0j, flags=["", "section"] * 3)  # a cycle, no runs
+def test_long_report_row_bytes_match_per_row_oracle(tmp_path_factory, values, predicted, flags):
+    # reports of up to 96 rows, drawn as runs from a small pool or from the
+    # edge floats: from REPEAT_ROWS rows on each distinct row is formatted once
+    _check_report_rows(tmp_path_factory.getbasetemp() / "long-rows.csv", values, predicted, flags)
 
 
 JSON_SCALARS = st.one_of(

@@ -111,8 +111,9 @@ def _write_bytes(path, data: bytes) -> None:
         raise OutputError(exc, path) from exc
 
 
-# Reports of at least this many rows format each distinct row once; below it
-# the numpy calls that find the distinct rows cost more than they save.
+# Reports of at least this many rows format each distinct row once.  Short
+# reports, whose rows are mostly distinct, would pay more for finding the
+# distinct rows than they save.
 REPEAT_ROWS = 64
 
 

@@ -1,12 +1,14 @@
-"""Complex linear algebra kernel.
+"""Linear algebra kernel: band LU in real or complex arithmetic, dense spectra.
 
 Determinants and linear solves of banded sections, eigenvalues and singular
 values of dense complex matrices, and the singular values of real symmetric
 matrices as the moduli of their eigenvalues.  Every factorization for a determinant or
-a solve is LAPACK's partially pivoted band LU (``zgbtrf``) in O(n w^2) for
-bandwidth w: one factorization gives the successive determinant ratios up to
+a solve is LAPACK's partially pivoted band LU in O(n w^2) for bandwidth w,
+``dgbtrf`` on real band storage (a real operator) and ``zgbtrf`` on
+complex: one factorization gives the successive determinant ratios up to
 its first row swap, one more per size each larger determinant, and
-``zgbtrs`` on the same factor solves for one right-hand side.  Everything
+``zgbtrs`` on the same factor solves for one right-hand side.  Pivots and
+phases are complex on both routes.  Everything
 downstream (section determinants, limit constants, spectral distribution
 means, stability probes) sits on these operations.  All arithmetic is 64-bit
 floating point; determinants are only ever exposed in log-magnitude/phase
@@ -106,9 +108,12 @@ def _linalg():
 
 def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
     """LogDet of a pivoted LU factorization from the diagonal of U and the
-    0-based row interchanges; a pivot below PIVOT_UNDERFLOW is singular."""
+    0-based row interchanges; a pivot below PIVOT_UNDERFLOW (or NaN) is singular.
+    The phase of a real factor is formed in complex arithmetic too, signed
+    zeros included."""
+    diag = diag.astype(np.complex128)
     absd = np.abs(diag)
-    if float(absd.min()) < PIVOT_UNDERFLOW:
+    if not float(absd.min()) >= PIVOT_UNDERFLOW:  # also NaN
         return LogDet(-math.inf, 0j, True)
     log_abs = float(np.sum(np.log(absd)))
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
@@ -117,19 +122,23 @@ def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
 
 
 def _band_lu(diagonals: Mapping[int, np.ndarray], n: int):
-    """LAPACK's partially pivoted band LU (``zgbtrf``) of the leading n x n
-    section: (lu, ipiv, p, q) for p sub- and q superdiagonals, with the
-    diagonal of U in row p + q of ``lu`` and 0-based row interchanges."""
+    """LAPACK's partially pivoted band LU of the leading n x n section, in
+    the arithmetic of the vectors: ``dgbtrf`` when every one is real,
+    ``zgbtrf`` otherwise.  Returns (lu, ipiv, p, q) for p sub- and q
+    superdiagonals, with the diagonal of U in row p + q of ``lu`` and
+    0-based row interchanges."""
     p = max(0, max(diagonals, default=0))
     q = max(0, -min(diagonals, default=0))
     # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take
-    # fill.  zgbtrf never reads the slots j+d >= n outside the section.
-    ab = np.zeros((2 * p + q + 1, n), dtype=np.complex128, order="F")
+    # fill.  xGBTRF never reads the slots j+d >= n outside the section.
+    dtype = np.result_type(np.float64, *diagonals.values())  # float64 unless a vector is complex
+    ab = np.zeros((2 * p + q + 1, n), dtype=dtype, order="F")
     for d, v in diagonals.items():
         ab[p + q + d] = v[:n]
-    lu, ipiv, info = _linalg().lapack.zgbtrf(ab, p, q, overwrite_ab=True)
+    prefix = "d" if dtype == np.float64 else "z"
+    lu, ipiv, info = getattr(_linalg().lapack, prefix + "gbtrf")(ab, p, q, overwrite_ab=True)
     if info < 0:
-        raise ValueError(f"zgbtrf rejected argument {-info}")
+        raise ValueError(f"{prefix}gbtrf rejected argument {-info}")
     return lu, ipiv, p, q
 
 
@@ -146,7 +155,8 @@ def band_logdet(diagonals: Mapping[int, np.ndarray], n: int) -> LogDet:
 
 def band_solve(diagonals: Mapping[int, np.ndarray], n: int, rhs) -> np.ndarray:
     """Solve A x = rhs for the leading n x n section A of a band matrix
-    (``diagonals`` as in `band_logdet`) by its band LU (``zgbtrs``)."""
+    (``diagonals`` as in `band_logdet`) by its band LU (``zgbtrs``, on a
+    real factor cast to complex)."""
     b = np.asarray(rhs, dtype=np.complex128)
     if b.shape != (n,):
         raise DimensionError(f"rhs length {b.shape} does not match matrix order {n}")
@@ -154,9 +164,9 @@ def band_solve(diagonals: Mapping[int, np.ndarray], n: int, rhs) -> np.ndarray:
         return b.copy()
     lu, ipiv, p, q = _band_lu(diagonals, n)
     smallest = float(np.abs(lu[p + q]).min())
-    if smallest < PIVOT_UNDERFLOW:
+    if not smallest >= PIVOT_UNDERFLOW:  # also NaN
         raise SingularMatrixError("matrix is numerically singular", smallest)
-    x, info = _linalg().lapack.zgbtrs(lu, p, q, b, ipiv)
+    x, info = _linalg().lapack.zgbtrs(lu.astype(np.complex128), p, q, b, ipiv)
     if info < 0:
         raise ValueError(f"zgbtrs rejected argument {-info}")
     return x
@@ -171,11 +181,13 @@ def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndar
     determinant ratio.
 
     Returns (pivots, stop): ``stop`` is the first row swap of LAPACK's
-    partially pivoted band LU (``zgbtrf``) or its first pivot below
+    partially pivoted band LU (`_band_lu`) or its first pivot below
     PIVOT_UNDERFLOW (or NaN), n when neither occurs, and ``pivots`` holds the
-    ``stop`` pivots before it.  Up to its first swap that factorization is
-    the one without swaps, with |multiplier| <= sqrt(2): partial pivoting
-    keeps cabs1(pivot) = |Re| + |Im| >= cabs1 of every entry below.
+    ``stop`` pivots before it, complex128 on either route.  Up to its first
+    swap that factorization is the one without swaps.  Its multipliers are
+    at most 1 in modulus on the real route (``dgbtrf`` keeps |pivot| >=
+    every entry below) and at most sqrt(2) on the complex one (``zgbtrf``
+    keeps cabs1(pivot) = |Re| + |Im| >= cabs1 of every entry below).
     """
     lu, ipiv, p, q = _band_lu(diagonals, n)
     diag = lu[p + q]
@@ -184,7 +196,7 @@ def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndar
     failed = np.flatnonzero(~(np.abs(diag[:stop]) >= PIVOT_UNDERFLOW))  # also NaN
     if failed.size:
         stop = int(failed[0])
-    return diag[:stop].copy(), stop
+    return diag[:stop].astype(np.complex128), stop
 
 
 def eigvals_hermitian(m) -> np.ndarray:

@@ -11,8 +11,9 @@ storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
 (`flip_diagonals`) and the reversed section W_n A_n W_n
 (`reversed_diagonals`).  A constant diagonal (every diagonal of a Toeplitz
 operator) is filled from its one value, bit for bit what `eval_ap` gives,
-so no array is evaluated for it.  `dense_section` scatters that storage
-into a matrix.
+so no array is evaluated for it; when every diagonal is a real constant
+the storage is float64, which the band LU factors in real arithmetic.
+`dense_section` scatters that storage into a matrix.
 """
 
 from __future__ import annotations
@@ -99,18 +100,22 @@ def _band_vectors(diagonals: Mapping[int, APFunction], size: int, start: int = 0
     """A size x size section in diagonal storage: offset d -> vector v with
     v[j] = entry (j + d, j) = diagonals[d](start + step * j) on the valid
     column range and 0 outside it.  A constant diagonal is filled from its
-    one value, bit for bit what `eval_ap` gives, without evaluating it."""
+    one value, bit for bit what `eval_ap` gives, without evaluating it.
+    When every diagonal is a real constant (the Toeplitz operator of a real
+    symbol) the vectors are float64, else complex128."""
     if size < 1:
         raise ValueError("section size must be >= 1")
+    terms = [f.terms for f in diagonals.values()]
+    real = all(len(t) == 1 and t[0][0] == 0.0 and t[0][1].imag == 0 for t in terms)
     vectors: dict[int, np.ndarray] = {}
     for d, f in diagonals.items():
         if abs(d) < size:
             lo, hi = max(0, -d), size - max(0, d)
-            v = vectors[d] = np.zeros(size, dtype=np.complex128)
+            v = vectors[d] = np.zeros(size, dtype=np.float64 if real else np.complex128)
             if len(f.terms) == 1 and f.terms[0][0] == 0.0:
                 # eval_ap's value c * e^0, added to 0: a signed zero part reads +0.0
                 c = f.terms[0][1]
-                v[lo:hi] = complex(c.real + 0.0, c.imag + 0.0)
+                v[lo:hi] = c.real + 0.0 if real else complex(c.real + 0.0, c.imag + 0.0)
             else:
                 v[lo:hi] = eval_ap(f, np.arange(start + step * lo, start + step * hi, step))
     return vectors

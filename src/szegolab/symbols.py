@@ -9,13 +9,14 @@ G[a] = exp (log a)_0 and the constant E[a] = exp sum_{k>=1} k (log a)_k
 
 Every value of a symbol comes from one inverse FFT on a uniform grid
 (`sample_circle`), exactly real for a real-valued symbol; each sampling
-of log a takes |a| once, for the zero-proximity check and for log |a|, and
-the phase steps in one pass over the closed ring of samples, closing step
-included, which give the step check, the winding number and the unwrapped
-phase.  Both constants read one sampling of log a (`_sample_log`): the
-default grid of the bandwidth, doubled until the upper quarter of the
-computed coefficients sits at the rounding floor, and at most to
-MAX_GRID_FACTOR times the default grid.
+of log a takes |a| once, for the zero-proximity check and for log |a|.  A
+real symbol's phase is the constant 0 or pi (a sign change fails as a step
+of pi); any other symbol's phase steps come from one pass over the closed
+ring of samples, closing step included, which give the step check, the
+winding number and the unwrapped phase.  Both constants read one sampling
+of log a (`_sample_log`): the default grid of the bandwidth, doubled until
+the upper quarter of the computed coefficients sits at the rounding floor,
+and at most to MAX_GRID_FACTOR times the default grid.
 """
 
 from __future__ import annotations
@@ -150,11 +151,17 @@ def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
     times that of b.  The branch is fixed by unwrapping the argument along
     the grid: one principal argument per step of the closed ring of samples,
     each in (-pi, pi], the closing step from the last sample to the first
-    being the last.
+    being the last.  For a real-valued b every step is 0, or +-pi where b
+    changes sign, so its phase is the constant 0 or pi the unwrapping gives.
     """
     samples = sample_circle(b, grid)
     mags = np.abs(samples)
     _check_zero_proximity(mags)
+    if b.is_real_valued:  # exactly real samples, none 0
+        values = samples.real
+        if values.min() < 0 < values.max():
+            raise ZeroProximityError(f"phase of a turns by {np.pi:.3e} rad between grid points")
+        return np.log(mags) + (1j * np.pi if values[0] < 0 else 0j)
     ring = np.empty_like(samples)
     ring[:-1] = samples[1:]
     ring[-1] = samples[0]
@@ -173,10 +180,7 @@ def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
             f"log a has no continuous branch: winding number {winding}"
         )
     phases += float(np.angle(samples[0]))
-    logs = np.log(mags) + 1j * phases
-    if not phases.any():
-        logs = logs.real + 0j  # real positive symbol: keep logs exactly real
-    return logs
+    return np.log(mags) + 1j * phases
 
 
 class _LogCoefficients(NamedTuple):

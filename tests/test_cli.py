@@ -30,8 +30,6 @@ from szegolab.szego import SzegoReport, TestFunction, sweep
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_ALPHA = (math.sqrt(5) - 1) / 2
-TWO_PLUS_COS = {"0": [2.0, 0.0], "1": [0.5, 0.0], "-1": [0.5, 0.0]}
-X2 = {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}
 MATHIEU = {"kind": "almost-mathieu", "alpha": GOLDEN_ALPHA, "lambda": 1.0}
 ZPLUS_OPERATOR = {
     "kind": "band-ap",
@@ -39,91 +37,12 @@ ZPLUS_OPERATOR = {
     "diagonals": {"0": [{"freq": 0.0, "re": 1.0, "im": 0.0}]},
 }
 
-# One small config per experiment kind (plus the eigen-dist twin of the
-# mathieu-dist config); tests/golden holds the CSV and JSON each one wrote.
-GOLDEN_CONFIGS = {
-    "szego-ratio": {
-        "experiment": "szego-ratio",
-        "symbol": TWO_PLUS_COS,
-        "n_range": {"kind": "geometric", "start": 1, "stop": 32},
-    },
-    "strong-szego": {
-        "experiment": "strong-szego",
-        "symbol": {"0": [3.0, 0.0], "1": [1.0, 0.5], "-1": [0.5, 0.0], "2": [0.25, 0.0]},
-        "n_range": [2, 5, 9, 17, 32],
-        "tolerance": 1e-3,
-    },
-    "eigen-dist-toeplitz": {
-        "experiment": "eigen-dist",
-        "operator": {"kind": "toeplitz", "symbol": {"1": [1.0, 0.0], "-1": [1.0, 0.0]}},
-        "g": X2,
-        "n_range": [4, 16, 32],
-        "tolerance": 0.1,
-    },
-    "eigen-dist-band-ap": {
-        "experiment": "eigen-dist",
-        "operator": {
-            "kind": "band-ap",
-            "diagonals": {
-                "0": [
-                    {"freq": 0.0, "re": 1.0, "im": 0.0},
-                    {"freq": 0.3, "re": 0.25, "im": 0.0},
-                    {"freq": 0.7, "re": 0.25, "im": 0.0},
-                ],
-                "1": [{"freq": 0.0, "re": 1.0, "im": 0.0}],
-                "-1": [{"freq": 0.0, "re": 1.0, "im": 0.0}],
-            },
-        },
-        "g": {"kind": "named", "name": "exp"},
-        "n_range": {"kind": "geometric", "start": 2, "stop": 32},
-        "prediction": {"m": 40, "window": 10},
-        "tolerance": 0.5,
-    },
-    "mathieu-dist": {
-        "experiment": "mathieu-dist",
-        "alpha": GOLDEN_ALPHA,
-        "lambda": 1.5,
-        "theta": 0.3,
-        "g": X2,
-        "distinguished": {"length": 7},
-        "tolerance": 0.2,
-    },
-    "eigen-dist-almost-mathieu": {
-        "experiment": "eigen-dist",
-        "operator": {"kind": "almost-mathieu", "alpha": GOLDEN_ALPHA, "lambda": 1.5, "theta": 0.3},
-        "g": X2,
-        "distinguished": {"alpha": GOLDEN_ALPHA, "length": 7},
-        "tolerance": 0.2,
-    },
-    "singular-dist": {
-        "experiment": "singular-dist",
-        "symbol": {"0": [1.0, 0.0], "1": [1.0, 0.0]},
-        "g": {"kind": "power", "k": 4},
-        "n_range": [3, 8, 32],
-        "tolerance": 0.5,
-    },
-    "cf-expand": {"experiment": "cf-expand", "alpha": math.sqrt(2) - 1, "max_terms": 12},
-    "folner": {
-        "experiment": "folner",
-        "operator": {
-            "kind": "composite",
-            "products": [
-                [
-                    {"kind": "toeplitz", "symbol": {"-1": [1.0, 0.0], "0": [0.5, 0.0]}},
-                    {"kind": "ap-multiplier", "terms": [{"freq": GOLDEN_ALPHA, "re": 1.0, "im": 0.0}]},
-                    {"kind": "toeplitz", "symbol": {"1": [1.0, 0.0]}},
-                ]
-            ],
-        },
-        "n_range": [4, 16, 32],
-        "tolerance": 0.5,
-    },
-    "stability": {
-        "experiment": "stability",
-        "operator": {"kind": "almost-mathieu", "alpha": GOLDEN_ALPHA, "lambda": 3.0},
-        "n_range": [2, 4, 8, 16, 32],
-    },
-}
+# One small config per experiment kind, the eigen-dist twin of the
+# mathieu-dist config, and `-swap` and `-negative` determinant configs over
+# real symbols: one whose band LU swaps rows at its first step, and the
+# negative definite -2 - cos t (negative pivots, log a with phase pi).
+# tests/golden holds the CSV and JSON each one wrote.
+GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text(encoding="utf-8"))
 
 
 def write_config(tmp_path, name, cfg):

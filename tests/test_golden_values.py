@@ -1,17 +1,22 @@
-"""The golden artifacts of the spectral kinds against values computed
-independently from their configs: closed forms, exact fractions and mpmath
-at 30 digits.  `test_cli.test_golden_artifacts` checks that a run writes the
-golden bytes; this checks that those bytes are right, each within a stated
-multiple of the rounding unit times the norm scale of its quantity."""
+"""The golden artifacts against values computed independently from their
+configs: closed forms, exact fractions and mpmath at 30 digits or more.
+`test_cli.test_golden_artifacts` checks that a run writes the golden bytes;
+this checks that those bytes are right, each within a stated multiple of
+the rounding unit times the scale of its quantity."""
 
 import json
+import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from test_cli import GOLDEN_CONFIGS, GOLDEN_DIR
+from szegolab.szego import cluster_partial_limits
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text(encoding="utf-8"))
 
 EPS = sys.float_info.epsilon
 
@@ -128,3 +133,97 @@ def test_stability_rows_margin_and_norm_scale_are_mpmath_svd():
     assert min(min(s, f) for _, s, f, _, _ in mins) >= margin
     assert summary["verdict"] == "stability-consistent"
     assert summary["final_residual"] == 0.0 and summary["predicted"] == [summary["margin"], 0.0]
+
+
+# ---------------------------------------------------------------------------
+# determinant kinds: szego-ratio and strong-szego
+
+DETERMINANT_GOLDENS = sorted(
+    name for name, cfg in GOLDEN_CONFIGS.items() if cfg["experiment"] in ("szego-ratio", "strong-szego")
+)
+
+
+def _symbol(cfg):
+    return {int(k): complex(*v) for k, v in cfg["symbol"].items()}
+
+
+def _mp_pivots(coeffs, n):
+    """Pivots of the elimination without row swaps of T_n(a) in mpmath:
+    pivot k is det T_{k+1} / det T_k exactly, up to the working precision,
+    as long as no leading minor vanishes.  One O(n w^2) pass gives every
+    leading minor, where `test_szego._mp_det` takes O(n^3) per size."""
+    p, q = max(0, max(coeffs)), max(0, -min(coeffs))
+    rows = [[mpmath.mpc(coeffs.get(i - j, 0)) for j in range(n)] for i in range(n)]
+    pivots = []
+    for k in range(n):
+        pivots.append(rows[k][k])
+        for i in range(k + 1, min(n, k + p + 1)):
+            factor = rows[i][k] / rows[k][k]
+            for j in range(k + 1, min(n, k + q + 1)):
+                rows[i][j] -= factor * rows[k][j]
+    return pivots
+
+
+def _mp_constants(coeffs):
+    """G[a] and E[a] by Wiener-Hopf from the roots of z^q a(z) = a_p prod
+    (z - r), as `test_symbols` takes them for the strong-szego symbol: with
+    winding number 0 exactly q roots lie inside the unit disk, G[a] = a_p
+    prod_{|r|>1} (-r) and E[a] = prod 1 / (1 - r_in / r_out) over the pairs."""
+    p, q = max(coeffs), -min(coeffs)
+    roots = mpmath.polyroots(
+        [mpmath.mpc(coeffs.get(k, 0)) for k in range(p, -q - 1, -1)], maxsteps=200, extraprec=100
+    )
+    inner = [r for r in roots if abs(r) < 1]
+    outer = [r for r in roots if abs(r) > 1]
+    assert (len(inner), len(outer)) == (q, p)
+    g = mpmath.mpc(coeffs[p]) * mpmath.fprod(-r for r in outer)
+    return g, mpmath.fprod(1 / (1 - r_in / r_out) for r_in in inner for r_out in outer)
+
+
+def _log_scale(*magnitudes):
+    """1 + sum |log m|: a value exp(log m1 - log m2) formed from two log
+    determinants carries the rounding of both logs, each a few units of
+    its size."""
+    return 1.0 + sum(abs(float(mpmath.log(abs(m)))) for m in magnitudes)
+
+
+@pytest.mark.parametrize("name", DETERMINANT_GOLDENS)
+def test_determinant_rows_are_mpmath_determinants(name):
+    # each row against the determinants of its sections in mpmath at 40
+    # digits and the prediction against the roots route: a ratio
+    # det T_n / det T_{n-1} against G[a], a normalised det T_n / G[a]^n
+    # against E[a], within ULPS units of its log scale
+    cfg = GOLDEN_CONFIGS[name]
+    rows, summary = _rows(name), _summary(name)
+    ratio = cfg["experiment"] == "szego-ratio"
+    with mpmath.workdps(40):
+        coeffs = _symbol(cfg)
+        pivots = _mp_pivots(coeffs, rows[-1][0])
+        g, e = _mp_constants(coeffs)
+        predicted = g if ratio else e
+        exact_values = []
+        for n, value, pred, residual, flags in rows:
+            det = mpmath.fprod(pivots[:n])
+            if ratio:
+                exact, scale = pivots[n - 1], _log_scale(det, det / pivots[n - 1])
+            else:
+                exact, scale = det / g**n, _log_scale(det, g**n)
+            scale *= abs(exact)
+            assert _close(value, exact, scale), (name, n, value, complex(exact))
+            assert _close(pred, predicted, abs(predicted)), (name, n, pred)
+            assert _close(residual, abs(exact - predicted), scale + abs(predicted)), (name, n, residual)
+            assert flags == ""
+            exact_values.append(complex(exact))
+        assert _close(complex(*summary["predicted"]), predicted, abs(predicted))
+        if ratio:
+            # the partial limits of the exact ratios: the same groups, centers and radii
+            clusters = cluster_partial_limits(exact_values)
+            assert [c["count"] for c in summary["clusters"]] == [c.count for c in clusters]
+            for written, exact in zip(summary["clusters"], clusters):
+                assert _close(complex(*written["center"]), exact.center, 2 * scale)
+                assert _close(written["radius"], exact.radius, 2 * scale)
+        else:
+            assert _close(complex(*summary["geometric_mean"]), g, abs(g))
+            assert 0.0 <= summary["tail_bound"] <= 1e-12
+    assert summary["final_residual"] == rows[-1][3]
+    assert summary.get("skipped", []) == [] and summary["verdict"] == "pass"

@@ -3,10 +3,13 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegolab import TrigPolynomial, numkernel
 from szegolab.numkernel import (
@@ -291,13 +294,16 @@ def test_band_lu_pivots_stop(diagonals, n, stop):
         assert pivots[k] == pytest.approx(ratio, rel=1e-12)
 
 
-def _random_band(seed, n, p, q, diagonal):
-    """Band with entries of |re|, |im| <= 0.5 and ``diagonal`` added on offset 0."""
+def _random_band(seed, n, p, q, diagonal, real=False):
+    """Band with entries of |re|, |im| <= 0.5 and ``diagonal`` added on
+    offset 0; with ``real``, float64 entries of |re| <= 0.5 (the real route)."""
     rng = np.random.default_rng(seed)
     j = np.arange(n)
     diagonals = {}
     for d in range(-q, p + 1):
-        v = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        v = rng.uniform(-0.5, 0.5, n)
+        if not real:
+            v = v + 1j * rng.uniform(-0.5, 0.5, n)
         v[(j + d < 0) | (j + d >= n)] = 0
         diagonals[d] = v
     diagonals[0] = diagonals[0] + diagonal
@@ -374,14 +380,135 @@ def _toeplitz_band(coeffs, n):
         (_toeplitz_band({0: 1.0, 1: 1.0, -1: 1.0}, 9), 9, 1, 1),
         # det T_2 = 1 - 2 * 0.5 = 0 exactly; the swap at step 0 comes first
         (_toeplitz_band({0: 1.0, 1: 2.0, -1: 0.5, 2: -6.0, -2: -6.0}, 12), 12, 0, 1),
+        # the real route (dgbtrf) on float64 bands: the late swap, unblocked
+        # and blocked, the zero column, p = 0, q = 0, and the blocked
+        # factorization without a swap
+        (_set_entries(_random_band(7, 60, 2, 2, 6.0, real=True), 45, 1e-3), 60, 45, 1),
+        (_set_entries(_random_band(8, 150, 33, 65, 200.0, real=True), 120, 1e-3), 150, 120, 1),
+        (_set_entries(_random_band(9, 50, 2, 2, 6.0, real=True), 30, 0, range(-2, 3)), 50, 30, 0),
+        (_set_entries(_random_band(10, 20, 0, 3, 0.0, real=True), 5, 1e-3), 20, 20, 0),
+        (_set_entries(_random_band(11, 20, 3, 0, 4.0, real=True), 5, 1e-3), 20, 5, 1),
+        (_random_band(5, 160, 40, 66, 2.0 * (40 + 66 + 1), real=True), 160, 160, 0),
     ],
 )
 def test_band_lu_pivots_matches_dense_sections(diagonals, n, stop, swapped):
     # the pass stops at LAPACK's first row swap or first zero pivot; the
     # sizes past it take band_logdet, checked on every leading section.
-    # ``swapped``: LAPACK swaps some row in factoring the n x n band
+    # ``swapped``: LAPACK swaps some row in factoring the n x n band.  Real
+    # vectors are factored in real arithmetic; the pivots are complex either way
     pivots, got = band_lu_pivots(diagonals, n)
-    assert got == stop and len(pivots) == stop
-    _, ipiv, _, _ = numkernel._band_lu(diagonals, n)
+    assert got == stop and len(pivots) == stop and pivots.dtype == np.complex128
+    lu, ipiv, _, _ = numkernel._band_lu(diagonals, n)
+    assert lu.dtype == np.result_type(*diagonals.values())
     assert bool(np.any(ipiv != np.arange(n))) == bool(swapped)
     assert_matches_dense_sections(diagonals, n, pivots)
+
+
+EPS = np.finfo(np.float64).eps
+REAL_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]), st.floats(-4.0, 4.0, allow_nan=False)
+)
+
+
+@st.composite
+def real_bands(draw):
+    """A float64 band of order n <= 12 with p, q <= 3: exact zeros, ties
+    and singular sections included, so LAPACK swaps rows on many of them."""
+    n, p, q = draw(st.integers(1, 12)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    j = np.arange(n)
+    diagonals = {}
+    for d in range(-q, p + 1):
+        v = np.array(draw(st.lists(REAL_ENTRIES, min_size=n, max_size=n)), dtype=np.float64)
+        v[(j + d < 0) | (j + d >= n)] = 0.0
+        diagonals[d] = v
+    return diagonals, n
+
+
+def _outcomes(diagonals, n):
+    """The bits of band_lu_pivots, band_logdet of every leading section and
+    band_solve of the n x n one, or the type and text of its error."""
+    pivots, stop = band_lu_pivots(diagonals, n)
+    out = [pivots.dtype, pivots.tobytes(), stop]
+    for k in range(1, n + 1):
+        ld = band_logdet(diagonals, k)
+        out.append((np.float64(ld.log_abs).tobytes(), np.complex128(ld.phase).tobytes(), ld.singular_flag))
+    rhs = np.linspace(-1.0, 1.0, n) + 0.5j
+    try:
+        out.append(band_solve(diagonals, n, rhs).tobytes())
+    except SingularMatrixError as exc:
+        out.append(str(exc))
+    return out
+
+
+def _cast_factor(band_lu):
+    """`_band_lu` with the factor cast to complex: the complex route from
+    the same factor on."""
+    def factor(diagonals, n):
+        lu, ipiv, p, q = band_lu(diagonals, n)
+        return lu.astype(np.complex128), ipiv, p, q
+    return factor
+
+
+def _lu_product(lu, ipiv, p, q, n):
+    """P_0 L_0 P_1 L_1 ... P_{n-1} L_{n-1} U from LAPACK's band LU (each P_k
+    swaps rows k and ipiv[k], L_k holds the multipliers of step k), and the
+    same product of the moduli of the factors."""
+    product = np.zeros((n, n))
+    for j in range(n):  # U(i, j) sits at lu[p + q + i - j, j]
+        rows = np.arange(max(0, j - p - q), j + 1)
+        product[rows, j] = lu[p + q + rows - j, j]
+    moduli = np.abs(product)
+    for k in range(n - 1, -1, -1):
+        rows = np.arange(k + 1, min(n, k + p + 1))
+        multipliers = lu[p + q + rows - k, k]
+        product[rows] += multipliers[:, None] * product[k]
+        moduli[rows] += np.abs(multipliers)[:, None] * moduli[k]
+        product[[k, ipiv[k]]] = product[[ipiv[k], k]]
+        moduli[[k, ipiv[k]]] = moduli[[ipiv[k], k]]
+    return product, moduli
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(band=real_bands())
+def test_real_band_route_against_complex_route(band):
+    # float64 storage is factored by dgbtrf.  From the factor on, pivots,
+    # log determinants (phase and the sign of its zero imaginary part
+    # included), solves and errors are the complex route's bit for bit.
+    diagonals, n = band
+    lu, ipiv, p, q = numkernel._band_lu(diagonals, n)
+    assert lu.dtype == np.float64
+    with mock.patch.object(numkernel, "_band_lu", _cast_factor(numkernel._band_lu)):
+        complex_route = _outcomes(diagonals, n)
+    assert _outcomes(diagonals, n) == complex_route
+    # The factor is a partially pivoted LU of the band: multipliers of at
+    # most 1, and P L U = A up to the rounding of the at most p + 1 terms
+    # of each entry, in the factorization and again in the product.  It is
+    # not zgbtrf's factor bit for bit: dgbtrf's update a - l u rounds once
+    # (a fused multiply-add) where zgbtrf's may round l u first, so the two
+    # differ in the last bits on about a sixth of these bands, and on a
+    # near-singular one that can flip a later row choice.
+    # A pivot below about 1e-308 overflows its reciprocal, and the factor
+    # holds inf or NaN: the section is flagged singular.
+    if not np.isfinite(lu).all():
+        assert band_logdet(diagonals, n).singular_flag
+        return
+    assert np.all(np.abs(lu[p + q + 1 :]) <= 1.0)
+    product, moduli = _lu_product(lu, ipiv, p, q, n)
+    dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.float64)
+    tiny = np.finfo(np.float64).smallest_subnormal  # the absolute rounding of a subnormal result
+    assert np.all(np.abs(product - dense) <= 2 * (p + 2) * (EPS * moduli + tiny))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_nan_pivot_is_singular(dtype):
+    # LAPACK scales the column below a pivot of 2.2e-309 by its reciprocal,
+    # inf: 0 * inf is NaN, and the next pivot is NaN.  A NaN pivot fails the
+    # underflow test as band_lu_pivots reads it, not a NaN determinant
+    diagonals = {0: np.array([0.0, 0.0], dtype=dtype), 1: np.array([2.22507386e-309, 0.0], dtype=dtype)}
+    lu, _, p, q = numkernel._band_lu(diagonals, 2)
+    assert math.isnan(abs(lu[p + q][1]))
+    assert band_lu_pivots(diagonals, 2)[1] == 0
+    ld = band_logdet(diagonals, 2)
+    assert ld.singular_flag and ld.log_abs == -math.inf
+    with pytest.raises(SingularMatrixError, match=r"smallest pivot nan\)$"):
+        band_solve(diagonals, 2, [1.0, 1.0])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -160,15 +161,15 @@ def _reference_log_samples(b, grid, stride):
     return logs
 
 
-def _reference_sample_log(a):
+def _reference_sample_log(a, log_samples=_reference_log_samples):
     """(c0, positive, negative, floor, capped, stride) as `_sample_log`
-    computes them, on `_reference_log_samples`."""
+    computes them, on ``log_samples``."""
     stride = math.gcd(*a.coeffs) or 1
     if stride > 1:
         a = TrigPolynomial({k // stride: c for k, c in a.coeffs.items()})
     first = grid = _default_grid(a.bandwidth)
     while True:
-        logs = _reference_log_samples(a, grid, stride)
+        logs = log_samples(a, grid, stride)
         n = len(logs)
         fft = np.fft.fft(logs) / n
         positive = fft[1 : n // 4 + 1]
@@ -239,6 +240,88 @@ def test_log_sampling_is_the_stepwise_unwrapping_bit_for_bit(a):
     # coefficients, floor, cap and stride, and the same errors with their
     # winding number, as the open chain of steps plus a closing step
     assert _log_outcome(lambda b: tuple(_sample_log(b)), a) == _log_outcome(_reference_sample_log, a)
+
+
+def _ring_log_samples(b, grid, stride):
+    """log b by unwrapping the phase over the closed ring of samples, as
+    `_log_samples` takes it for a symbol that is not real-valued, and took
+    it for every symbol before real ones got their constant phase: the
+    oracle of that real route."""
+    samples = sample_circle(b, grid)
+    mags = np.abs(samples)
+    _check_zero_proximity(mags)
+    ring = np.empty_like(samples)
+    ring[:-1] = samples[1:]
+    ring[-1] = samples[0]
+    steps = np.angle(ring / samples)
+    largest = float(np.abs(steps).max())
+    if largest >= np.pi / 2:
+        raise ZeroProximityError(f"phase of a turns by {largest:.3e} rad between grid points")
+    phases = np.empty(grid)
+    phases[0] = 0.0
+    np.cumsum(steps[:-1], out=phases[1:])
+    winding = stride * int(round((float(phases[-1]) + float(steps[-1])) / (2.0 * np.pi)))
+    if winding != 0:
+        raise BranchError(f"log a has no continuous branch: winding number {winding}")
+    phases += float(np.angle(samples[0]))
+    logs = np.log(mags) + 1j * phases
+    if not phases.any():
+        logs = logs.real + 0j  # real positive symbol: keep logs exactly real
+    return logs
+
+
+@st.composite
+def real_symbols(draw):
+    """Real-valued symbols of bandwidth <= 3 (a_{-k} = conj a_k, complex
+    a_k included): positive, negative or changing sign, with their offsets
+    spread by a stride m."""
+    sign = draw(st.sampled_from([1.0, -1.0, 0.0]))
+    stride = draw(st.sampled_from([1, 1, 2, 3]))
+    coeffs = {}
+    for k in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)):
+        coeffs[k] = complex(draw(COEFFICIENT_PARTS), draw(COEFFICIENT_PARTS))
+        coeffs[-k] = coeffs[k].conjugate()
+    spread = sum(abs(c) for c in coeffs.values())
+    assume(spread > 0)
+    if sign:  # |a_0| above the rest: a keeps the sign of a_0
+        coeffs[0] = complex(sign * (1.0 + draw(st.sampled_from([1e-6, 1e-2, 0.5, 2.0]))) * spread)
+    else:  # a_0 inside the range of the rest: a changes sign
+        coeffs[0] = complex(draw(st.floats(-0.5, 0.5)) * spread)
+    a = TrigPolynomial({stride * k: c for k, c in coeffs.items()})
+    assume(a.is_real_valued)  # a_0 of 0 drops out of the map, which stays real-valued
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=real_symbols())
+@example(a=TrigPolynomial({0: -2.0, 1: -0.5, -1: -0.5}))
+@example(a=TrigPolynomial({0: 7.1001453388615576e-307, 1: 3.5500691193616596e-307j, -1: -3.5500691193616596e-307j}))
+def test_real_symbol_log_is_the_ring_unwrapping_bit_for_bit(a):
+    # log |a| plus the constant phase 0 or pi gives the c0, coefficients,
+    # floor, cap and stride that unwrapping the phase over the ring of
+    # samples gives, and a sign change fails with the same message
+    got = _log_outcome(lambda b: tuple(_sample_log(b)), a)
+    try:
+        expected = _log_outcome(lambda b: _reference_sample_log(b, _ring_log_samples), a)
+    except RuntimeWarning:
+        # samples near the subnormal range overflow the quotient of
+        # neighbours: the ring has no phase, the constant phase still has one
+        assert got[0] is ZeroProximityError or np.isfinite(np.frombuffer(got[0], np.complex128)).all()
+        return
+    assert got == expected
+
+
+def test_real_symbol_takes_the_constant_phase():
+    # no phase steps are taken for a real symbol, strided or not: -2 - cos t
+    # and its stride-4 spread have c0 = log G + i pi with G = (2 + sqrt 3)/2
+    for a in (TrigPolynomial({0: -2.0, 1: -0.5, -1: -0.5}), TrigPolynomial({0: -2.0, 4: -0.5, -4: -0.5})):
+        with mock.patch.object(np, "angle", side_effect=AssertionError("phase steps taken")):
+            log = _sample_log(a)
+        assert log.c0.imag == math.pi
+        assert log.c0.real == pytest.approx(LOG_MEAN_2COS, abs=1e-15)
+        assert log.stride == max(a.coeffs)
+    with pytest.raises(ZeroProximityError, match=r"^phase of a turns by 3\.142e\+00 rad between grid points$"):
+        geometric_mean(TrigPolynomial({0: 1.0, 1: 1.0, -1: 1.0}))
 
 
 def test_winding_number_examples():

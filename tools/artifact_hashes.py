@@ -6,8 +6,11 @@ Usage: python tools/artifact_hashes.py [--keep DIR] <repo-root> > hashes.txt
 
 Generates the configs of `szegobench/workloads.py` from <repo-root>
 (`small-configs` seeds 1-5, `det-sweep` seed 1, tiny `det-sweep` seed 2 and
-tiny `spectral-sweep` seed 1), runs each through `szegolab.cli.main(["run",
-...])` of <repo-root>/src in this process, and prints one line per config:
+tiny `spectral-sweep` seed 1) and adds the golden configs of
+`tests/golden/configs.json`, read from the checkout this tool sits in, so
+that ``--compare`` runs the same golden configs through both sides.  It
+runs each through `szegolab.cli.main(["run", ...])` of <repo-root>/src in
+this process, and prints one line per config:
 its name, the exit code, the sha256 of the CSV followed by the JSON, and
 stderr.  Run it on two checkouts and diff the outputs: identical lines mean
 byte-identical artifacts, exit codes and messages.  Nothing in <repo-root>
@@ -42,6 +45,16 @@ CONFIG_SETS = (
     ("det-sweep", 2, True),
     ("spectral-sweep", 1, True),
 )
+GOLDEN_CONFIGS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "configs.json"
+
+
+def _configs(workloads):
+    """(name, config) of every benchmark config set, then of every golden config."""
+    for workload, seed, tiny in CONFIG_SETS:
+        for i, case in enumerate(workloads.generate(workload, seed, tiny)):
+            yield f"{workload}{'-tiny' if tiny else ''}/{seed}/{i}-{case.name}", case.config
+    for name, config in json.loads(GOLDEN_CONFIGS.read_text(encoding="utf-8")).items():
+        yield f"golden/{name}", config
 
 
 def hash_artifacts(root: Path, keep: Path | None) -> None:
@@ -53,28 +66,26 @@ def hash_artifacts(root: Path, keep: Path | None) -> None:
     if Path(cli.__file__).resolve().parent != root / "src" / "szegolab":
         sys.exit(f"imported szegolab from {cli.__file__}, not {root / 'src'}")
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, seed, tiny in CONFIG_SETS:
-            for i, case in enumerate(workloads.generate(workload, seed, tiny)):
-                name = f"{workload}{'-tiny' if tiny else ''}/{seed}/{i}-{case.name}"
-                prefix = Path(tmp) / f"run{i}"
-                config = Path(tmp) / "config.json"
-                config.write_text(json.dumps(dict(case.config, output=str(prefix))), encoding="utf-8")
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    rc = cli.main(["run", str(config)])
-                digest = hashlib.sha256()
-                for ext in (".csv", ".json"):
-                    path = prefix.with_name(prefix.name + ext)
-                    if path.exists():
-                        digest.update(path.read_bytes())
-                        if keep is not None:
-                            target = keep / (name + ext)
-                            target.parent.mkdir(parents=True, exist_ok=True)
-                            path.replace(target)
-                        else:
-                            path.unlink()
-                stderr = err.getvalue().replace(tmp, "<tmp>").strip().replace("\n", " | ")
-                print(f"{name} rc={rc} {digest.hexdigest()} {stderr}")
+        for name, case_config in _configs(workloads):
+            prefix = Path(tmp) / "run"
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(dict(case_config, output=str(prefix))), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["run", str(config)])
+            digest = hashlib.sha256()
+            for ext in (".csv", ".json"):
+                path = prefix.with_name(prefix.name + ext)
+                if path.exists():
+                    digest.update(path.read_bytes())
+                    if keep is not None:
+                        target = keep / (name + ext)
+                        target.parent.mkdir(parents=True, exist_ok=True)
+                        path.replace(target)
+                    else:
+                        path.unlink()
+            stderr = err.getvalue().replace(tmp, "<tmp>").strip().replace("\n", " | ")
+            print(f"{name} rc={rc} {digest.hexdigest()} {stderr}")
 
 
 def _change(old: str, new: str) -> float | str:

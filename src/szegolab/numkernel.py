@@ -122,11 +122,10 @@ def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
 
 
 def _band_lu(diagonals: Mapping[int, np.ndarray], n: int):
-    """LAPACK's partially pivoted band LU of the leading n x n section, in
-    the arithmetic of the vectors: ``dgbtrf`` when every one is real,
-    ``zgbtrf`` otherwise.  Returns (lu, ipiv, p, q) for p sub- and q
-    superdiagonals, with the diagonal of U in row p + q of ``lu`` and
-    0-based row interchanges."""
+    """LAPACK's partially pivoted band LU of the leading n x n section, by
+    ``dgbtrf`` on real vectors and ``zgbtrf`` on complex: (lu, ipiv, p, q)
+    for p sub- and q superdiagonals, with the diagonal of U in row p + q of
+    ``lu`` and 0-based row interchanges."""
     p = max(0, max(diagonals, default=0))
     q = max(0, -min(diagonals, default=0))
     # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take

@@ -19,6 +19,7 @@ the storage is float64, which the band LU factors in real arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -52,6 +53,13 @@ class BandAPOperator:
         if not self.diagonals:
             return 0
         return max(abs(d) for d in self.diagonals)
+
+    @cached_property
+    def is_real_toeplitz(self) -> bool:
+        """Every diagonal a real constant (the Toeplitz operator of a symbol
+        with real coefficients): its sections take float64 storage."""
+        terms = [f.terms for f in self.diagonals.values()]
+        return all(len(t) == 1 and t[0][0] == 0.0 and t[0][1].imag == 0 for t in terms)
 
 
 @dataclass(frozen=True)
@@ -96,17 +104,17 @@ def almost_mathieu(alpha: float, lam: float, theta: float = 0.0) -> BandAPOperat
     )
 
 
-def _band_vectors(diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1):
+def _band_vectors(
+    diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1,
+    real: bool = False,
+):
     """A size x size section in diagonal storage: offset d -> vector v with
     v[j] = entry (j + d, j) = diagonals[d](start + step * j) on the valid
-    column range and 0 outside it.  A constant diagonal is filled from its
-    one value, bit for bit what `eval_ap` gives, without evaluating it.
-    When every diagonal is a real constant (the Toeplitz operator of a real
-    symbol) the vectors are float64, else complex128."""
+    column range and 0 outside it, float64 when ``real`` (every diagonal a
+    real constant) and complex128 otherwise.  A constant diagonal is filled
+    from its one value, bit for bit what `eval_ap` gives, without evaluating it."""
     if size < 1:
         raise ValueError("section size must be >= 1")
-    terms = [f.terms for f in diagonals.values()]
-    real = all(len(t) == 1 and t[0][0] == 0.0 and t[0][1].imag == 0 for t in terms)
     vectors: dict[int, np.ndarray] = {}
     for d, f in diagonals.items():
         if abs(d) < size:
@@ -135,7 +143,7 @@ def dense_section(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
 def band_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     """Section over 0..n-1 in diagonal storage: offset d -> vector v with
     v[j] = entry(j+d, j) on the valid column range and 0 outside it."""
-    return _band_vectors(A.diagonals, n)
+    return _band_vectors(A.diagonals, n, real=A.is_real_toeplitz)
 
 
 def _reflected(A: BandAPOperator) -> dict[int, APFunction]:
@@ -153,13 +161,13 @@ def flip_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     """
     if A.domain != "Z":
         raise ValueError("flip sections need an operator over all integers")
-    return _band_vectors(_reflected(A), n, -1, -1)
+    return _band_vectors(_reflected(A), n, -1, -1, A.is_real_toeplitz)
 
 
 def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     """W_n A_n W_n in the diagonal storage of `band_diagonals`: entry
     (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
-    return _band_vectors(_reflected(A), n, n - 1, -1)
+    return _band_vectors(_reflected(A), n, n - 1, -1, A.is_real_toeplitz)
 
 
 def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:

@@ -11,15 +11,15 @@ storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
 (`flip_diagonals`) and the reversed section W_n A_n W_n
 (`reversed_diagonals`).  A constant diagonal (every diagonal of a Toeplitz
 operator) is filled from its one value, bit for bit what `eval_ap` gives,
-so no array is evaluated for it; when every diagonal is a real constant
-the storage is float64, which the band LU factors in real arithmetic.
-`dense_section` scatters that storage into a matrix.
+so no array is evaluated for it.  Storage is complex128, except storage
+for a band LU (``lu=True``) of a real Toeplitz operator: float64, which
+the LU factors in real arithmetic.  `dense_section` scatters storage into
+a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -54,10 +54,11 @@ class BandAPOperator:
             return 0
         return max(abs(d) for d in self.diagonals)
 
-    @cached_property
+    @property
     def is_real_toeplitz(self) -> bool:
         """Every diagonal a real constant (the Toeplitz operator of a symbol
-        with real coefficients): its sections take float64 storage."""
+        with real coefficients): its sections take float64 storage for a
+        band LU."""
         terms = [f.terms for f in self.diagonals.values()]
         return all(len(t) == 1 and t[0][0] == 0.0 and t[0][1].imag == 0 for t in terms)
 
@@ -140,19 +141,21 @@ def dense_section(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
     return m
 
 
-def band_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
+def band_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.ndarray]:
     """Section over 0..n-1 in diagonal storage: offset d -> vector v with
-    v[j] = entry(j+d, j) on the valid column range and 0 outside it."""
-    return _band_vectors(A.diagonals, n, real=A.is_real_toeplitz)
+    v[j] = entry(j+d, j) on the valid column range and 0 outside it,
+    complex128.  With ``lu``, the storage for a band LU, it is float64 for
+    a real Toeplitz operator, whose LU then runs in real arithmetic."""
+    return _band_vectors(A.diagonals, n, real=lu and A.is_real_toeplitz)
 
 
 def _reflected(A: BandAPOperator) -> dict[int, APFunction]:
     return {-d: f for d, f in A.diagonals.items()}
 
 
-def flip_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
+def flip_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.ndarray]:
     """Section of the reflected negative-quadrant corner, in the diagonal
-    storage of `band_diagonals`.
+    storage of `band_diagonals` (``lu`` as there).
 
     Entry (i, j) = A(-1-i, -1-j) = diagonal[j-i](-1-j); this is the corner
     whose invertibility governs the second stability condition, and for a
@@ -161,13 +164,13 @@ def flip_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     """
     if A.domain != "Z":
         raise ValueError("flip sections need an operator over all integers")
-    return _band_vectors(_reflected(A), n, -1, -1, A.is_real_toeplitz)
+    return _band_vectors(_reflected(A), n, -1, -1, lu and A.is_real_toeplitz)
 
 
-def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
-    """W_n A_n W_n in the diagonal storage of `band_diagonals`: entry
-    (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
-    return _band_vectors(_reflected(A), n, n - 1, -1, A.is_real_toeplitz)
+def reversed_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.ndarray]:
+    """W_n A_n W_n in the diagonal storage of `band_diagonals` (``lu`` as
+    there): entry (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
+    return _band_vectors(_reflected(A), n, n - 1, -1, lu and A.is_real_toeplitz)
 
 
 def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:

@@ -305,7 +305,7 @@ def det_ratio_sequence(
     the limit estimate.
     """
     sizes = _validate_sizes(n_range)
-    diagonals = band_diagonals(as_band_operator(A), sizes[-1])
+    diagonals = band_diagonals(as_band_operator(A), sizes[-1], lu=True)
     pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
     in_pass = bisect.bisect_right(sizes, stop)
     logdet = functools.cache(lambda k: numkernel.band_logdet(diagonals, k))
@@ -334,13 +334,13 @@ def _corner_of_inverse(diagonals: dict[int, np.ndarray], n: int) -> complex:
 def det_ratio_via_cramer(A, n: int) -> complex:
     """det(section n-1)/det(section n) as the first component of the solution
     of (W_n A W_n) x = e_0 (Cramer's rule on the reversed section)."""
-    return _corner_of_inverse(reversed_diagonals(as_band_operator(A), n), n)
+    return _corner_of_inverse(reversed_diagonals(as_band_operator(A), n, lu=True), n)
 
 
 def g_limit_constant(A: BandAPOperator, m: int) -> complex:
     """1 / ((flip section)^{-1})_{00}: the determinant-ratio limit along a
     distinguished sequence, where the operator is its own limit operator."""
-    v = _corner_of_inverse(flip_diagonals(as_band_operator(A), m), m)
+    v = _corner_of_inverse(flip_diagonals(as_band_operator(A), m, lu=True), m)
     if v == 0:
         raise ResolventZeroError("0-0 entry of the inverted flip section is zero")
     return 1.0 / v
@@ -368,7 +368,7 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
     log = _sample_log(a)
     c0 = log.c0
     constant = log.strong_szego_constant()
-    diagonals = band_diagonals(as_band_operator(a), sizes[-1])
+    diagonals = band_diagonals(as_band_operator(a), sizes[-1], lu=True)
     pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
     log_abs = np.cumsum(np.log(np.abs(pivots)))
     phases = np.cumprod(pivots / np.abs(pivots))

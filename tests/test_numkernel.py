@@ -358,7 +358,8 @@ def _set_entries(diagonals, k, value, offsets=(0,)):
 
 
 def _toeplitz_band(coeffs, n):
-    return band_diagonals(as_band_operator(TrigPolynomial(coeffs)), n)
+    """The storage a determinant sweep factors: float64 for real coefficients."""
+    return band_diagonals(as_band_operator(TrigPolynomial(coeffs)), n, lu=True)
 
 
 @pytest.mark.parametrize(

@@ -109,9 +109,8 @@ def _linalg():
 def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
     """LogDet of a pivoted LU factorization from the diagonal of U and the
     0-based row interchanges; a pivot below PIVOT_UNDERFLOW (or NaN) is singular.
-    The phase of a real factor is formed in complex arithmetic too, signed
-    zeros included."""
-    diag = diag.astype(np.complex128)
+    The phase of a real factor is formed in complex arithmetic too."""
+    diag = np.asarray(diag, dtype=np.complex128)
     absd = np.abs(diag)
     if not float(absd.min()) >= PIVOT_UNDERFLOW:  # also NaN
         return LogDet(-math.inf, 0j, True)
@@ -123,21 +122,21 @@ def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
 
 def _band_lu(diagonals: Mapping[int, np.ndarray], n: int):
     """LAPACK's partially pivoted band LU of the leading n x n section, by
-    ``dgbtrf`` on real vectors and ``zgbtrf`` on complex: (lu, ipiv, p, q)
-    for p sub- and q superdiagonals, with the diagonal of U in row p + q of
-    ``lu`` and 0-based row interchanges."""
+    ``dgbtrf`` when every vector is float64 and ``zgbtrf`` otherwise:
+    (lu, ipiv, p, q) for p sub- and q superdiagonals, with the diagonal of U
+    in row p + q of ``lu`` and 0-based row interchanges."""
     p = max(0, max(diagonals, default=0))
     q = max(0, -min(diagonals, default=0))
     # LAPACK band storage: entry (j+d, j) at ab[p+q+d, j]; rows 0..p-1 take
     # fill.  xGBTRF never reads the slots j+d >= n outside the section.
-    dtype = np.result_type(np.float64, *diagonals.values())  # float64 unless a vector is complex
-    ab = np.zeros((2 * p + q + 1, n), dtype=dtype, order="F")
+    real = all(v.dtype == np.float64 for v in diagonals.values())  # stops at a complex vector
+    ab = np.zeros((2 * p + q + 1, n), dtype=np.float64 if real else np.complex128, order="F")
     for d, v in diagonals.items():
         ab[p + q + d] = v[:n]
-    prefix = "d" if dtype == np.float64 else "z"
-    lu, ipiv, info = getattr(_linalg().lapack, prefix + "gbtrf")(ab, p, q, overwrite_ab=True)
+    lapack = _linalg().lapack
+    lu, ipiv, info = (lapack.dgbtrf if real else lapack.zgbtrf)(ab, p, q, overwrite_ab=True)
     if info < 0:
-        raise ValueError(f"{prefix}gbtrf rejected argument {-info}")
+        raise ValueError(f"{'d' if real else 'z'}gbtrf rejected argument {-info}")
     return lu, ipiv, p, q
 
 
@@ -165,7 +164,7 @@ def band_solve(diagonals: Mapping[int, np.ndarray], n: int, rhs) -> np.ndarray:
     smallest = float(np.abs(lu[p + q]).min())
     if not smallest >= PIVOT_UNDERFLOW:  # also NaN
         raise SingularMatrixError("matrix is numerically singular", smallest)
-    x, info = _linalg().lapack.zgbtrs(lu.astype(np.complex128), p, q, b, ipiv)
+    x, info = _linalg().lapack.zgbtrs(lu.astype(np.complex128, copy=False), p, q, b, ipiv)
     if info < 0:
         raise ValueError(f"zgbtrs rejected argument {-info}")
     return x

@@ -11,10 +11,10 @@ storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
 (`flip_diagonals`) and the reversed section W_n A_n W_n
 (`reversed_diagonals`).  A constant diagonal (every diagonal of a Toeplitz
 operator) is filled from its one value, bit for bit what `eval_ap` gives,
-so no array is evaluated for it.  Storage is complex128, except storage
-for a band LU (``lu=True``) of a real Toeplitz operator: float64, which
-the LU factors in real arithmetic.  `dense_section` scatters storage into
-a matrix.
+so no array is evaluated for it.  Storage is complex128, except the
+section of a real Toeplitz operator for a band LU (``lu=True``): float64,
+which the LU factors in real arithmetic.  `dense_section` scatters
+storage into a matrix.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ class BandAPOperator:
 
     @property
     def is_real_toeplitz(self) -> bool:
-        """Every diagonal a real constant (the Toeplitz operator of a symbol
-        with real coefficients): its sections take float64 storage for a
-        band LU."""
+        """Every diagonal a real constant: the Toeplitz operator of a symbol
+        with real coefficients."""
         terms = [f.terms for f in self.diagonals.values()]
         return all(len(t) == 1 and t[0][0] == 0.0 and t[0][1].imag == 0 for t in terms)
 
@@ -106,8 +105,7 @@ def almost_mathieu(alpha: float, lam: float, theta: float = 0.0) -> BandAPOperat
 
 
 def _band_vectors(
-    diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1,
-    real: bool = False,
+    diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1, real: bool = False
 ):
     """A size x size section in diagonal storage: offset d -> vector v with
     v[j] = entry (j + d, j) = diagonals[d](start + step * j) on the valid
@@ -153,9 +151,9 @@ def _reflected(A: BandAPOperator) -> dict[int, APFunction]:
     return {-d: f for d, f in A.diagonals.items()}
 
 
-def flip_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.ndarray]:
+def flip_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
     """Section of the reflected negative-quadrant corner, in the diagonal
-    storage of `band_diagonals` (``lu`` as there).
+    storage of `band_diagonals`.
 
     Entry (i, j) = A(-1-i, -1-j) = diagonal[j-i](-1-j); this is the corner
     whose invertibility governs the second stability condition, and for a
@@ -164,13 +162,13 @@ def flip_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.
     """
     if A.domain != "Z":
         raise ValueError("flip sections need an operator over all integers")
-    return _band_vectors(_reflected(A), n, -1, -1, lu and A.is_real_toeplitz)
+    return _band_vectors(_reflected(A), n, -1, -1)
 
 
-def reversed_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.ndarray]:
-    """W_n A_n W_n in the diagonal storage of `band_diagonals` (``lu`` as
-    there): entry (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
-    return _band_vectors(_reflected(A), n, n - 1, -1, lu and A.is_real_toeplitz)
+def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
+    """W_n A_n W_n in the diagonal storage of `band_diagonals`: entry
+    (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
+    return _band_vectors(_reflected(A), n, n - 1, -1)
 
 
 def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:

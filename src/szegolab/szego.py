@@ -334,13 +334,13 @@ def _corner_of_inverse(diagonals: dict[int, np.ndarray], n: int) -> complex:
 def det_ratio_via_cramer(A, n: int) -> complex:
     """det(section n-1)/det(section n) as the first component of the solution
     of (W_n A W_n) x = e_0 (Cramer's rule on the reversed section)."""
-    return _corner_of_inverse(reversed_diagonals(as_band_operator(A), n, lu=True), n)
+    return _corner_of_inverse(reversed_diagonals(as_band_operator(A), n), n)
 
 
 def g_limit_constant(A: BandAPOperator, m: int) -> complex:
     """1 / ((flip section)^{-1})_{00}: the determinant-ratio limit along a
     distinguished sequence, where the operator is its own limit operator."""
-    v = _corner_of_inverse(flip_diagonals(as_band_operator(A), m, lu=True), m)
+    v = _corner_of_inverse(flip_diagonals(as_band_operator(A), m), m)
     if v == 0:
         raise ResolventZeroError("0-0 entry of the inverted flip section is zero")
     return 1.0 / v

@@ -38,10 +38,12 @@ ZPLUS_OPERATOR = {
 }
 
 # One small config per experiment kind, the eigen-dist twin of the
-# mathieu-dist config, and `-swap` and `-negative` determinant configs over
-# real symbols: one whose band LU swaps rows at its first step, and the
-# negative definite -2 - cos t (negative pivots, log a with phase pi).
-# tests/golden holds the CSV and JSON each one wrote.
+# mathieu-dist config, and `-swap`, `-negative` and `-real-lu` determinant
+# configs over real symbols: one whose band LU swaps rows at its first step,
+# the negative definite -2 - cos t (negative pivots, log a with phase pi),
+# and 2 + e^{it} + 0.75 e^{-it}, some of whose values the real band LU
+# (dgbtrf) rounds differently in the last place from the complex one
+# (zgbtrf).  tests/golden holds the CSV and JSON each one wrote.
 GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text(encoding="utf-8"))
 
 

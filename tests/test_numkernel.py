@@ -357,9 +357,10 @@ def _set_entries(diagonals, k, value, offsets=(0,)):
     return out
 
 
-def _toeplitz_band(coeffs, n):
-    """The storage a determinant sweep factors: float64 for real coefficients."""
-    return band_diagonals(as_band_operator(TrigPolynomial(coeffs)), n, lu=True)
+def _toeplitz_band(coeffs, n, lu=False):
+    """Section storage of a Toeplitz operator; with ``lu`` the storage a
+    determinant sweep factors, float64 for real coefficients."""
+    return band_diagonals(as_band_operator(TrigPolynomial(coeffs)), n, lu=lu)
 
 
 @pytest.mark.parametrize(
@@ -390,6 +391,9 @@ def _toeplitz_band(coeffs, n):
         (_set_entries(_random_band(10, 20, 0, 3, 0.0, real=True), 5, 1e-3), 20, 20, 0),
         (_set_entries(_random_band(11, 20, 3, 0, 4.0, real=True), 5, 1e-3), 20, 5, 1),
         (_random_band(5, 160, 40, 66, 2.0 * (40 + 66 + 1), real=True), 160, 160, 0),
+        # the two Toeplitz cases above on the real route
+        (_toeplitz_band({0: 1.0, 1: 1.0, -1: 1.0}, 9, lu=True), 9, 1, 1),
+        (_toeplitz_band({0: 1.0, 1: 2.0, -1: 0.5, 2: -6.0, -2: -6.0}, 12, lu=True), 12, 0, 1),
     ],
 )
 def test_band_lu_pivots_matches_dense_sections(diagonals, n, stop, swapped):

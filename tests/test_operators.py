@@ -345,25 +345,20 @@ def test_constant_diagonal_storage_is_eval_ap_bit_for_bit(re, im, real, general,
 @given(values=st.lists(PARTS, min_size=1, max_size=4), imag=st.sampled_from([0.0, -0.0]),
        n=st.integers(1, 9))
 def test_real_toeplitz_lu_storage_is_float64_eval_ap_bit_for_bit(values, imag, n):
-    # every diagonal a real constant: storage for a band LU is float64, whose
-    # entries cast to complex are the bits eval_ap gives (a -0.0 part reads
-    # +0.0), in the section, the flip and the reversed section; any other
-    # storage is complex128.  One complex coefficient or one diagonal that
-    # is not constant keeps complex128 storage for the LU too
+    # every diagonal a real constant: the section's storage for a band LU is
+    # float64, whose entries cast to complex are the bits eval_ap gives (a
+    # -0.0 part reads +0.0); any other storage is complex128.  One complex
+    # coefficient or one diagonal that is not constant keeps complex128
+    # storage for the LU too
     op = BandAPOperator({d - 1: APFunction.constant(complex(v, imag)) for d, v in enumerate(values) if v})
     assume(op.diagonals)
     assert op.is_real_toeplitz
-    reflected_diagonals = {-k: g for k, g in op.diagonals.items()}
-    for storage, want in (
-        (band_diagonals, eval_ap_vectors(op.diagonals, n, 0, 1)),
-        (flip_diagonals, eval_ap_vectors(reflected_diagonals, n, -1, -1)),
-        (reversed_diagonals, eval_ap_vectors(reflected_diagonals, n, n - 1, -1)),
-    ):
-        for lu, dtype in ((True, np.float64), (False, np.complex128)):
-            got = storage(op, n, lu=lu)
-            assert got.keys() == want.keys()
-            for k in got:
-                assert got[k].dtype == dtype and same_bits(got[k].astype(np.complex128), want[k])
+    want = eval_ap_vectors(op.diagonals, n, 0, 1)
+    for lu, dtype in ((True, np.float64), (False, np.complex128)):
+        got = band_diagonals(op, n, lu=lu)
+        assert got.keys() == want.keys()
+        for k in got:
+            assert got[k].dtype == dtype and same_bits(got[k].astype(np.complex128), want[k])
     for extra in (APFunction.constant(0.5j), APFunction.cosine(0.5, GOLDEN, 0.1)):
         mixed = BandAPOperator({**op.diagonals, 5: extra})
         assert not mixed.is_real_toeplitz

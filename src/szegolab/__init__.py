@@ -33,8 +33,6 @@ from .operators import (
     almost_mathieu,
     as_band_operator,
     band_ap_section,
-    composite_sections,
-    flip_section,
 )
 from .szego import (
     SkippedSize,

@@ -67,12 +67,14 @@ class LogDet:
     """Determinant in log form: det = exp(log_abs) * phase.
 
     ``phase`` has unit modulus unless ``singular_flag`` is set, in which case
-    ``log_abs`` is -inf and ``phase`` is 0.
+    ``log_abs`` is -inf, ``phase`` is 0 and ``smallest_pivot`` holds the
+    smallest |pivot| of the failed factorization (NaN otherwise).
     """
 
     log_abs: float
     phase: complex
     singular_flag: bool = False
+    smallest_pivot: float = math.nan
 
     @property
     def value(self) -> complex:
@@ -112,8 +114,9 @@ def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
     The phase of a real factor is formed in complex arithmetic too."""
     diag = np.asarray(diag, dtype=np.complex128)
     absd = np.abs(diag)
-    if not float(absd.min()) >= PIVOT_UNDERFLOW:  # also NaN
-        return LogDet(-math.inf, 0j, True)
+    smallest = float(absd.min())
+    if not smallest >= PIVOT_UNDERFLOW:  # also NaN
+        return LogDet(-math.inf, 0j, True, smallest)
     log_abs = float(np.sum(np.log(absd)))
     swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
     phase = complex(np.prod(diag / absd)) * (-1.0) ** swaps

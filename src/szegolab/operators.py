@@ -1,4 +1,4 @@
-"""Operator descriptions and finite section assembly.
+"""Operator descriptions, finite section assembly and band-storage algebra.
 
 Every sectioned operator is a band operator with almost periodic diagonals
 (`BandAPOperator`): a Toeplitz operator is the case where every diagonal is
@@ -15,12 +15,17 @@ so no array is evaluated for it.  Storage is complex128, except the
 section of a real Toeplitz operator for a band LU (``lu=True``): float64,
 which the LU factors in real arithmetic.  `dense_section` scatters
 storage into a matrix.
+
+Only this module, and the band LU's copy into LAPACK storage, index the
+storage; its algebra, which `szego` calls, is here too: products, adjoints,
+the exact Hermitian test, the main diagonal of a polynomial and the dense
+trailing block of a section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,10 +76,6 @@ class CompositeOperator:
     def __post_init__(self):
         if not self.products or any(not p for p in self.products):
             raise ValueError("composite operator needs at least one nonempty product")
-
-    @classmethod
-    def of(cls, *factors: BandAPOperator) -> "CompositeOperator":
-        return cls((tuple(factors),))
 
     @property
     def total_bandwidth(self) -> int:
@@ -176,29 +177,84 @@ def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:
     return dense_section(band_diagonals(A, n), n)
 
 
-def flip_section(A: BandAPOperator, n: int) -> np.ndarray:
-    """`flip_diagonals` as a dense matrix."""
-    return dense_section(flip_diagonals(A, n), n)
+# ---------------------------------------------------------------------------
+# band storage algebra: offset d -> vector v, v[j] = entry (j + d, j)
 
 
-def _assemble(E: CompositeOperator, size: int) -> np.ndarray:
-    total = np.zeros((size, size), dtype=np.complex128)
-    for prod in E.products:
-        acc = dense_section(band_diagonals(prod[0], size), size)
-        for f in prod[1:]:
-            acc = acc @ dense_section(band_diagonals(f, size), size)
-        total += acc
-    return total
+def _band_matmul(
+    a: dict[int, np.ndarray], b: dict[int, np.ndarray], m: int, main_only: bool = False
+) -> dict[int, np.ndarray]:
+    """Product of two m x m banded matrices in diagonal storage; only its
+    main diagonal when ``main_only``.
 
-
-def composite_sections(E: CompositeOperator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product of n-sections vs n-crop of the m-truncated full product, as
-    dense matrices (`szego.folner_discrepancy` forms both in band storage).
-
-    For banded factors the crop is exact once m exceeds n plus the summed
-    factor bandwidths; m doubles that margin and adds slack.
+    (AB)(j+d, j) = sum_{d1+d2=d} A(j+d2+d1, j+d2) B(j+d2, j); the stored
+    vectors are zero outside their valid ranges, so only index bounds need
+    care.
     """
-    if n < 1:
-        raise ValueError("section size must be >= 1")
-    m = n + 2 * E.total_bandwidth + 8
-    return _assemble(E, n), _assemble(E, m)[:n, :n]
+    out: dict[int, np.ndarray] = {}
+    for d1, va in a.items():
+        for d2, vb in b.items():
+            d = d1 + d2
+            if not -m < d < m or (main_only and d):
+                continue
+            lo = max(0, -d2)
+            hi = m - max(0, d2)
+            if hi <= lo:
+                continue
+            acc = out.setdefault(d, np.zeros(m, dtype=np.complex128))
+            acc[lo:hi] += va[lo + d2 : hi + d2] * vb[lo:hi]
+    return out
+
+
+def _adjoint(vectors: dict[int, np.ndarray], m: int) -> dict[int, np.ndarray]:
+    """A^H of the m x m matrix A in diagonal storage: its entry (j, j + d) is
+    the conjugate of entry (j + d, j) of A, so offset -d holds v_d shifted
+    by d."""
+    out: dict[int, np.ndarray] = {}
+    for d, v in vectors.items():
+        lo, hi = max(0, -d), m - max(0, d)
+        u = out[-d] = np.zeros(m, dtype=np.complex128)
+        u[lo + d : hi + d] = np.conj(v[lo:hi])
+    return out
+
+
+def _is_hermitian(vectors: dict[int, np.ndarray], m: int) -> bool:
+    """Whether the matrix equals its adjoint entry for entry, with no
+    tolerance: entry (j + d, j) is the conjugate of entry (j, j + d)."""
+    for d, v in vectors.items():
+        lo, hi = max(0, -d), m - max(0, d)
+        w = vectors.get(-d)
+        if w is None:
+            if v[lo:hi].any():
+                return False
+        elif not (v[lo:hi] == np.conj(w[lo + d : hi + d])).all():
+            return False
+    return True
+
+
+def _poly_diagonal(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray) -> np.ndarray:
+    """Main diagonal of p(B) = sum_k coeffs[k] B^k for the m x m matrix B in
+    diagonal storage, from banded products: the k-th power of a bandwidth-w
+    matrix has bandwidth k*w, so the cost stays linear in m."""
+    diag = np.full(m, coeffs[0], dtype=np.complex128)
+    power = None
+    top = len(coeffs) - 1
+    for k in range(1, top + 1):
+        power = base if power is None else _band_matmul(power, base, m, main_only=k == top)
+        if coeffs[k] != 0 and 0 in power:
+            diag = diag + coeffs[k] * power[0]
+    return diag
+
+
+def _band_product(factors: Sequence[BandAPOperator], m: int) -> dict[int, np.ndarray]:
+    """Product of the m-sections of the factors, in diagonal storage."""
+    acc = band_diagonals(factors[0], m)
+    for f in factors[1:]:
+        acc = _band_matmul(acc, band_diagonals(f, m), m)
+    return acc
+
+
+def _trailing_block(vectors: Mapping[int, np.ndarray], n: int, c: int) -> np.ndarray:
+    """Rows and columns n-c..n-1 of the matrix in diagonal storage, as a
+    dense c x c matrix."""
+    return dense_section({d: v[n - c : n] for d, v in vectors.items() if abs(d) < c}, c)

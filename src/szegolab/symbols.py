@@ -118,8 +118,8 @@ def sample_circle(a: TrigPolynomial, n: int) -> np.ndarray:
     return np.fft.ifft(spec, norm="forward")
 
 
-def _check_zero_proximity(mags: np.ndarray):
-    """``mags`` are the |a| of the samples."""
+def _check_zero_proximity(mags: np.ndarray) -> float:
+    """``mags`` are the |a| of the samples; returns their peak."""
     peak = float(mags.max()) if mags.size else 0.0
     low = float(mags.min()) if mags.size else 0.0
     if peak == 0.0 or low <= ZERO_PROXIMITY_RATIO * peak:
@@ -127,6 +127,7 @@ def _check_zero_proximity(mags: np.ndarray):
             f"symbol passes too close to zero on the grid: min |a| = {low:.3e}, "
             f"max |a| = {peak:.3e}"
         )
+    return peak
 
 
 def _coefficient_arrays(samples: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -151,17 +152,22 @@ def _log_samples(b: TrigPolynomial, grid: int, stride: int) -> np.ndarray:
     times that of b.  The branch is fixed by unwrapping the argument along
     the grid: one principal argument per step of the closed ring of samples,
     each in (-pi, pi], the closing step from the last sample to the first
-    being the last.  For a real-valued b every step is 0, or +-pi where b
-    changes sign, so its phase is the constant 0 or pi the unwrapping gives.
+    being the last; samples with peak |b| below 2^-500 are first scaled by
+    a power of two, which is exact and keeps the steps' quotients finite.
+    For a real-valued b every step is 0, or +-pi where b changes sign, so
+    its phase is the constant 0 or pi the unwrapping gives.
     """
     samples = sample_circle(b, grid)
     mags = np.abs(samples)
-    _check_zero_proximity(mags)
+    peak = _check_zero_proximity(mags)
     if b.is_real_valued:  # exactly real samples, none 0
         values = samples.real
         if values.min() < 0 < values.max():
             raise ZeroProximityError(f"phase of a turns by {np.pi:.3e} rad between grid points")
         return np.log(mags) + (1j * np.pi if values[0] < 0 else 0j)
+    if peak < 2.0**-500:  # 1 / |sample| would overflow in the ring division
+        shift = -math.frexp(peak)[1]  # a power of two: the scaling is exact
+        samples = np.ldexp(samples.real, shift) + 1j * np.ldexp(samples.imag, shift)
     ring = np.empty_like(samples)
     ring[:-1] = samples[1:]
     ring[-1] = samples[0]

@@ -13,7 +13,9 @@ the sizes within it read their ratios off the pivots at once.
 
 Each quantity is read from the band storage of the sections (offset ->
 diagonal vector, `operators.band_diagonals`) where that storage determines
-it, and a dense spectrum is taken only where the quantity needs one:
+it, through the band-storage algebra of `operators` (this module does no
+index arithmetic on the storage), and a dense spectrum is taken only where
+the quantity needs one:
 
 - the eigenvalue mean of a polynomial g without a domain is the trace
   (1/n) tr p(A_n), from banded powers (`eigen_dist_mean`), and the singular
@@ -43,6 +45,12 @@ from .numkernel import LogDet
 from .operators import (
     BandAPOperator,
     CompositeOperator,
+    _adjoint,
+    _band_matmul,
+    _band_product,
+    _is_hermitian,
+    _poly_diagonal,
+    _trailing_block,
     as_band_operator,
     band_ap_section,
     band_diagonals,
@@ -379,7 +387,7 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
         else:
             ld = numkernel.band_logdet(diagonals, n)
             if ld.singular_flag:
-                raise numkernel.SingularMatrixError("singular section", 0.0)
+                raise numkernel.SingularMatrixError("singular section", ld.smallest_pivot)
         return cmath.exp(ld.log_abs - n * c0.real) * ld.phase * cmath.exp(-1j * n * c0.imag)
 
     report = sweep(sizes, normalized_det, constant.value)
@@ -451,75 +459,6 @@ def singular_dist_mean(A, g: TestFunction, n: int) -> float:
     return singular_mean(numkernel.singular_values(band_ap_section(band, n)), g)
 
 
-# ---------------------------------------------------------------------------
-# band storage algebra: offset d -> vector v, v[j] = entry (j + d, j)
-
-
-def _band_matmul(
-    a: dict[int, np.ndarray], b: dict[int, np.ndarray], m: int, main_only: bool = False
-) -> dict[int, np.ndarray]:
-    """Product of two m x m banded matrices in diagonal storage; only its
-    main diagonal when ``main_only``.
-
-    (AB)(j+d, j) = sum_{d1+d2=d} A(j+d2+d1, j+d2) B(j+d2, j); the stored
-    vectors are zero outside their valid ranges, so only index bounds need
-    care.
-    """
-    out: dict[int, np.ndarray] = {}
-    for d1, va in a.items():
-        for d2, vb in b.items():
-            d = d1 + d2
-            if not -m < d < m or (main_only and d):
-                continue
-            lo = max(0, -d2)
-            hi = m - max(0, d2)
-            if hi <= lo:
-                continue
-            acc = out.setdefault(d, np.zeros(m, dtype=np.complex128))
-            acc[lo:hi] += va[lo + d2 : hi + d2] * vb[lo:hi]
-    return out
-
-
-def _adjoint(vectors: dict[int, np.ndarray], m: int) -> dict[int, np.ndarray]:
-    """A^H of the m x m matrix A in diagonal storage: its entry (j, j + d) is
-    the conjugate of entry (j + d, j) of A, so offset -d holds v_d shifted
-    by d."""
-    out: dict[int, np.ndarray] = {}
-    for d, v in vectors.items():
-        lo, hi = max(0, -d), m - max(0, d)
-        u = out[-d] = np.zeros(m, dtype=np.complex128)
-        u[lo + d : hi + d] = np.conj(v[lo:hi])
-    return out
-
-
-def _is_hermitian(vectors: dict[int, np.ndarray], m: int) -> bool:
-    """Whether the matrix equals its adjoint entry for entry, with no
-    tolerance: entry (j + d, j) is the conjugate of entry (j, j + d)."""
-    for d, v in vectors.items():
-        lo, hi = max(0, -d), m - max(0, d)
-        w = vectors.get(-d)
-        if w is None:
-            if v[lo:hi].any():
-                return False
-        elif not (v[lo:hi] == np.conj(w[lo + d : hi + d])).all():
-            return False
-    return True
-
-
-def _poly_diagonal(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray) -> np.ndarray:
-    """Main diagonal of p(B) = sum_k coeffs[k] B^k for the m x m matrix B in
-    diagonal storage, from banded products: the k-th power of a bandwidth-w
-    matrix has bandwidth k*w, so the cost stays linear in m."""
-    diag = np.full(m, coeffs[0], dtype=np.complex128)
-    power = None
-    top = len(coeffs) - 1
-    for k in range(1, top + 1):
-        power = base if power is None else _band_matmul(power, base, m, main_only=k == top)
-        if coeffs[k] != 0 and 0 in power:
-            diag = diag + coeffs[k] * power[0]
-    return diag
-
-
 def _trace_mean(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray, g: TestFunction) -> complex:
     """(1/m) tr p(B), with p the polynomial of g; a trace that is not finite
     fails naming g, as `TestFunction.apply` does for a sample."""
@@ -585,14 +524,6 @@ def limit_prediction(
 # Folner discrepancy
 
 
-def _band_product(factors: Sequence[BandAPOperator], m: int) -> dict[int, np.ndarray]:
-    """Product of the m-sections of the factors, in diagonal storage."""
-    acc = band_diagonals(factors[0], m)
-    for f in factors[1:]:
-        acc = _band_matmul(acc, band_diagonals(f, m), m)
-    return acc
-
-
 def folner_discrepancy(E: CompositeOperator, n: int) -> float:
     """Trace norm of (product of n-sections minus n-section of the product),
     divided by n.
@@ -601,8 +532,7 @@ def folner_discrepancy(E: CompositeOperator, n: int) -> float:
     block of the product of m-sections, m = n + total bandwidth w.  They
     differ only on paths that leave the indices below n, which start and end
     within w of n, so the SVD is taken of the trailing c x c corner,
-    c = min(n, w), alone (`operators.composite_sections` gives the dense
-    n x n matrices).
+    c = min(n, w), alone.
     """
     width = E.total_bandwidth
     c = min(n, width)
@@ -611,8 +541,7 @@ def folner_discrepancy(E: CompositeOperator, n: int) -> float:
     corner = np.zeros((c, c), dtype=np.complex128)
     for factors in E.products:
         for sign, m in ((1, n), (-1, n + width)):
-            block = {d: v[n - c : n] for d, v in _band_product(factors, m).items() if abs(d) < c}
-            corner += sign * dense_section(block, c)
+            corner += sign * _trailing_block(_band_product(factors, m), n, c)
     return float(np.sum(numkernel.singular_values(corner)) / n)
 
 

@@ -19,7 +19,6 @@ from szegolab.almostperiodic import (
 from szegolab.numkernel import band_logdet, band_solve, singular_values
 from szegolab.operators import (
     BandAPOperator,
-    CompositeOperator,
     almost_mathieu,
     as_band_operator,
     band_ap_section,
@@ -37,6 +36,8 @@ from szegolab.szego import (
     limit_prediction,
     singular_mean,
 )
+
+from sections import composite_of
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
@@ -179,7 +180,7 @@ def test_criterion_07_avram_parter():
 def test_criterion_08_folner_discrepancy():
     z = TrigPolynomial({1: 1.0})
     zinv = TrigPolynomial({-1: 1.0})
-    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
+    e = composite_of(as_band_operator(zinv), as_band_operator(z))
     details = []
     ok = True
     for n in (8, 64, 256):

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 from szegolab.almostperiodic import APFunction
 from szegolab.cli import main
 from szegolab.numkernel import singular_values
-from szegolab.operators import (
-    BandAPOperator,
-    CompositeOperator,
-    band_ap_section,
-    composite_sections,
-    flip_section,
-)
+from szegolab.operators import BandAPOperator, CompositeOperator, band_ap_section
 from szegolab.szego import (
     TestFunction,
     eigen_dist_mean,
@@ -30,6 +24,8 @@ from szegolab.szego import (
     singular_mean,
     stability_probe,
 )
+
+from sections import composite_sections, flip_section
 
 EPS = np.finfo(float).eps
 KINDS = ("hermitian", "symmetric", "general")

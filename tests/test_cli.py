@@ -776,6 +776,31 @@ def test_strong_szego_singular_section_names_size(tmp_path, capsys):
     assert err.startswith("numeric failure: n=2: singular section")
 
 
+def test_strong_szego_singular_section_names_its_pivot(tmp_path, capsys):
+    # T_1 = [1e-300]: below PIVOT_UNDERFLOW, and the message names that pivot
+    cfg = {
+        "experiment": "strong-szego",
+        "symbol": {"0": 1e-300, "1": 3e-301, "-1": 3e-301},
+        "n_range": [1, 2, 3, 4, 5],
+        "output": str(tmp_path / "ss"),
+    }
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: n=1: singular section (smallest pivot 1.000e-300)")
+
+
+def test_szego_ratio_of_a_subnormal_symbol_fails_on_its_sections(tmp_path, capsys):
+    # log a of a symbol near 2e-309 has its branch; its sections are singular
+    cfg = {
+        "experiment": "szego-ratio",
+        "symbol": {"0": 2e-309, "1": [0.0, 1e-309]},
+        "n_range": [1, 2, 3, 4, 5],
+        "output": str(tmp_path / "sr"),
+    }
+    assert main(["run", write_config(tmp_path, "cfg.json", cfg)]) == 1
+    assert capsys.readouterr().err == "numeric failure: all requested sections were singular\n"
+
+
 def test_stability_run_unstable_shift(tmp_path):
     cfg = {
         "experiment": "stability",

@@ -1,4 +1,5 @@
-"""Section assembly checks: Toeplitz, band AP, flips, reversals, composites."""
+"""Section assembly checks: Toeplitz, band AP, flips, reversals, composites,
+and the band-storage algebra against dense matrices."""
 
 import math
 
@@ -13,17 +14,20 @@ from szegolab.cli import validate_config
 from szegolab.numkernel import band_logdet, band_solve
 from szegolab.operators import (
     BandAPOperator,
-    CompositeOperator,
+    _adjoint,
+    _band_matmul,
+    _is_hermitian,
+    _poly_diagonal,
     almost_mathieu,
     as_band_operator,
     band_ap_section,
     band_diagonals,
-    composite_sections,
     flip_diagonals,
-    flip_section,
     reversed_diagonals,
 )
 from szegolab.symbols import TrigPolynomial
+
+from sections import composite_of, composite_sections, flip_section
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
@@ -206,13 +210,13 @@ def test_flip_and_reversed_diagonals_reject_empty_sections():
 
 def test_sections_are_complex_arrays():
     op = almost_mathieu(GOLDEN, 1.0)
-    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS), op)
+    e = composite_of(as_band_operator(TWO_PLUS_COS), op)
     for section in (band_ap_section(op, 5), flip_section(op, 5), *composite_sections(e, 5)):
         assert type(section) is np.ndarray and section.dtype == np.complex128
 
 
 def test_composite_single_factor_identical():
-    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS))
+    e = composite_of(as_band_operator(TWO_PLUS_COS))
     prod, crop = composite_sections(e, 5)
     assert np.array_equal(prod, crop)
 
@@ -220,7 +224,7 @@ def test_composite_single_factor_identical():
 def test_composite_shift_pair_corner_defect():
     z = TrigPolynomial({1: 1.0})
     zinv = TrigPolynomial({-1: 1.0})
-    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
+    e = composite_of(as_band_operator(zinv), as_band_operator(z))
     prod, crop = composite_sections(e, 4)
     diff = prod - crop
     expected = np.zeros((4, 4), dtype=complex)
@@ -363,3 +367,63 @@ def test_real_toeplitz_lu_storage_is_float64_eval_ap_bit_for_bit(values, imag, n
         mixed = BandAPOperator({**op.diagonals, 5: extra})
         assert not mixed.is_real_toeplitz
         assert all(v.dtype == np.complex128 for v in band_diagonals(mixed, n, lu=True).values())
+
+
+def storage_of(matrix, offsets):
+    """The diagonal storage of ``matrix`` at ``offsets``: v[j] = entry
+    (j + d, j) on the valid column range and 0 outside it."""
+    m = len(matrix)
+    out = {}
+    for d in offsets:
+        v = out[d] = np.zeros(m, dtype=complex)
+        for j in range(max(0, -d), m - max(0, d)):
+            v[j] = matrix[j + d, j]
+    return out
+
+
+SMALL = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def small_storage(draw, m):
+    """Storage of an m x m band matrix with |offset| <= 3, every entry a
+    small-integer complex number, so that dense sums and products are exact."""
+    w = min(3, m - 1)
+    offsets = draw(st.sets(st.integers(-w, w), max_size=2 * w + 1))
+    out = {}
+    for d in sorted(offsets):
+        v = out[d] = np.zeros(m, dtype=complex)
+        lo, hi = max(0, -d), m - max(0, d)
+        v[lo:hi] = draw(st.lists(SMALL, min_size=hi - lo, max_size=hi - lo))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 8))
+def test_band_storage_algebra_matches_dense_exactly(data, m):
+    # products reach offsets |d| >= m, which leave the section and are dropped
+    a, b = data.draw(small_storage(m)), data.draw(small_storage(m))
+    A, B = dense(a, m), dense(b, m)
+    every = range(1 - m, m)
+    product = storage_of(A @ B, every)
+    got = _band_matmul(a, b, m)
+    for d in every:
+        assert np.array_equal(got.get(d, np.zeros(m)), product[d]), d
+    main = _band_matmul(a, b, m, main_only=True)
+    assert set(main) <= {0} and np.array_equal(main.get(0, np.zeros(m)), np.diag(A @ B))
+
+    assert np.array_equal(dense(_adjoint(a, m), m), A.conj().T)
+
+    assert _is_hermitian(a, m) == np.array_equal(A, A.conj().T)
+    H = A + A.conj().T
+    band = {d for d in every if abs(d) <= 3}
+    assert _is_hermitian(storage_of(H, band), m)
+    j = data.draw(st.integers(0, m - 1))
+    i = data.draw(st.integers(max(0, j - 3), min(m - 1, j + 3)))
+    H[i, j] += 1j  # one entry off: (i, j) is no longer conj (j, i), or not real
+    assert not np.array_equal(H, H.conj().T)
+    assert not _is_hermitian(storage_of(H, band), m)
+
+    coeffs = np.array(data.draw(st.lists(SMALL, min_size=1, max_size=4)))
+    poly = sum(c * np.linalg.matrix_power(A, k) for k, c in enumerate(coeffs))
+    assert np.array_equal(_poly_diagonal(a, m, coeffs), np.diag(poly))

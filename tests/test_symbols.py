@@ -505,6 +505,14 @@ def test_geometric_mean_matches_log_average():
         assert geometric_mean(a) == pytest.approx(np.exp(avg), abs=1e-10)
 
 
+def test_log_of_a_complex_symbol_below_the_overflow_scale():
+    # 1 / |sample| overflows near 2e-309: the samples are scaled by a power
+    # of two before the ring division (an overflow warning fails the test)
+    a = TrigPolynomial({0: 2e-309, 1: 1e-309j})
+    assert abs(geometric_mean(a) - 2e-309) <= 1e-12 * 2e-309
+    assert abs(strong_szego_constant(a).value - 1) <= 1e-12
+
+
 def test_log_coefficients_conjugate_symmetry_exact():
     log = _sample_log(TWO_PLUS_COS)
     assert np.array_equal(log.negative, log.positive.conj())

@@ -18,12 +18,10 @@ from szegolab import numkernel
 from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, singular_values
 from szegolab.operators import (
     BandAPOperator,
-    CompositeOperator,
     almost_mathieu,
     as_band_operator,
     band_ap_section,
     band_diagonals,
-    flip_section,
 )
 from szegolab.symbols import TrigPolynomial, geometric_mean, strong_szego_constant, symbol_average
 from szegolab.szego import (
@@ -45,6 +43,8 @@ from szegolab.szego import (
     stability_probe,
     strong_szego_ratio,
 )
+
+from sections import composite_of, flip_section
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
@@ -505,14 +505,14 @@ def test_limit_prediction_errors():
 
 
 def test_folner_single_factor_zero():
-    e = CompositeOperator.of(as_band_operator(TWO_PLUS_COS))
+    e = composite_of(as_band_operator(TWO_PLUS_COS))
     assert folner_discrepancy(e, 9) == 0.0
 
 
 def test_folner_shift_pair_exact():
     z = TrigPolynomial({1: 1.0})
     zinv = TrigPolynomial({-1: 1.0})
-    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
+    e = composite_of(as_band_operator(zinv), as_band_operator(z))
     assert folner_discrepancy(e, 8) == pytest.approx(1 / 8, abs=1e-12)
 
 
@@ -526,7 +526,7 @@ def test_folner_rank_bound_normalized_symbols():
         scale_b = sum(abs(v) for v in b.values())
         sa = TrigPolynomial({k: v / scale_a for k, v in a.items()})
         sb = TrigPolynomial({k: v / scale_b for k, v in b.items()})
-        e = CompositeOperator.of(as_band_operator(sa), as_band_operator(sb))
+        e = composite_of(as_band_operator(sa), as_band_operator(sb))
         n = int(rng.integers(8, 40))
         assert folner_discrepancy(e, n) <= min(wa, wb) / n + 1e-12
 
@@ -534,7 +534,7 @@ def test_folner_rank_bound_normalized_symbols():
 def test_folner_nonincreasing_in_n():
     z = TrigPolynomial({1: 1.0, 0: 0.3})
     zinv = TrigPolynomial({-1: 1.0, 0: -0.2})
-    e = CompositeOperator.of(as_band_operator(zinv), as_band_operator(z))
+    e = composite_of(as_band_operator(zinv), as_band_operator(z))
     discs = [folner_discrepancy(e, n) for n in (4, 8, 16, 32, 64)]
     assert all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
 

@@ -24,7 +24,8 @@ whose values moved, with the largest relative change |new - old| / |old|
 among them (``inf`` from an old 0, ``text`` for a change that is not
 numeric).  A CSV column pair X_re, X_im and a JSON list of two floats are
 one complex value X, so a change is relative to its modulus.  A last line
-per column or key gives its largest change over all configs.
+per column or key gives its largest change over all configs.  It exits 0
+when no config differs and 1 otherwise, so a script can gate on it.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def compare(old_root: Path, new_root: Path) -> int:
         for key, change in sorted(worst.items()):
             print(f"largest {key} {_format(change)}")
         print(f"{differing} of {len(names)} configs differ")
-    return 0
+    return 1 if differing else 0
 
 
 def main(argv) -> int:

@@ -14,12 +14,19 @@ them); the output directory is created only when it is missing, and an
 artifact path that is a directory fails the run before anything is
 computed.
 
-Exit codes: 0 ok, 1 numeric or output failure, 2 config failure.
+A run enters through `main`, which reads its three command lines itself
+(``run CONFIG``, ``validate CONFIG``, ``list-experiments``) and returns 2
+on any other, so a warm process pays for the experiment, not for parsing
+its command line.  `validate_config` spells the output prefix once as
+``str(Path(output))``; `run_experiment` then adds ``.csv`` and ``.json``
+to that string and checks the directory and both artifact paths with three
+stats, and each artifact is written by one ``os.open``/``os.write``.
+
+Exit codes: 0 ok, 1 numeric or output failure, 2 config or usage failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import math
@@ -102,11 +109,17 @@ class OutputError(Exception):
         super().__init__(f"{exc.filename or path}: {exc.strerror or exc}")
 
 
-def _write_bytes(path, data: bytes) -> None:
-    """Write one artifact; raises OutputError."""
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write one artifact with os-level calls, as ``open(path, "wb")`` would
+    create it; raises OutputError."""
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            written = os.write(fd, data)
+            while written < len(data):  # a partial write: write the rest
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OutputError(exc, path) from exc
 
@@ -198,7 +211,7 @@ def _json_text(obj, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def _write_json(path, obj) -> None:
+def _write_json(path: str, obj) -> None:
     _write_bytes(path, (_json_text(obj) + "\n").encode("ascii"))
 
 
@@ -214,7 +227,7 @@ def _pair(z: complex) -> list[float]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    output: str
+    output: str  # the artifact path prefix, as str(Path(...)) spells it
     tolerance: float
     sizes: tuple[int, ...]
     symbol: TrigPolynomial | None = None  # the symbol of a Toeplitz operator
@@ -501,6 +514,11 @@ def validate_config(raw) -> ExperimentConfig:
     output = _require(raw, "output")
     if not isinstance(output, str) or not output:
         raise ConfigError("output: must be a nonempty path prefix")
+    if "\0" in output:
+        raise ConfigError("output: must not contain a NUL byte")
+    prefix = Path(output)
+    if not prefix.name:
+        raise ConfigError(f"output: {output!r} ends in no file name to add .csv and .json to")
     tolerance = raw.get("tolerance", 1e-6)
     if not _is_number(tolerance) or tolerance <= 0:
         raise ConfigError("tolerance: must be a positive finite number")
@@ -606,7 +624,7 @@ def validate_config(raw) -> ExperimentConfig:
 
     return ExperimentConfig(
         kind=kind,
-        output=output,
+        output=str(prefix),
         tolerance=float(tolerance),
         sizes=_Sizes(sizes),  # positive and strictly increasing, as checked above
         symbol=symbol,
@@ -747,17 +765,17 @@ def run_experiment(cfg) -> int:
     """
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
-    prefix = Path(cfg.output)
-    if not prefix.parent.is_dir():
+    directory = os.path.dirname(cfg.output) or "."
+    if not os.path.isdir(directory):
         try:
-            prefix.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
         except OSError as exc:
-            raise OutputError(exc, prefix.parent) from exc
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    json_path = prefix.with_name(prefix.name + ".json")
+            raise OutputError(exc, directory) from exc
+    csv_path = cfg.output + ".csv"
+    json_path = cfg.output + ".json"
     for path in (csv_path, json_path):  # fail before the sweep, not after it
-        if path.is_dir():
-            raise OutputError(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path)), path)
+        if os.path.isdir(path):
+            raise OutputError(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path), path)
     if cfg.kind == "cf-expand":
         return _run_cf_expand(cfg, csv_path, json_path)
     report, extras = _RUNNERS[cfg.kind](cfg)
@@ -799,37 +817,49 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="szegolab",
-        description="Finite-section determinant and distribution experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config", help="path to a JSON experiment config")
-    p_val = sub.add_parser("validate", help="validate a config without running it")
-    p_val.add_argument("config", help="path to a JSON experiment config")
-    sub.add_parser("list-experiments", help="list available experiment kinds")
-    return parser
+_USAGE = "usage: szegolab {run,validate} CONFIG | szegolab list-experiments"
+
+_HELP = f"""{_USAGE}
+  run CONFIG          run an experiment config
+  validate CONFIG     validate a config without running it
+  list-experiments    list available experiment kinds"""
 
 
-_PARSER = _build_parser()
+def _usage_error(reason: str) -> int:
+    print(_USAGE, file=sys.stderr)
+    print(f"szegolab: error: {reason}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-
-    if args.command == "list-experiments":
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        print(_HELP)
+        return 0
+    if not args:
+        return _usage_error("missing command")
+    command, *operands = args
+    if command == "list-experiments":
+        if operands:
+            return _usage_error(f"list-experiments: unexpected argument {operands[0]!r}")
         for kind in EXPERIMENTS:
             print(kind)
         return 0
+    if command not in ("run", "validate"):
+        return _usage_error(f"unknown command {command!r}")
+    if len(operands) != 1:
+        reason = "missing CONFIG" if not operands else f"unexpected argument {operands[1]!r}"
+        return _usage_error(f"{command}: {reason}")
+    config = operands[0]
+    if config.startswith("-"):
+        return _usage_error(f"{command}: CONFIG may not begin with '-': {config!r}")
     try:
-        raw = _load_config(args.config)
+        raw = _load_config(config)
         cfg = validate_config(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "validate":
+    if command == "validate":
         print("ok")
         return 0
     try:

@@ -94,7 +94,9 @@ def _first_difference(golden: Path, written: bytes) -> str:
 
 
 # Run in a fresh interpreter: validate every golden config, run every one
-# whose kind needs no LU, note whether SciPy is loaded, then run szego-ratio.
+# whose kind needs no LU, note whether SciPy and argparse are loaded, then
+# run szego-ratio.  SciPy itself imports argparse (through unittest), so
+# argparse is checked before the first LU loads SciPy.
 COLD_START = """
 import json, sys
 from szegolab.cli import main
@@ -106,8 +108,9 @@ codes += [
     if c["experiment"] not in ("szego-ratio", "strong-szego")
 ]
 before = "scipy" in sys.modules
+argparse = "argparse" in sys.modules
 codes.append(main(["run", configs["szego-ratio"]["path"]]))
-print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules}))
+print(json.dumps({"codes": codes, "before": before, "argparse": argparse, "after": "scipy" in sys.modules}))
 """
 
 
@@ -129,7 +132,7 @@ def test_cold_start_loads_scipy_only_for_lu(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     runs = 2 * len(configs) - lu_runs + 1
-    assert result == {"codes": [0] * runs, "before": False, "after": True}
+    assert result == {"codes": [0] * runs, "before": False, "argparse": False, "after": True}
     for ext in ("csv", "json"):
         golden = GOLDEN_DIR / f"szego-ratio.{ext}"
         assert (tmp_path / f"szego-ratio.{ext}").read_bytes() == golden.read_bytes()
@@ -352,16 +355,27 @@ def test_invalid_configs_field_paths(tmp_path):
         # golden-ratio denominators: the 24th is the Fibonacci number 75025
         ({"experiment": "mathieu-dist", "alpha": GOLDEN_ALPHA, "lambda": 1.0, "distinguished": {"length": 24}},
          "distinguished.length"),
+        # an output prefix with no file name to add .csv and .json to, or one
+        # no file system call takes
+        ({"output": "."}, "output"),
+        ({"output": "/"}, "output"),
+        ({"output": "sub/a\u0000b"}, "output"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )
-def test_malformed_config_exits_2_naming_field(tmp_path, capsys, overrides, field):
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, monkeypatch, overrides, field):
+    monkeypatch.chdir(tmp_path)  # a relative output lands in tmp_path
     cfg = ratio_config(tmp_path, experiment="singular-dist", g={"kind": "power", "k": 2})
     cfg.update(overrides)
-    assert main(["validate", write_config(tmp_path, "cfg.json", cfg)]) == 2
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["validate", cfg_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
+    # a run fails the same way and creates nothing, not even a directory
+    assert main(["run", cfg_path]) == 2
+    assert capsys.readouterr().err == err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -621,6 +635,62 @@ def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "szego-ratio" in out and "cf-expand" in out and len(out) == 8
+
+
+def test_command_line_forms(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, "cfg.json", ratio_config(tmp_path))
+    assert main(["validate", cfg_path]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    assert main(["run", cfg_path]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert sorted(os.listdir(tmp_path / "out")) == ["ratio.csv", "ratio.json"]
+    monkeypatch.setattr(sys, "argv", ["szegolab", "list-experiments"])
+    assert main() == 0  # argv defaults to sys.argv[1:]
+    assert capsys.readouterr() == ("".join(k + "\n" for k in cli.EXPERIMENTS), "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["run", "-h"], ["validate", "cfg.json", "--help"]], ids=" ".join
+)
+def test_help_goes_to_stdout_and_returns_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: szegolab ") and err == ""
+    assert [line.split()[0] for line in lines[1:]] == ["run", "validate", "list-experiments"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["run"],
+        ["validate"],
+        ["run", "a.json", "b.json"],
+        ["validate", "a.json", "b.json"],
+        ["list-experiments", "extra"],
+        ["run", "-config.json"],
+        ["validate", "--config"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_malformed_command_line_returns_2(capsys, argv):
+    assert main(argv) == 2  # returned, not raised as SystemExit
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == ""
+    assert usage.startswith("usage: szegolab ")
+    assert error.startswith("szegolab: error: ")
+
+
+@pytest.mark.parametrize("prefix", ["out//x", "./out/x", "out/x/"])
+def test_artifacts_land_where_pathlib_puts_the_prefix(tmp_path, monkeypatch, prefix):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, "cfg.json", ratio_config(tmp_path, output=prefix))
+    assert main(["run", cfg_path]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["x.csv", "x.json"]
 
 
 def test_cf_expand_rational(tmp_path):

@@ -108,9 +108,9 @@ codes += [
     if c["experiment"] not in ("szego-ratio", "strong-szego")
 ]
 before = "scipy" in sys.modules
-argparse = "argparse" in sys.modules
+argparse_loaded = "argparse" in sys.modules
 codes.append(main(["run", configs["szego-ratio"]["path"]]))
-print(json.dumps({"codes": codes, "before": before, "argparse": argparse, "after": "scipy" in sys.modules}))
+print(json.dumps({"codes": codes, "before": before, "argparse": argparse_loaded, "after": "scipy" in sys.modules}))
 """
 
 

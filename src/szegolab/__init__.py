@@ -40,7 +40,6 @@ from .szego import (
     TestFunction,
     cluster_partial_limits,
     det_ratio_sequence,
-    det_ratio_via_cramer,
     eigen_dist_mean,
     eigen_mean,
     eigen_sample,

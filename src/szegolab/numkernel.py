@@ -1,27 +1,26 @@
 """Linear algebra kernel: band LU in real or complex arithmetic, dense spectra.
 
-Determinants and linear solves of banded sections, eigenvalues and singular
-values of dense complex matrices, and the singular values of real symmetric
-matrices as the moduli of their eigenvalues.  Every factorization for a determinant or
-a solve is LAPACK's partially pivoted band LU in O(n w^2) for bandwidth w,
-``dgbtrf`` on real band storage (a real operator) and ``zgbtrf`` on
-complex: one factorization gives the successive determinant ratios up to
-its first row swap, one more per size each larger determinant, and
-``zgbtrs`` on the same factor solves for one right-hand side.  Pivots and
-phases are complex on both routes.  Everything
-downstream (section determinants, limit constants, spectral distribution
-means, stability probes) sits on these operations.  All arithmetic is 64-bit
-floating point; determinants are only ever exposed in log-magnitude/phase
-form because section determinants grow geometrically with the section size.
+Determinants of banded sections, eigenvalues and singular values of dense
+complex matrices, and the singular values of real symmetric matrices as the
+moduli of their eigenvalues.  Every factorization is LAPACK's partially
+pivoted band LU in O(n w^2) for bandwidth w, ``dgbtrf`` on real band
+storage (a real operator) and ``zgbtrf`` on complex: one factorization
+gives the successive determinant ratios up to its first row swap, and one
+more per size each larger determinant.  Pivots and phases are complex on
+both routes.  Everything downstream (section determinants, limit
+constants, spectral distribution means, stability probes) sits on these
+operations.  All arithmetic is 64-bit floating point; determinants are only
+ever exposed in log-magnitude/phase form because section determinants grow
+geometrically with the section size.
 
 Dense matrices are plain numpy arrays.  The eigenvalue and singular value
 kernels read them as complex128 (float64 for the real symmetric ones, which
 also take a stack of matrices) and check them where they read them: 2-d,
 square where the operation needs it, and every entry finite.
 
-Only the band LU (behind `band_logdet`, `band_solve` and `band_lu_pivots`)
-uses SciPy, and it loads it at its first call: importing this module, and
-every eigenvalue and singular value path, loads numpy alone.
+Only the band LU (behind `band_logdet` and `band_lu_pivots`) uses SciPy,
+and it loads it at its first call: importing this module, and every
+eigenvalue and singular value path, loads numpy alone.
 ``python -X importtime -c "import szegolab.cli"`` shows it.
 """
 
@@ -152,25 +151,6 @@ def band_logdet(diagonals: Mapping[int, np.ndarray], n: int) -> LogDet:
         return LogDet(0.0, 1 + 0j, False)
     lu, ipiv, p, q = _band_lu(diagonals, n)
     return _logdet_from_lu(lu[p + q], ipiv)
-
-
-def band_solve(diagonals: Mapping[int, np.ndarray], n: int, rhs) -> np.ndarray:
-    """Solve A x = rhs for the leading n x n section A of a band matrix
-    (``diagonals`` as in `band_logdet`) by its band LU (``zgbtrs``, on a
-    real factor cast to complex)."""
-    b = np.asarray(rhs, dtype=np.complex128)
-    if b.shape != (n,):
-        raise DimensionError(f"rhs length {b.shape} does not match matrix order {n}")
-    if n == 0:
-        return b.copy()
-    lu, ipiv, p, q = _band_lu(diagonals, n)
-    smallest = float(np.abs(lu[p + q]).min())
-    if not smallest >= PIVOT_UNDERFLOW:  # also NaN
-        raise SingularMatrixError("matrix is numerically singular", smallest)
-    x, info = _linalg().lapack.zgbtrs(lu.astype(np.complex128, copy=False), p, q, b, ipiv)
-    if info < 0:
-        raise ValueError(f"zgbtrs rejected argument {-info}")
-    return x
 
 
 def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:

@@ -6,15 +6,14 @@ constant (`as_band_operator` of its symbol), the almost Mathieu operator has
 a cosine main diagonal, and composites are sums of products of band
 operators, used by the Folner trace estimates.  The convention throughout:
 the matrix entry at (i, j) is diagonal[i - j] evaluated at the column index
-j.  One routine evaluates the diagonals on a column range into diagonal
-storage: the section over 0..n-1 (`band_diagonals`), the flipped corner
-(`flip_diagonals`) and the reversed section W_n A_n W_n
-(`reversed_diagonals`).  A constant diagonal (every diagonal of a Toeplitz
-operator) is filled from its one value, bit for bit what `eval_ap` gives,
-so no array is evaluated for it.  Storage is complex128, except the
-section of a real Toeplitz operator for a band LU (``lu=True``): float64,
-which the LU factors in real arithmetic.  `dense_section` scatters
-storage into a matrix.
+j.  Every section is the operator over start..start+n-1 in diagonal
+storage, from one routine (`band_diagonals`): start is 0, or -n for the
+section ending at the origin that the limit constant and the stability
+probe's flip section read.  A constant diagonal (every diagonal of a
+Toeplitz operator) is filled from its one value, so no array is evaluated
+for it.  Storage is complex128, except the section of a real Toeplitz
+operator for a band LU (``lu=True``): float64, which the LU factors in real
+arithmetic.  `dense_section` scatters storage into a matrix.
 
 Only this module, and the band LU's copy into LAPACK storage, index the
 storage; its algebra, which `szego` calls, is here too: products, adjoints,
@@ -105,30 +104,6 @@ def almost_mathieu(alpha: float, lam: float, theta: float = 0.0) -> BandAPOperat
     )
 
 
-def _band_vectors(
-    diagonals: Mapping[int, APFunction], size: int, start: int = 0, step: int = 1, real: bool = False
-):
-    """A size x size section in diagonal storage: offset d -> vector v with
-    v[j] = entry (j + d, j) = diagonals[d](start + step * j) on the valid
-    column range and 0 outside it, float64 when ``real`` (every diagonal a
-    real constant) and complex128 otherwise.  A constant diagonal is filled
-    from its one value, bit for bit what `eval_ap` gives, without evaluating it."""
-    if size < 1:
-        raise ValueError("section size must be >= 1")
-    vectors: dict[int, np.ndarray] = {}
-    for d, f in diagonals.items():
-        if abs(d) < size:
-            lo, hi = max(0, -d), size - max(0, d)
-            v = vectors[d] = np.zeros(size, dtype=np.float64 if real else np.complex128)
-            if len(f.terms) == 1 and f.terms[0][0] == 0.0:
-                # eval_ap's value c * e^0, added to 0: a signed zero part reads +0.0
-                c = f.terms[0][1]
-                v[lo:hi] = c.real + 0.0 if real else complex(c.real + 0.0, c.imag + 0.0)
-            else:
-                v[lo:hi] = eval_ap(f, np.arange(start + step * lo, start + step * hi, step))
-    return vectors
-
-
 def dense_section(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
     """The size x size matrix with entry (j + d, j) = vectors[d][j] (diagonal
     storage as `band_diagonals` gives it)."""
@@ -140,36 +115,33 @@ def dense_section(vectors: Mapping[int, np.ndarray], size: int) -> np.ndarray:
     return m
 
 
-def band_diagonals(A: BandAPOperator, n: int, lu: bool = False) -> dict[int, np.ndarray]:
-    """Section over 0..n-1 in diagonal storage: offset d -> vector v with
-    v[j] = entry(j+d, j) on the valid column range and 0 outside it,
-    complex128.  With ``lu``, the storage for a band LU, it is float64 for
-    a real Toeplitz operator, whose LU then runs in real arithmetic."""
-    return _band_vectors(A.diagonals, n, real=lu and A.is_real_toeplitz)
-
-
-def _reflected(A: BandAPOperator) -> dict[int, APFunction]:
-    return {-d: f for d, f in A.diagonals.items()}
-
-
-def flip_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
-    """Section of the reflected negative-quadrant corner, in the diagonal
-    storage of `band_diagonals`.
-
-    Entry (i, j) = A(-1-i, -1-j) = diagonal[j-i](-1-j); this is the corner
-    whose invertibility governs the second stability condition, and for a
-    Toeplitz symbol a it reproduces the section of the reflected symbol
-    a(1/t).
-    """
-    if A.domain != "Z":
-        raise ValueError("flip sections need an operator over all integers")
-    return _band_vectors(_reflected(A), n, -1, -1)
-
-
-def reversed_diagonals(A: BandAPOperator, n: int) -> dict[int, np.ndarray]:
-    """W_n A_n W_n in the diagonal storage of `band_diagonals`: entry
-    (i, j) = A(n-1-i, n-1-j) = diagonal[j-i](n-1-j)."""
-    return _band_vectors(_reflected(A), n, n - 1, -1)
+def band_diagonals(
+    A: BandAPOperator, n: int, lu: bool = False, start: int = 0
+) -> dict[int, np.ndarray]:
+    """Section over start..start+n-1 in diagonal storage: offset d -> vector
+    v with v[j] = entry (j + d, j) = diagonals[d](start + j) on the valid
+    column range and 0 outside it, complex128.  With ``lu``, the storage for
+    a band LU, it is float64 for a real Toeplitz operator, whose LU then
+    runs in real arithmetic.  A constant diagonal is filled from its one
+    value, bit for bit what `eval_ap` gives, without evaluating it.  A
+    negative ``start`` needs an operator over all integers."""
+    if n < 1:
+        raise ValueError("section size must be >= 1")
+    if start < 0 and A.domain != "Z":
+        raise ValueError("sections at negative indices need an operator over all integers")
+    real = lu and A.is_real_toeplitz
+    vectors: dict[int, np.ndarray] = {}
+    for d, f in A.diagonals.items():
+        if abs(d) < n:
+            lo, hi = max(0, -d), n - max(0, d)
+            v = vectors[d] = np.zeros(n, dtype=np.float64 if real else np.complex128)
+            if len(f.terms) == 1 and f.terms[0][0] == 0.0:
+                # eval_ap's value c * e^0, added to 0: a signed zero part reads +0.0
+                c = f.terms[0][1]
+                v[lo:hi] = c.real + 0.0 if real else complex(c.real + 0.0, c.imag + 0.0)
+            else:
+                v[lo:hi] = eval_ap(f, np.arange(start + lo, start + hi))
+    return vectors
 
 
 def band_ap_section(A: BandAPOperator, n: int) -> np.ndarray:

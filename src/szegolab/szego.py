@@ -3,7 +3,8 @@
 This is the layer that turns operator descriptions into the quantities the
 limit theorems speak about: successive section determinant ratios and their
 partial limits, the constant 1/((JQAQJ)^{-1})_{00} they converge to along
-distinguished sequences, strong Szego determinant ratios, eigenvalue and
+distinguished sequences (the last of those ratios on the section that ends
+at the origin), strong Szego determinant ratios, eigenvalue and
 singular value distribution means, diagonal-based limit predictions, Folner
 trace-norm discrepancies, and observational stability probes.  Every
 size-indexed quantity is swept by `sweep`: one measurement per section size
@@ -24,8 +25,9 @@ the quantity needs one:
 - the Folner discrepancy takes the SVD of the trailing corner of total
   bandwidth size only, where the two band products differ;
 - the stability probe slices every size from one assembly at the largest
-  size, and takes |eigenvalues| for singular values when both the section and
-  the flip section are exactly real symmetric.
+  size, its flip section being the section over -n..-1 with rows and
+  columns reversed, and takes |eigenvalues| for singular values when both
+  are exactly real symmetric.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from operator import lt
+from operator import index, lt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,8 +57,6 @@ from .operators import (
     band_ap_section,
     band_diagonals,
     dense_section,
-    flip_diagonals,
-    reversed_diagonals,
 )
 from .symbols import TrigPolynomial, _sample_log
 
@@ -229,10 +229,18 @@ class _Sizes(tuple):
     by `_validate_sizes` or by the CLI's config validation."""
 
 
+def _size(n) -> int:
+    """An integer size (numpy's too) as an int; a float is never rounded."""
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError(f"section sizes must be integers, got {n!r}") from None
+
+
 def _validate_sizes(n_range: Sequence[int]) -> _Sizes:
     if type(n_range) is _Sizes:
         return n_range
-    sizes = _Sizes(map(int, n_range))
+    sizes = _Sizes(map(_size, n_range))
     if not sizes:
         raise ValueError("empty size range")
     if min(sizes) < 1:
@@ -294,26 +302,10 @@ def sweep(
 # determinant ratios
 
 
-def det_ratio_sequence(
-    A,
-    n_range: Sequence[int],
-    predicted: complex | None = None,
-) -> SzegoReport:
-    """Ratios det(section n) / det(section n-1) over the size range.
-
-    ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
-    the largest size gives every ratio as a pivot, up to the pass's first
-    row swap or zero pivot (`numkernel.band_lu_pivots`), so the sizes up to
-    that ``stop`` take their ratios by one gather from the pivot array.
-    Only the sizes past it go through `sweep`'s per-size loop: each ratio
-    comes from the band LU of the two sections (each factored once), as
-    exp(difference of log magnitudes) times the phase ratio, and a singular
-    section is skipped.  Both parts form one report by `sweep`'s report
-    constructor; without an explicit prediction the final ratio serves as
-    the limit estimate.
-    """
-    sizes = _validate_sizes(n_range)
-    diagonals = band_diagonals(as_band_operator(A), sizes[-1], lu=True)
+def _det_ratios(diagonals: dict[int, np.ndarray], sizes: _Sizes):
+    """det(section n) / det(section n-1) of the band matrix in diagonal
+    storage at every size, as `det_ratio_sequence` describes: (the sizes
+    that gave a ratio, the ratios, the skipped (size, reason) pairs)."""
     pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
     in_pass = bisect.bisect_right(sizes, stop)
     logdet = functools.cache(lambda k: numkernel.band_logdet(diagonals, k))
@@ -328,30 +320,46 @@ def det_ratio_sequence(
     values = pivots[np.array(sizes[:in_pass], dtype=np.intp) - 1]
     if measured:
         values = np.concatenate((values, measured))
-    return _report(sizes[:in_pass] + kept, values, skipped, predicted)
+    return sizes[:in_pass] + kept, values, skipped
 
 
-def _corner_of_inverse(diagonals: dict[int, np.ndarray], n: int) -> complex:
-    """x[0] of S x = e_0, the 0-0 entry of S^{-1}, for the n x n section S
-    in diagonal storage, by one band LU solve."""
-    e0 = np.zeros(n, dtype=np.complex128)
-    e0[0] = 1.0
-    return complex(numkernel.band_solve(diagonals, n, e0)[0])
+def det_ratio_sequence(
+    A,
+    n_range: Sequence[int],
+    predicted: complex | None = None,
+) -> SzegoReport:
+    """Ratios det(section n) / det(section n-1) over the size range.
 
-
-def det_ratio_via_cramer(A, n: int) -> complex:
-    """det(section n-1)/det(section n) as the first component of the solution
-    of (W_n A W_n) x = e_0 (Cramer's rule on the reversed section)."""
-    return _corner_of_inverse(reversed_diagonals(as_band_operator(A), n), n)
+    ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
+    the largest size gives every ratio as a pivot, up to the pass's first
+    row swap or zero pivot (`numkernel.band_lu_pivots`), so the sizes up to
+    that ``stop`` take their ratios by one gather from the pivot array.
+    Only the sizes past it go through `sweep`'s per-size loop: each ratio
+    comes from the band LU of the two sections (each factored once), as
+    exp(difference of log magnitudes) times the phase ratio, and a singular
+    section is skipped.  Both parts (`_det_ratios`) form one report by
+    `sweep`'s report constructor; without an explicit prediction the final
+    ratio serves as the limit estimate.
+    """
+    sizes = _validate_sizes(n_range)
+    diagonals = band_diagonals(as_band_operator(A), sizes[-1], lu=True)
+    return _report(*_det_ratios(diagonals, sizes), predicted)
 
 
 def g_limit_constant(A: BandAPOperator, m: int) -> complex:
-    """1 / ((flip section)^{-1})_{00}: the determinant-ratio limit along a
-    distinguished sequence, where the operator is its own limit operator."""
-    v = _corner_of_inverse(flip_diagonals(as_band_operator(A), m), m)
-    if v == 0:
+    """1 / ((JQAQJ)^{-1})_{00}, the determinant-ratio limit along a
+    distinguished sequence: by Cramer's rule det A_[-m,-1] / det A_[-m,-2],
+    the last ratio of the section over -m..-1.  A singular m-section raises
+    `SingularMatrixError`, a singular (m-1)-section `ResolventZeroError`."""
+    (m,) = sizes = _validate_sizes((m,))
+    diagonals = band_diagonals(as_band_operator(A), m, lu=True, start=-m)
+    _, values, skipped = _det_ratios(diagonals, sizes)
+    if skipped:
+        ld = numkernel.band_logdet(diagonals, m)
+        if ld.singular_flag:
+            raise numkernel.SingularMatrixError("flip section is numerically singular", ld.smallest_pivot)
         raise ResolventZeroError("0-0 entry of the inverted flip section is zero")
-    return 1.0 / v
+    return complex(values[0])
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -586,8 +594,9 @@ def stability_probe(A, n_range: Sequence[int]) -> StabilityReport:
     sizes = _validate_sizes(n_range)
     band = as_band_operator(A)
     top = sizes[-1]
-    storage = (band_diagonals(band, top), flip_diagonals(band, top))
-    pair = np.stack([dense_section(v, top) for v in storage])
+    storage = (band_diagonals(band, top), band_diagonals(band, top, start=-top))
+    section, corner = (dense_section(v, top) for v in storage)
+    pair = np.stack([section, corner[::-1, ::-1]])  # the flip section: rows and columns reversed
     symmetric = all(_is_hermitian(v, top) and not any(x.imag.any() for x in v.values()) for v in storage)
     if symmetric:
         pair = pair.real

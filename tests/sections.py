@@ -1,14 +1,14 @@
-"""Dense section builders that only the tests use: oracles for the band
-routes of `szegolab`, which never form these matrices."""
+"""Dense section builders and solves that only the tests use: oracles for
+the band routes of `szegolab`, which never form these matrices."""
 
 import numpy as np
 
 from szegolab.operators import (
     BandAPOperator,
     CompositeOperator,
+    band_ap_section,
     band_diagonals,
     dense_section,
-    flip_diagonals,
 )
 
 
@@ -18,8 +18,21 @@ def composite_of(*factors: BandAPOperator) -> CompositeOperator:
 
 
 def flip_section(A: BandAPOperator, n: int) -> np.ndarray:
-    """`flip_diagonals` as a dense matrix."""
-    return dense_section(flip_diagonals(A, n), n)
+    """The flip section, entry (i, j) = A(-1-i, -1-j): the section over
+    -n..-1 with rows and columns reversed."""
+    return dense_section(band_diagonals(A, n, start=-n), n)[::-1, ::-1]
+
+
+def inverse_corner(section: np.ndarray) -> complex:
+    """x[0] of section x = e_0, the 0-0 entry of the inverse, by numpy's
+    dense solve (which raises `LinAlgError` on an exactly singular section)."""
+    return complex(np.linalg.solve(section, np.eye(len(section))[0])[0])
+
+
+def cramer_ratio(A: BandAPOperator, n: int) -> complex:
+    """det(section n-1) / det(section n) by Cramer's rule: x[0] of
+    (W_n A_n W_n) x = e_0, with W_n the reversal of 0..n-1."""
+    return inverse_corner(band_ap_section(A, n)[::-1, ::-1])
 
 
 def _assemble(E: CompositeOperator, size: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 configs: closed forms, exact fractions and mpmath at 30 digits or more.
 `test_cli.test_golden_artifacts` checks that a run writes the golden bytes;
 this checks that those bytes are right, each within a stated multiple of
-the rounding unit times the scale of its quantity."""
+the rounding unit times the scale of its quantity.  The limit constant,
+which no golden config writes, is checked here against mpmath too."""
 
 import json
 import math
@@ -13,7 +14,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from szegolab.szego import cluster_partial_limits
+from szegolab.almostperiodic import APFunction
+from szegolab.operators import BandAPOperator, almost_mathieu
+from szegolab.szego import cluster_partial_limits, g_limit_constant
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text(encoding="utf-8"))
@@ -227,3 +230,92 @@ def test_determinant_rows_are_mpmath_determinants(name):
             assert 0.0 <= summary["tail_bound"] <= 1e-12
     assert summary["final_residual"] == rows[-1][3]
     assert summary.get("skipped", []) == [] and summary["verdict"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# folner: the one path out of the section
+
+
+def _mp_factor_section(factor, n):
+    """The n-section of a composite factor of the config, in mpmath: a
+    Toeplitz factor has entry (i, j) = a_{i-j}, a multiplier the diagonal
+    sum_k c_k e^{2 pi i f_k j}."""
+    mat = mpmath.zeros(n, n)
+    if factor["kind"] == "toeplitz":
+        coeffs = {int(k): mpmath.mpc(*v) for k, v in factor["symbol"].items()}
+        for i in range(n):
+            for j in range(n):
+                mat[i, j] = coeffs.get(i - j, 0)
+    else:
+        for j in range(n):
+            mat[j, j] = mpmath.fsum(
+                mpmath.mpc(t["re"], t.get("im", 0.0)) * mpmath.expjpi(2 * mpmath.mpf(t["freq"]) * j)
+                for t in factor["terms"]
+            )
+    return mat
+
+
+def test_folner_rows_are_one_over_n():
+    # T(1/2 + 1/z) M T(z), |M| = 1: the only path that leaves the section is
+    # n-1 -> n -> n-1, of weight |a_{-1}| |e^{2 pi i alpha n}| = 1, so the
+    # discrepancy has rank 1 and trace norm 1, and each row is 1/n
+    cfg = GOLDEN_CONFIGS["folner"]
+    exact = {n: Fraction(1, n) for n in cfg["n_range"]}
+    _check_table("folner", exact, 0.0, scale=1.0)
+    (factors,) = cfg["operator"]["products"]
+    width = sum(max(abs(int(k)) for k in f["symbol"]) for f in factors if f["kind"] == "toeplitz")
+    written = {r[0]: r[1] for r in _rows("folner")}
+    with mpmath.workdps(30):
+        for n in (4, 16):
+            # the n-section of the product is the leading block of the
+            # product of (n + width)-sections
+            product, crop = (mpmath.eye(m) for m in (n, n + width))
+            for f in factors:
+                product, crop = product * _mp_factor_section(f, n), crop * _mp_factor_section(f, n + width)
+            difference = product - crop[:n, :n]
+            trace_norm = mpmath.fsum(abs(s) for s in mpmath.svd_c(difference, compute_uv=False))
+            assert _close(written[n], trace_norm / n, 1.0), (n, written[n])
+
+
+# ---------------------------------------------------------------------------
+# the limit constant: the last determinant ratio of the section ending at 0
+
+GOLDEN_RATIO = (math.sqrt(5) - 1) / 2
+
+
+def _mp_ap(f, j):
+    """sum_k c_k e^{2 pi i f_k j} of an APFunction, in mpmath."""
+    return mpmath.fsum(mpmath.mpc(c) * mpmath.expjpi(2 * mpmath.mpf(freq) * j) for freq, c in f.terms)
+
+
+def _mp_limit_constant(op, m):
+    """det A_[-m,-1] / det A_[-m,-2], entry (i, j) = diagonal[i - j](j)."""
+    idx = range(-m, 0)
+    mat = mpmath.matrix([[_mp_ap(op.diagonals[i - j], j) if i - j in op.diagonals else 0 for j in idx] for i in idx])
+    return mpmath.det(mat) / mpmath.det(mat[: m - 1, : m - 1])
+
+
+def _two_frequency_operator():
+    a1, a2 = GOLDEN_RATIO, math.sqrt(2) - 1
+    return BandAPOperator({
+        0: APFunction([(0.0, 3.0), (a1, 0.5 + 0.2j), (a2, -0.3j)]),
+        1: APFunction([(0.0, 1.0), (a2, 0.25 - 0.1j)]),
+        -1: APFunction([(0.0, 0.7 - 0.1j)]),
+        2: APFunction([(a1, 0.2j)]),
+        -2: APFunction([(0.0, 0.1)]),
+    })
+
+
+@pytest.mark.parametrize("name, m", [("almost-mathieu", 13), ("almost-mathieu", 34), ("two-frequency", 20)])
+def test_limit_constant_is_the_mpmath_determinant_ratio(name, m):
+    op = almost_mathieu(GOLDEN_RATIO, 3.0) if name == "almost-mathieu" else _two_frequency_operator()
+    with mpmath.workdps(40):
+        exact = complex(_mp_limit_constant(op, m))
+    assert abs(g_limit_constant(op, m) - exact) <= 64 * m * EPS * abs(exact)
+
+
+def test_limit_constant_of_the_almost_mathieu_operator_is_converged():
+    # golden alpha, theta = 0, lambda = 3: one value from m = 55 on
+    op = almost_mathieu(GOLDEN_RATIO, 3.0)
+    for m in (55, 377, 987, 4181):
+        assert abs(g_limit_constant(op, m) - 2.7152158827044146) <= 1e-13 * 2.7152158827044146, m

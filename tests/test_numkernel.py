@@ -1,4 +1,4 @@
-"""Kernel checks: band LU determinants and solves, spectra."""
+"""Kernel checks: band LU determinants and pivots, spectra."""
 
 import math
 import warnings
@@ -19,7 +19,6 @@ from szegolab.numkernel import (
     SymmetryError,
     band_logdet,
     band_lu_pivots,
-    band_solve,
     eigvals_general,
     eigvals_hermitian,
     singular_values,
@@ -56,10 +55,6 @@ def as_diagonals(a):
 
 def logdet(a):
     return band_logdet(as_diagonals(a), len(a))
-
-
-def solve(a, rhs):
-    return band_solve(as_diagonals(a), len(a), rhs)
 
 
 def dense_logdet(a):
@@ -109,12 +104,6 @@ def test_eigvals_reject_nonsquare():
         singular_values(np.ones(3))
 
 
-def test_band_solve_rejects_rhs_of_wrong_length():
-    with pytest.raises(DimensionError):
-        solve(np.eye(3), np.ones(2))
-    assert band_solve({}, 0, []).shape == (0,)
-
-
 NAN_MATRIX = np.array([[1.0, np.nan], [0.0, 1.0]])
 # three terms of 1e308 each: finite one by one, inf where they add up (n = 0)
 OVERFLOWING = BandAPOperator({0: APFunction([(0.0, 1e308), (0.25, 1e308), (0.75, 1e308)])})
@@ -135,31 +124,6 @@ def test_dense_paths_reject_nonfinite(dense_path):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             dense_path()
-
-
-def test_solve_identity():
-    x = solve(np.eye(2), [1.0, 2.0])
-    assert np.allclose(x, [1.0, 2.0])
-
-
-def test_solve_diagonal():
-    x = solve(np.diag([2.0, 4.0]), [1.0, 1.0])
-    assert np.allclose(x, [0.5, 0.25])
-
-
-def test_solve_residual_random():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) + 4 * np.eye(8)
-    rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    x = solve(m, rhs)
-    assert np.linalg.norm(m @ x - rhs) <= 1e-10
-
-
-def test_solve_singular_raises_with_pivot():
-    shift = np.diag(np.ones(2), -1)
-    with pytest.raises(SingularMatrixError) as exc:
-        solve(shift, np.ones(3))
-    assert exc.value.smallest_pivot == 0.0
 
 
 def test_eigvals_hermitian_examples():
@@ -228,18 +192,6 @@ def test_singular_values_match_gram_eigenvalues():
         sv = singular_values(a)
         gram = eigvals_hermitian(a.conj().T @ a)
         assert np.allclose(sv, np.sqrt(np.maximum(gram[::-1], 0.0)), atol=1e-8)
-
-
-def test_solve_roundtrip_well_conditioned():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        n = int(rng.integers(2, 16))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
-        if np.linalg.cond(a) > 1e6:
-            continue
-        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = solve(a, rhs)
-        assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def _dense_from_diagonals(diagonals, n):
@@ -430,18 +382,12 @@ def real_bands(draw):
 
 
 def _outcomes(diagonals, n):
-    """The bits of band_lu_pivots, band_logdet of every leading section and
-    band_solve of the n x n one, or the type and text of its error."""
+    """The bits of band_lu_pivots and band_logdet of every leading section."""
     pivots, stop = band_lu_pivots(diagonals, n)
     out = [pivots.dtype, pivots.tobytes(), stop]
     for k in range(1, n + 1):
         ld = band_logdet(diagonals, k)
         out.append((np.float64(ld.log_abs).tobytes(), np.complex128(ld.phase).tobytes(), ld.singular_flag))
-    rhs = np.linspace(-1.0, 1.0, n) + 0.5j
-    try:
-        out.append(band_solve(diagonals, n, rhs).tobytes())
-    except SingularMatrixError as exc:
-        out.append(str(exc))
     return out
 
 
@@ -476,9 +422,9 @@ def _lu_product(lu, ipiv, p, q, n):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(band=real_bands())
 def test_real_band_route_against_complex_route(band):
-    # float64 storage is factored by dgbtrf.  From the factor on, pivots,
-    # log determinants (phase and the sign of its zero imaginary part
-    # included), solves and errors are the complex route's bit for bit.
+    # float64 storage is factored by dgbtrf.  From the factor on, pivots
+    # and log determinants (phase and the sign of its zero imaginary part
+    # included) are the complex route's bit for bit.
     diagonals, n = band
     lu, ipiv, p, q = numkernel._band_lu(diagonals, n)
     assert lu.dtype == np.float64
@@ -514,6 +460,5 @@ def test_nan_pivot_is_singular(dtype):
     assert math.isnan(abs(lu[p + q][1]))
     assert band_lu_pivots(diagonals, 2)[1] == 0
     ld = band_logdet(diagonals, 2)
-    assert ld.singular_flag and ld.log_abs == -math.inf
-    with pytest.raises(SingularMatrixError, match=r"smallest pivot nan\)$"):
-        band_solve(diagonals, 2, [1.0, 1.0])
+    assert ld.singular_flag and ld.log_abs == -math.inf and math.isnan(ld.smallest_pivot)
+    assert str(SingularMatrixError("singular section", ld.smallest_pivot)).endswith("(smallest pivot nan)")

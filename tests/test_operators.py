@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from szegolab.almostperiodic import APFunction, eval_ap
 from szegolab.cli import validate_config
-from szegolab.numkernel import band_logdet, band_solve
+from szegolab.numkernel import band_logdet
 from szegolab.operators import (
     BandAPOperator,
     _adjoint,
@@ -22,12 +22,10 @@ from szegolab.operators import (
     as_band_operator,
     band_ap_section,
     band_diagonals,
-    flip_diagonals,
-    reversed_diagonals,
 )
 from szegolab.symbols import TrigPolynomial
 
-from sections import composite_of, composite_sections, flip_section
+from sections import composite_of, composite_sections, flip_section, inverse_corner
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
@@ -157,22 +155,24 @@ def test_flip_requires_two_sided_domain():
 
 def test_reversed_section_persymmetry():
     band = as_band_operator(TrigPolynomial({0: 1.0, 1: 2.0, -2: 0.5j}))
-    rev = dense(reversed_diagonals(band, 6), 6)
+    rev = band_ap_section(band, 6)[::-1, ::-1]
     tilde = toeplitz_section(TrigPolynomial({0: 1.0, -1: 2.0, 2: 0.5j}), 6)
     assert np.array_equal(rev, tilde)
 
 
 def test_reversed_section_n1():
     op = almost_mathieu(0.3, 2.0, 0.1)
-    (r,) = reversed_diagonals(op, 1)[0]
+    (r,) = band_diagonals(op, 1)[0]
     assert r == eval_ap(op.diagonals[0], 0)
+    (f,) = band_diagonals(op, 1, start=-1)[0]
+    assert f == eval_ap(op.diagonals[0], -1) == flip_section(op, 1)[0, 0]
 
 
 def test_reversed_section_determinant_matches():
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
     for n in (3, 8, 21):
         ld_p = band_logdet(band_diagonals(op, n), n)
-        ld_w = band_logdet(reversed_diagonals(op, n), n)
+        ld_w = band_logdet(storage_of(band_ap_section(op, n)[::-1, ::-1], (-1, 0, 1)), n)
         assert ld_w.log_abs == pytest.approx(ld_p.log_abs, abs=1e-10)
         assert ld_w.phase == pytest.approx(ld_p.phase, abs=1e-10)
 
@@ -194,18 +194,21 @@ BAND_OPERATORS = (
 @pytest.mark.parametrize("op", BAND_OPERATORS)
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
 def test_flip_and_reversed_diagonals_scatter_to_dense_sections(op, n):
-    # the band vectors solved on by g_limit_constant and det_ratio_via_cramer
-    assert np.array_equal(dense(flip_diagonals(op, n), n), flip_section(op, n))
-    assert np.array_equal(
-        dense(reversed_diagonals(op, n), n), band_ap_section(op, n)[::-1, ::-1]
-    )
-    assert np.array_equal(dense(band_diagonals(op, n), n), band_ap_section(op, n))
+    # the storage of the sections over -n..-1 (the flip section reversed,
+    # read by g_limit_constant and stability_probe) and 0..n-1 (the reversed
+    # section reversed) is, bit for bit, the blocks of the section over
+    # -n..n-1 evaluated entry by entry
+    both = two_sided_section(op, n)
+    assert np.array_equal(dense(band_diagonals(op, n, start=-n), n), both[:n, :n])
+    assert np.array_equal(flip_section(op, n), both[:n, :n][::-1, ::-1])
+    assert np.array_equal(dense(band_diagonals(op, n), n), both[n:, n:])
+    assert np.array_equal(band_ap_section(op, n), both[n:, n:])
 
 
 def test_flip_and_reversed_diagonals_reject_empty_sections():
-    for diagonals in (flip_diagonals, reversed_diagonals):
-        with pytest.raises(ValueError):
-            diagonals(almost_mathieu(GOLDEN, 1.0), 0)
+    for start in (0, -1):
+        with pytest.raises(ValueError, match="section size must be >= 1"):
+            band_diagonals(almost_mathieu(GOLDEN, 1.0), 0, start=start)
 
 
 def test_sections_are_complex_arrays():
@@ -292,11 +295,9 @@ def test_hermitian_sections_exact():
 def test_inverse_corner_reflection_identity():
     # the 00 entry of the inverse agrees for a and its reflection
     for n in (8, 32, 128):
-        e0 = np.zeros(n, dtype=complex)
-        e0[0] = 1.0
-        x = band_solve(band_diagonals(as_band_operator(TWO_PLUS_COS), n), n, e0)
-        y = band_solve(band_diagonals(as_band_operator(reflected(TWO_PLUS_COS)), n), n, e0)
-        assert abs(x[0] - y[0]) <= 1e-10
+        x = inverse_corner(toeplitz_section(TWO_PLUS_COS, n))
+        y = inverse_corner(toeplitz_section(reflected(TWO_PLUS_COS), n))
+        assert abs(x - y) <= 1e-10
 
 
 def same_bits(x, y):
@@ -304,16 +305,16 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def eval_ap_vectors(diagonals, size, start, step):
+def eval_ap_vectors(diagonals, size, start):
     """Diagonal storage with every diagonal evaluated by `eval_ap` over its
-    column range: v[j] = diagonals[d](start + step * j)."""
+    column range: v[j] = diagonals[d](start + j)."""
     out = {}
     for d, f in diagonals.items():
         if abs(d) < size:
             lo, hi = max(0, -d), size - max(0, d)
             v = out[d] = np.zeros(size, dtype=np.complex128)
             with np.errstate(over="ignore"):  # c * e^0 may raise the flag near the float range
-                v[lo:hi] = eval_ap(f, np.arange(start + step * lo, start + step * hi, step))
+                v[lo:hi] = eval_ap(f, np.arange(start + lo, start + hi))
     return out
 
 
@@ -328,18 +329,14 @@ PARTS = st.one_of(
        d=st.integers(-4, 4), n=st.integers(1, 9))
 def test_constant_diagonal_storage_is_eval_ap_bit_for_bit(re, im, real, general, d, n):
     # a constant diagonal is filled from one value; it must be what eval_ap
-    # gives at every column of the section, the flip and the reversed section
+    # gives at every column of the sections over 0..n-1, -n..-1 and n..2n-1
     c = complex(re, math.copysign(0.0, im) if real else im)
     assume(c != 0)  # a zero diagonal is dropped
     f = APFunction([(0.0, c)]) if general else APFunction.constant(c)
     assert f.is_real_valued == (c.imag == 0.0)
     op = BandAPOperator({d: f, d + 1: APFunction.cosine(0.5, GOLDEN, 0.1)})
-    reflected_diagonals = {-k: g for k, g in op.diagonals.items()}
-    for got, want in (
-        (band_diagonals(op, n), eval_ap_vectors(op.diagonals, n, 0, 1)),
-        (flip_diagonals(op, n), eval_ap_vectors(reflected_diagonals, n, -1, -1)),
-        (reversed_diagonals(op, n), eval_ap_vectors(reflected_diagonals, n, n - 1, -1)),
-    ):
+    for start in (0, -n, n):
+        got, want = band_diagonals(op, n, start=start), eval_ap_vectors(op.diagonals, n, start)
         assert got.keys() == want.keys()
         for k in got:
             assert same_bits(got[k], want[k]), (k, got[k], want[k])
@@ -357,7 +354,7 @@ def test_real_toeplitz_lu_storage_is_float64_eval_ap_bit_for_bit(values, imag, n
     op = BandAPOperator({d - 1: APFunction.constant(complex(v, imag)) for d, v in enumerate(values) if v})
     assume(op.diagonals)
     assert op.is_real_toeplitz
-    want = eval_ap_vectors(op.diagonals, n, 0, 1)
+    want = eval_ap_vectors(op.diagonals, n, 0)
     for lu, dtype in ((True, np.float64), (False, np.complex128)):
         got = band_diagonals(op, n, lu=lu)
         assert got.keys() == want.keys()

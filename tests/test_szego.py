@@ -29,11 +29,11 @@ from szegolab.szego import (
     DomainError,
     EmptyReportError,
     MethodError,
+    ResolventZeroError,
     TestFunction,
     WindowError,
     cluster_partial_limits,
     det_ratio_sequence,
-    det_ratio_via_cramer,
     eigen_mean,
     eigen_sample,
     folner_discrepancy,
@@ -42,9 +42,10 @@ from szegolab.szego import (
     singular_mean,
     stability_probe,
     strong_szego_ratio,
+    sweep,
 )
 
-from sections import composite_of, flip_section
+from sections import composite_of, cramer_ratio, flip_section
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
@@ -292,16 +293,17 @@ def test_strong_szego_ratio_singular_section_raises():
 
 
 def test_det_ratio_via_cramer_examples():
+    # the dense Cramer oracle of tests/sections.py against closed forms
     c = 2.0 - 1.5j
     band = as_band_operator(TrigPolynomial({0: c}))
-    assert det_ratio_via_cramer(band, 5) == pytest.approx(1 / c, abs=1e-12)
+    assert cramer_ratio(band, 5) == pytest.approx(1 / c, abs=1e-12)
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
-    assert det_ratio_via_cramer(op, 1) == pytest.approx(1 / eval_ap(op.diagonals[0], 0))
+    assert cramer_ratio(op, 1) == pytest.approx(1 / eval_ap(op.diagonals[0], 0))
 
 
 def test_cramer_cross_method_consistency():
     rep = det_ratio_sequence(TWO_PLUS_COS, [32], geometric_mean(TWO_PLUS_COS))
-    beta = det_ratio_via_cramer(as_band_operator(TWO_PLUS_COS), 32)
+    beta = cramer_ratio(as_band_operator(TWO_PLUS_COS), 32)
     assert abs(beta * rep.values[0] - 1.0) <= 1e-9
 
 
@@ -315,8 +317,51 @@ def test_g_limit_constant_examples():
     assert g_limit_constant(band_rev, 64) == pytest.approx(g64, abs=1e-12)
 
 
+# the complex 5-term symbol of the non-normal configs of szegobench/workloads.py
+NON_NORMAL_BASE = {0: 2.0 + 0j, 1: 0.6 + 0.2j, -1: -0.3 + 0.4j, 2: 0.15j, -2: 0.1 + 0j}
+
+
+@pytest.mark.parametrize("coeffs", [TWO_PLUS_COS.coeffs, NON_NORMAL_BASE, {0: 3.0, 1: 1.0, -2: 0.5}])
+def test_g_limit_constant_is_the_ratio_route_bit_for_bit(coeffs):
+    # a Toeplitz section over -m..-1 is the one over 0..m-1: the limit
+    # constant is the last ratio det_ratio_sequence gives, by the same route
+    a = TrigPolynomial(coeffs)
+    for m in (1, 2, 5, 33, 200, 1000):
+        got = np.complex128(g_limit_constant(as_band_operator(a), m))
+        assert got.tobytes() == det_ratio_sequence(a, [m]).values[0].tobytes(), m
+
+
+def test_g_limit_constant_singular_sections_and_domain():
+    # zero diagonal, ones beside it: the section over -2..-1 is [[0, 1], [1, 0]],
+    # and the one over -2..-2 is [0]
+    swap = as_band_operator(TrigPolynomial({1: 1.0, -1: 1.0}))
+    with pytest.raises(ResolventZeroError):
+        g_limit_constant(swap, 2)
+    with pytest.raises(SingularMatrixError) as exc:
+        g_limit_constant(swap, 3)  # [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert exc.value.smallest_pivot == 0.0
+    with pytest.raises(ValueError, match="all integers"):
+        g_limit_constant(BandAPOperator({0: APFunction.constant(1.0)}, "Z+"), 4)
+    for m in (0, 2.0):
+        with pytest.raises(ValueError):
+            g_limit_constant(swap, m)
+
+
+def test_sizes_must_be_integers():
+    # a size is never rounded: 2.9 is not the section of size 2
+    with pytest.raises(ValueError, match=r"^section sizes must be integers, got 2\.9$"):
+        det_ratio_sequence(TWO_PLUS_COS, [2.9, 4.5])
+    with pytest.raises(ValueError, match=r"got 1\.99$"):
+        sweep([1.99], lambda n: 1.0)
+    with pytest.raises(ValueError, match=r"got (np\.float64\()?4\.0\)?$"):
+        stability_probe(TWO_PLUS_COS, [1, np.float64(4.0)])
+    rep = det_ratio_sequence(TWO_PLUS_COS, np.array([2, 4]))  # numpy integers pass
+    assert rep.sizes == (2, 4) and all(type(n) is int for n in rep.sizes)
+    assert sweep([np.int32(3), 5], lambda n: n).sizes == (3, 5)
+
+
 def test_g_limit_constant_almost_mathieu_converged():
-    # the flip section of lambda = 3 is solved in band storage at any size
+    # the section over -m..-1 of lambda = 3 is factored in band storage at any size
     op = almost_mathieu(GOLDEN, 3.0)
     assert abs(g_limit_constant(op, 2048) - g_limit_constant(op, 512)) <= 1e-12
 
@@ -326,8 +371,11 @@ def test_corner_solves_of_singular_sections_raise():
     shift = as_band_operator(TrigPolynomial({1: 1.0}))
     with pytest.raises(SingularMatrixError):
         g_limit_constant(shift, 5)
-    with pytest.raises(SingularMatrixError):
-        det_ratio_via_cramer(shift, 5)
+    with pytest.raises(np.linalg.LinAlgError):
+        cramer_ratio(shift, 5)
+    # the ratio route skips the singular size that the Cramer solve fails on
+    with pytest.raises(EmptyReportError):
+        det_ratio_sequence(shift, [5])
 
 
 @st.composite
@@ -363,7 +411,8 @@ def test_corner_solves_match_dense_oracle(op, m):
     x0 = e0_solution_oracle(flip)
     assert abs(g_limit_constant(op, m) - 1 / x0) <= 1e-10 * abs(1 / x0)
     y0 = e0_solution_oracle(reverse)
-    assert abs(det_ratio_via_cramer(op, m) - y0) <= 1e-10 * abs(y0)
+    ratio = det_ratio_sequence(op, [m]).values[0]  # Cramer: det A_m / det A_{m-1} = 1 / y0
+    assert abs(ratio - 1 / y0) <= 1e-10 * abs(1 / y0)
 
 
 def test_strong_szego_ratio_constant():

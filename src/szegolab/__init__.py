@@ -7,9 +7,10 @@ Folner trace estimates.
 """
 
 from .numkernel import (
+    BandLU,
     LogDet,
-    eigvals_general,
-    eigvals_hermitian,
+    band_lu,
+    eigenvalues,
     singular_values,
 )
 from .symbols import (
@@ -41,13 +42,10 @@ from .szego import (
     cluster_partial_limits,
     det_ratio_sequence,
     eigen_dist_mean,
-    eigen_mean,
-    eigen_sample,
     folner_discrepancy,
     g_limit_constant,
     limit_prediction,
     singular_dist_mean,
-    singular_mean,
     stability_probe,
     strong_szego_ratio,
     sweep,

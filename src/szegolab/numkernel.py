@@ -1,27 +1,27 @@
 """Linear algebra kernel: band LU in real or complex arithmetic, dense spectra.
 
-Determinants of banded sections, eigenvalues and singular values of dense
-complex matrices, and the singular values of real symmetric matrices as the
-moduli of their eigenvalues.  Every factorization is LAPACK's partially
-pivoted band LU in O(n w^2) for bandwidth w, ``dgbtrf`` on real band
-storage (a real operator) and ``zgbtrf`` on complex: one factorization
-gives the successive determinant ratios up to its first row swap, and one
-more per size each larger determinant.  Pivots and phases are complex on
-both routes.  Everything downstream (section determinants, limit
-constants, spectral distribution means, stability probes) sits on these
-operations.  All arithmetic is 64-bit floating point; determinants are only
-ever exposed in log-magnitude/phase form because section determinants grow
-geometrically with the section size.
+One entry per factorization.  `band_lu` is LAPACK's partially pivoted band
+LU of a leading section in O(n w^2) for bandwidth w, ``dgbtrf`` on real band
+storage (a real operator) and ``zgbtrf`` on complex: one factor gives the
+successive determinant ratios up to its first row swap and the section's
+determinant, with complex pivots and phases on both routes.  `eigenvalues`
+takes the self-adjoint path for a matrix Hermitian within HERMITIAN_TOL
+relative to its largest entry, and Hessenberg QR otherwise; singular values
+come from the SVD, or from eigenvalue moduli for real symmetric matrices.
+Everything downstream (section determinants, limit constants, spectral
+distribution means, stability probes) sits on these operations.  All
+arithmetic is 64-bit floating point; determinants are only ever exposed in
+log-magnitude/phase form because section determinants grow geometrically
+with the section size.
 
 Dense matrices are plain numpy arrays.  The eigenvalue and singular value
 kernels read them as complex128 (float64 for the real symmetric ones, which
 also take a stack of matrices) and check them where they read them: 2-d,
 square where the operation needs it, and every entry finite.
 
-Only the band LU (behind `band_logdet` and `band_lu_pivots`) uses SciPy,
-and it loads it at its first call: importing this module, and every
-eigenvalue and singular value path, loads numpy alone.
-``python -X importtime -c "import szegolab.cli"`` shows it.
+Only `band_lu` uses SciPy, and it loads it at its first call: importing
+this module, and every eigenvalue and singular value path, loads numpy
+alone.  ``python -X importtime -c "import szegolab.cli"`` shows it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class SingularMatrixError(ArithmeticError):
         self.smallest_pivot = smallest_pivot
 
 
-class SymmetryError(ValueError):
-    """Input fails the Hermitian tolerance of the self-adjoint eigenpath."""
-
-
 class ConvergenceError(RuntimeError):
     """Eigenvalue/singular value iteration did not converge."""
 
@@ -57,7 +53,7 @@ class ConvergenceError(RuntimeError):
 # Pivots below this magnitude would push log|det| outside the float range.
 PIVOT_UNDERFLOW = 1e-292
 
-# Entrywise tolerance for accepting a matrix as Hermitian.
+# Tolerance for accepting a matrix as Hermitian: max |m - m*| over max |m|.
 HERMITIAN_TOL = 1e-12
 
 
@@ -107,19 +103,42 @@ def _linalg():
     return scipy.linalg
 
 
-def _logdet_from_lu(diag: np.ndarray, piv: np.ndarray) -> LogDet:
-    """LogDet of a pivoted LU factorization from the diagonal of U and the
-    0-based row interchanges; a pivot below PIVOT_UNDERFLOW (or NaN) is singular.
-    The phase of a real factor is formed in complex arithmetic too."""
-    diag = np.asarray(diag, dtype=np.complex128)
-    absd = np.abs(diag)
-    smallest = float(absd.min())
-    if not smallest >= PIVOT_UNDERFLOW:  # also NaN
-        return LogDet(-math.inf, 0j, True, smallest)
-    log_abs = float(np.sum(np.log(absd)))
-    swaps = int(np.count_nonzero(piv != np.arange(len(piv))))
-    phase = complex(np.prod(diag / absd)) * (-1.0) ** swaps
-    return LogDet(log_abs, phase / abs(phase), False)
+class BandLU(NamedTuple):
+    """LAPACK's partially pivoted band LU of a leading n x n section: the
+    diagonal of U and the 0-based row interchanges (`band_lu`)."""
+
+    diag: np.ndarray
+    ipiv: np.ndarray
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pass's pivots, complex128: pivot k is det(A_{k+1}) / det(A_k)
+        for the leading sections A_k, up to the first row swap or pivot below
+        PIVOT_UNDERFLOW (or NaN), all n when neither occurs.  Up to its first
+        swap the factorization is the one without swaps, with multipliers of
+        modulus at most 1 on the real route (``dgbtrf`` keeps |pivot| >= every
+        entry below) and at most sqrt(2) on the complex one (``zgbtrf`` keeps
+        cabs1(pivot) = |Re| + |Im| >= cabs1 of every entry below)."""
+        swaps = np.flatnonzero(self.ipiv != np.arange(len(self.ipiv)))
+        stop = int(swaps[0]) if swaps.size else len(self.ipiv)
+        failed = np.flatnonzero(~(np.abs(self.diag[:stop]) >= PIVOT_UNDERFLOW))  # also NaN
+        if failed.size:
+            stop = int(failed[0])
+        return self.diag[:stop].astype(np.complex128)
+
+    def logdet(self) -> LogDet:
+        """det of the section; the sign comes from the row interchanges, a
+        pivot below PIVOT_UNDERFLOW (or NaN) flags it singular, and the phase
+        of a real factor is formed in complex arithmetic too."""
+        diag = self.diag.astype(np.complex128)
+        absd = np.abs(diag)
+        smallest = float(absd.min(initial=math.inf))
+        if not smallest >= PIVOT_UNDERFLOW:  # also NaN
+            return LogDet(-math.inf, 0j, True, smallest)
+        log_abs = float(np.sum(np.log(absd)))
+        swaps = int(np.count_nonzero(self.ipiv != np.arange(len(self.ipiv))))
+        phase = complex(np.prod(diag / absd)) * (-1.0) ** swaps
+        return LogDet(log_abs, phase / abs(phase), False)
 
 
 def _band_lu(diagonals: Mapping[int, np.ndarray], n: int):
@@ -142,61 +161,32 @@ def _band_lu(diagonals: Mapping[int, np.ndarray], n: int):
     return lu, ipiv, p, q
 
 
-def band_logdet(diagonals: Mapping[int, np.ndarray], n: int) -> LogDet:
-    """det of the leading n x n section of a band matrix (``diagonals`` as in
-    `band_lu_pivots`, vectors of length >= n) from its band LU in O(n w^2);
-    the sign comes from the row interchanges, and a pivot below
-    PIVOT_UNDERFLOW flags the section singular."""
-    if n == 0:
-        return LogDet(0.0, 1 + 0j, False)
+def band_lu(diagonals: Mapping[int, np.ndarray], n: int) -> BandLU:
+    """Band LU (`_band_lu`) of the leading n x n section of a band matrix,
+    factored once for both views: the determinant ratios of its pass
+    (`BandLU.pivots`) and the section's determinant (`BandLU.logdet`).
+    ``diagonals`` maps offset d to a vector v of length >= n with
+    v[j] = entry(j+d, j), zero where j+d falls outside 0..n-1."""
+    if n == 0:  # the empty section, det 1: nothing to factor
+        return BandLU(np.ones(0), np.zeros(0, dtype=np.int32))
     lu, ipiv, p, q = _band_lu(diagonals, n)
-    return _logdet_from_lu(lu[p + q], ipiv)
+    return BandLU(lu[p + q], ipiv)
 
 
-def band_lu_pivots(diagonals: Mapping[int, np.ndarray], n: int) -> tuple[np.ndarray, int]:
-    """Pivots of the LU factorization without row swaps of an n x n band matrix.
-
-    ``diagonals`` maps offset d to a length-n vector v with v[j] = entry(j+d, j),
-    zero where j+d falls outside 0..n-1.  Pivot k is det(A_{k+1}) / det(A_k)
-    for the leading k x k sections A_k, so one pass yields every successive
-    determinant ratio.
-
-    Returns (pivots, stop): ``stop`` is the first row swap of LAPACK's
-    partially pivoted band LU (`_band_lu`) or its first pivot below
-    PIVOT_UNDERFLOW (or NaN), n when neither occurs, and ``pivots`` holds the
-    ``stop`` pivots before it, complex128 on either route.  Up to its first
-    swap that factorization is the one without swaps.  Its multipliers are
-    at most 1 in modulus on the real route (``dgbtrf`` keeps |pivot| >=
-    every entry below) and at most sqrt(2) on the complex one (``zgbtrf``
-    keeps cabs1(pivot) = |Re| + |Im| >= cabs1 of every entry below).
-    """
-    lu, ipiv, p, q = _band_lu(diagonals, n)
-    diag = lu[p + q]
-    swaps = np.flatnonzero(ipiv != np.arange(n))
-    stop = int(swaps[0]) if swaps.size else n
-    failed = np.flatnonzero(~(np.abs(diag[:stop]) >= PIVOT_UNDERFLOW))  # also NaN
-    if failed.size:
-        stop = int(failed[0])
-    return diag[:stop].astype(np.complex128), stop
+def _hermitian(a: np.ndarray) -> bool:
+    """Whether a square complex128 array is Hermitian within HERMITIAN_TOL
+    times its largest |entry| (a zero matrix is)."""
+    deviation = np.abs(a - a.conj().T).max(initial=0.0)
+    return bool(deviation <= HERMITIAN_TOL * np.abs(a).max(initial=0.0))
 
 
-def eigvals_hermitian(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    a = _as_square_array(m)
-    if a.size:
-        deviation = float(np.max(np.abs(a - a.conj().T)))
-        if deviation > HERMITIAN_TOL:
-            raise SymmetryError(
-                f"matrix is not Hermitian: max |m - m*| = {deviation:.3e}"
-            )
-    return np.linalg.eigvalsh(a)
-
-
-def eigvals_general(m) -> np.ndarray:
-    """All eigenvalues of a square matrix (Hessenberg + shifted QR)."""
+def eigenvalues(m) -> np.ndarray:
+    """All eigenvalues of a square matrix: real and sorted ascending by the
+    self-adjoint path when it is Hermitian (`_hermitian`), otherwise by
+    Hessenberg reduction and shifted QR."""
     a = _as_square_array(m)
     try:
-        return np.linalg.eigvals(a)
+        return np.linalg.eigvalsh(a) if _hermitian(a) else np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 

@@ -10,7 +10,8 @@ trace-norm discrepancies, and observational stability probes.  Every
 size-indexed quantity is swept by `sweep`: one measurement per section size
 against one predicted limit, and one report constructor for the residuals.
 Determinant ratios measure only the sizes past their pivot pass that way;
-the sizes within it read their ratios off the pivots at once.
+the sizes within it read their ratios off the pivots at once, and every
+section is factored once (`numkernel.band_lu`), the largest by the pass.
 
 Each quantity is read from the band storage of the sections (offset ->
 diagonal vector, `operators.band_diagonals`) where that storage determines
@@ -21,7 +22,8 @@ the quantity needs one:
 - the eigenvalue mean of a polynomial g without a domain is the trace
   (1/n) tr p(A_n), from banded powers (`eigen_dist_mean`), and the singular
   value mean of g(x) = q(x^2) is (1/n) tr q(A_n^H A_n) (`singular_dist_mean`);
-  any other g takes the eigenvalues or singular values of the dense section;
+  any other g takes the eigenvalues (`numkernel.eigenvalues`, which picks
+  the self-adjoint path) or singular values of the dense section;
 - the Folner discrepancy takes the SVD of the trailing corner of total
   bandwidth size only, where the two band products differ;
 - the stability probe slices every size from one assembly at the largest
@@ -306,9 +308,10 @@ def _det_ratios(diagonals: dict[int, np.ndarray], sizes: _Sizes):
     """det(section n) / det(section n-1) of the band matrix in diagonal
     storage at every size, as `det_ratio_sequence` describes: (the sizes
     that gave a ratio, the ratios, the skipped (size, reason) pairs)."""
-    pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
-    in_pass = bisect.bisect_right(sizes, stop)
-    logdet = functools.cache(lambda k: numkernel.band_logdet(diagonals, k))
+    top = numkernel.band_lu(diagonals, sizes[-1])  # also the largest section's det
+    pivots = top.pivots
+    in_pass = bisect.bisect_right(sizes, len(pivots))
+    logdet = functools.cache(lambda k: (top if k == sizes[-1] else numkernel.band_lu(diagonals, k)).logdet())
 
     def ratio(n):
         num, den = logdet(n), logdet(n - 1)
@@ -332,14 +335,14 @@ def det_ratio_sequence(
 
     ``A`` is anything ``as_band_operator`` accepts.  One banded LU pass up to
     the largest size gives every ratio as a pivot, up to the pass's first
-    row swap or zero pivot (`numkernel.band_lu_pivots`), so the sizes up to
+    row swap or zero pivot (`numkernel.BandLU.pivots`), so the sizes up to
     that ``stop`` take their ratios by one gather from the pivot array.
     Only the sizes past it go through `sweep`'s per-size loop: each ratio
-    comes from the band LU of the two sections (each factored once), as
-    exp(difference of log magnitudes) times the phase ratio, and a singular
-    section is skipped.  Both parts (`_det_ratios`) form one report by
-    `sweep`'s report constructor; without an explicit prediction the final
-    ratio serves as the limit estimate.
+    comes from the band LU of the two sections (each factored once, the
+    largest by the pass itself), as exp(difference of log magnitudes) times
+    the phase ratio, and a singular section is skipped.  Both parts
+    (`_det_ratios`) form one report by `sweep`'s report constructor; without
+    an explicit prediction the final ratio serves as the limit estimate.
     """
     sizes = _validate_sizes(n_range)
     diagonals = band_diagonals(as_band_operator(A), sizes[-1], lu=True)
@@ -355,7 +358,7 @@ def g_limit_constant(A: BandAPOperator, m: int) -> complex:
     diagonals = band_diagonals(as_band_operator(A), m, lu=True, start=-m)
     _, values, skipped = _det_ratios(diagonals, sizes)
     if skipped:
-        ld = numkernel.band_logdet(diagonals, m)
+        ld = numkernel.band_lu(diagonals, m).logdet()
         if ld.singular_flag:
             raise numkernel.SingularMatrixError("flip section is numerically singular", ld.smallest_pivot)
         raise ResolventZeroError("0-0 entry of the inverted flip section is zero")
@@ -378,22 +381,24 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
     log|det T_n| is the running sum of log|pivot| of one banded LU pass, and
     its phase the running product of the pivot phases; from the pass's first
     row swap or zero pivot on, each determinant comes from the band LU of its
-    own section, and a singular section raises.
+    own section (the largest one's is the pass's), and a singular section
+    raises.
     """
     sizes = _validate_sizes(n_range)
     log = _sample_log(a)
     c0 = log.c0
     constant = log.strong_szego_constant()
     diagonals = band_diagonals(as_band_operator(a), sizes[-1], lu=True)
-    pivots, stop = numkernel.band_lu_pivots(diagonals, sizes[-1])
+    top = numkernel.band_lu(diagonals, sizes[-1])
+    pivots = top.pivots
     log_abs = np.cumsum(np.log(np.abs(pivots)))
     phases = np.cumprod(pivots / np.abs(pivots))
 
     def normalized_det(n):
-        if n <= stop:
+        if n <= len(pivots):
             ld = LogDet(float(log_abs[n - 1]), complex(phases[n - 1]) / abs(phases[n - 1]))
         else:
-            ld = numkernel.band_logdet(diagonals, n)
+            ld = (top if n == sizes[-1] else numkernel.band_lu(diagonals, n)).logdet()
             if ld.singular_flag:
                 raise numkernel.SingularMatrixError("singular section", ld.smallest_pivot)
         return cmath.exp(ld.log_abs - n * c0.real) * ld.phase * cmath.exp(-1j * n * c0.imag)
@@ -410,24 +415,6 @@ def strong_szego_ratio(a: TrigPolynomial, n_range: Sequence[int]) -> StrongSzego
 # distribution means
 
 
-def eigen_sample(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a section; Hermitian input takes the self-adjoint path."""
-    try:
-        return numkernel.eigvals_hermitian(matrix)
-    except numkernel.SymmetryError:
-        return numkernel.eigvals_general(matrix)
-
-
-def eigen_mean(eigenvalues: np.ndarray, g: TestFunction) -> complex:
-    """(1/n) sum_i g(lambda_i)."""
-    return complex(np.mean(g.apply(eigenvalues)))
-
-
-def singular_mean(singular_values: np.ndarray, g: TestFunction) -> float:
-    """(1/n) sum_i g(sigma_i); real because singular values are real."""
-    return complex(np.mean(g.apply(singular_values))).real
-
-
 def eigen_dist_mean(A, g: TestFunction, n: int) -> complex:
     """(1/n) sum_i g(lambda_i) over the eigenvalues of the n-section of A.
 
@@ -437,11 +424,11 @@ def eigen_dist_mean(A, g: TestFunction, n: int) -> complex:
     section with real coefficients the real part is reported, as the
     eigenvalues give it.  Any other g (one with a domain, which is checked
     against the eigenvalues, or a named function) takes the eigenvalues of
-    the dense section (`eigen_sample`, `eigen_mean`).
+    the dense section (`numkernel.eigenvalues`).
     """
     band = as_band_operator(A)
     if g.kind != "polynomial" or g.domain is not None:
-        return eigen_mean(eigen_sample(band_ap_section(band, n)), g)
+        return complex(np.mean(g.apply(numkernel.eigenvalues(band_ap_section(band, n)))))
     vectors = band_diagonals(band, n)
     coeffs = g.x_coefficients()
     value = _trace_mean(vectors, n, coeffs, g)
@@ -456,7 +443,7 @@ def singular_dist_mean(A, g: TestFunction, n: int) -> float:
     For g(x) = q(x^2), a polynomial in even powers without a domain, this is
     (1/n) tr q(A_n^H A_n), from banded products in O(n w^2 deg g); for x^2
     it is the squared moduli of the band vectors summed.  Any other g takes
-    the singular values of the dense section (`singular_mean`).
+    the singular values of the dense section; the mean is real.
     """
     band = as_band_operator(A)
     if g.kind == "polynomial" and g.domain is None and not any(p % 2 for p, _ in g.data):
@@ -464,7 +451,7 @@ def singular_dist_mean(A, g: TestFunction, n: int) -> float:
         vectors = band_diagonals(band, n)
         gram = _band_matmul(_adjoint(vectors, n), vectors, n, main_only=len(q) <= 2)
         return _trace_mean(gram, n, q, g).real
-    return singular_mean(numkernel.singular_values(band_ap_section(band, n)), g)
+    return complex(np.mean(g.apply(numkernel.singular_values(band_ap_section(band, n))))).real
 
 
 def _trace_mean(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray, g: TestFunction) -> complex:
@@ -483,8 +470,7 @@ def _trace_mean(base: dict[int, np.ndarray], m: int, coeffs: np.ndarray, g: Test
 
 def _spectral_diagonal(section: np.ndarray, g: TestFunction) -> np.ndarray:
     section = numkernel._as_square_array(section)  # the kernel's finiteness check
-    deviation = float(np.max(np.abs(section - section.conj().T)))
-    if deviation > numkernel.HERMITIAN_TOL:
+    if not numkernel._hermitian(section):
         raise MethodError(
             "continuous test functions of non-Hermitian sections are not "
             "supported; use a polynomial in x"

@@ -16,7 +16,7 @@ from szegolab.almostperiodic import (
     eval_ap,
     expand_cf,
 )
-from szegolab.numkernel import band_logdet, singular_values
+from szegolab.numkernel import band_lu, eigenvalues, singular_values
 from szegolab.operators import (
     BandAPOperator,
     almost_mathieu,
@@ -29,11 +29,8 @@ from szegolab.szego import (
     TestFunction,
     cluster_partial_limits,
     det_ratio_sequence,
-    eigen_mean,
-    eigen_sample,
     folner_discrepancy,
     limit_prediction,
-    singular_mean,
 )
 
 from sections import composite_of, cramer_ratio, inverse_corner
@@ -43,15 +40,15 @@ TWO_PLUS_COS = TrigPolynomial({0: 2.0, 1: 0.5, -1: 0.5})
 
 
 def logdet(a):
-    """band_logdet of a dense n x n matrix given as n - 1 diagonals on each
-    side of the main diagonal."""
+    """band_lu(...).logdet() of a dense n x n matrix given as n - 1
+    diagonals on each side of the main diagonal."""
     n = len(a)
     diagonals = {}
     for d in range(1 - n, n):
         cols = np.arange(max(0, -d), n - max(0, d))
         v = diagonals[d] = np.zeros(n, dtype=complex)
         v[cols] = a[cols + d, cols]
-    return band_logdet(diagonals, n)
+    return band_lu(diagonals, n).logdet()
 
 
 def report(number, name, ok, detail):
@@ -80,7 +77,7 @@ def test_criterion_02_strong_szego_exp_cos():
     # exp(cos t) = sum_k I_|k|(1) e^{ikt}, truncated at |k| <= 24
     a = TrigPolynomial({k: iv(abs(k), 1.0) for k in range(-24, 25)})
     g_err = abs(geometric_mean(a) - 1.0)
-    det64 = band_logdet(band_diagonals(as_band_operator(a), 64), 64).value
+    det64 = band_lu(band_diagonals(as_band_operator(a), 64), 64).logdet().value
     resid = abs(det64 - math.exp(0.25))
     ok = g_err <= 1e-9 and resid <= 1e-6
     assert report(
@@ -130,12 +127,12 @@ def test_criterion_05_mathieu_eigenvalue_distribution():
     assert fib.values[-1] == 987
     residuals = []
     for n in fib.values[-4:]:
-        sample = eigen_sample(band_ap_section(op, n))
-        m2 = eigen_mean(sample, TestFunction.power(2))
+        sample = eigenvalues(band_ap_section(op, n))
+        m2 = np.mean(TestFunction.power(2).apply(sample))
         residuals.append((n, abs(m2 - 2.5)))
-    final_sample = eigen_sample(band_ap_section(op, 987))
-    m2 = eigen_mean(final_sample, TestFunction.power(2))
-    mid = eigen_mean(final_sample, TestFunction.identity())
+    final_sample = eigenvalues(band_ap_section(op, 987))
+    m2 = np.mean(TestFunction.power(2).apply(final_sample))
+    mid = np.mean(TestFunction.identity().apply(final_sample))
     ok = abs(m2 - 2.5) <= 0.02 and abs(mid) <= 0.02
     decay = ", ".join(f"n={n}: {r:.2e}" for n, r in residuals)
     assert report(
@@ -150,8 +147,8 @@ def test_criterion_06_two_estimator_consistency():
     op = almost_mathieu(GOLDEN, 1.0, 0.3)
     n = 610
     g3 = TestFunction.power(3)
-    sample = eigen_sample(band_ap_section(op, n))
-    empirical = eigen_mean(sample, g3)
+    sample = eigenvalues(band_ap_section(op, n))
+    empirical = np.mean(g3.apply(sample))
     predicted = limit_prediction(op, g3, 4 * n)
     diff = abs(empirical - predicted)
     ok = diff <= 0.05
@@ -159,7 +156,7 @@ def test_criterion_06_two_estimator_consistency():
         6,
         "two-estimator consistency g=x^3",
         ok,
-        f"|eigen_mean - diagonal prediction| = {diff:.3e} at n={n}",
+        f"|eigenvalue mean - diagonal prediction| = {diff:.3e} at n={n}",
     )
 
 
@@ -169,7 +166,7 @@ def test_criterion_07_avram_parter():
     details = []
     ok = True
     for n in (64, 256, 1024):
-        m4 = singular_mean(singular_values(band_ap_section(as_band_operator(a), n)), g4)
+        m4 = np.mean(g4.apply(singular_values(band_ap_section(as_band_operator(a), n)))).real
         err = abs(m4 - 6.0)
         ok = ok and err <= 12.0 / n
         details.append(f"n={n}: {err:.2e} <= {12.0 / n:.2e}")
@@ -249,7 +246,7 @@ def test_criterion_10_randomized_property_suites():
         lam = float(rng.uniform(0.1, 3.0))
         op = almost_mathieu(float(rng.uniform(0.05, 0.95)), lam, float(rng.uniform(0, 1)))
         n = int(rng.integers(3, 40))
-        vals = eigen_sample(band_ap_section(op, n))
+        vals = eigenvalues(band_ap_section(op, n))
         if np.any(vals < -2 - lam - 1e-9) or np.any(vals > 2 + lam + 1e-9):
             failures.append("hull")
 

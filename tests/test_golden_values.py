@@ -138,6 +138,43 @@ def test_stability_rows_margin_and_norm_scale_are_mpmath_svd():
     assert summary["final_residual"] == 0.0 and summary["predicted"] == [summary["margin"], 0.0]
 
 
+def test_eigen_dist_band_ap_is_the_mpmath_spectrum():
+    # exp over the real symmetric tridiagonal sections with main diagonal
+    # 1 + 0.25 e^{2 pi i 0.3 j} + 0.25 e^{2 pi i 0.7 j} = 1 + 0.5 cos(2 pi 0.3 j)
+    # (the conjugate pair is read at the frequency 0.3) and off-diagonals 1:
+    # each row is the mean of exp over the eigenvalues, and the prediction
+    # the mean of diag exp(A_m) = sum_k exp(lambda_k) |v_jk|^2 over the
+    # central window.  The only golden that runs both dense spectral routes.
+    cfg = GOLDEN_CONFIGS["eigen-dist-band-ap"]
+    diagonals = cfg["operator"]["diagonals"]
+    assert [t["freq"] for t in diagonals["0"]] == [0.0, 0.3, 0.7] and cfg["g"]["name"] == "exp"
+    m, window = cfg["prediction"]["m"], cfg["prediction"]["window"]
+    rows = _rows("eigen-dist-band-ap")
+
+    def spectrum(n):
+        mat = mpmath.zeros(n, n)
+        for j in range(n):
+            mat[j, j] = 1 + mpmath.cos(2 * mpmath.pi * mpmath.mpf(0.3) * j) / 2
+            if j + 1 < n:
+                mat[j + 1, j] = mat[j, j + 1] = 1
+        return mpmath.eigsy(mat)
+
+    with mpmath.workdps(30):
+        for n, value, _, _, _ in rows:
+            exact = mpmath.fsum(mpmath.exp(x) for x in spectrum(n)[0]) / n
+            assert value.imag == 0.0 and _close(value, exact, abs(exact)), (n, value, exact)
+        values, vectors = spectrum(m)
+        start = (m - window) // 2
+        predicted = mpmath.fsum(
+            mpmath.exp(values[k]) * vectors[j, k] ** 2 for j in range(start, start + window) for k in range(m)
+        ) / window
+    for _, _, pred, _, _ in rows:
+        assert pred.imag == 0.0 and _close(pred, predicted, abs(predicted)), (pred, predicted)
+    summary = _summary("eigen-dist-band-ap")
+    assert _close(complex(*summary["predicted"]), predicted, abs(predicted))
+    assert summary["final_residual"] == rows[-1][3] and summary["verdict"] == "pass"
+
+
 # ---------------------------------------------------------------------------
 # determinant kinds: szego-ratio and strong-szego
 

@@ -16,11 +16,8 @@ from szegolab.numkernel import (
     DimensionError,
     LogDet,
     SingularMatrixError,
-    SymmetryError,
-    band_logdet,
-    band_lu_pivots,
-    eigvals_general,
-    eigvals_hermitian,
+    band_lu,
+    eigenvalues,
     singular_values,
 )
 from szegolab.almostperiodic import APFunction
@@ -54,7 +51,7 @@ def as_diagonals(a):
 
 
 def logdet(a):
-    return band_logdet(as_diagonals(a), len(a))
+    return band_lu(as_diagonals(a), len(a)).logdet()
 
 
 def dense_logdet(a):
@@ -63,7 +60,7 @@ def dense_logdet(a):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # SciPy warns on exactly zero pivots
         lu, piv = scipy.linalg.lu_factor(a)
-    return numkernel._logdet_from_lu(np.diagonal(lu), piv)
+    return numkernel.BandLU(np.diagonal(lu), piv).logdet()
 
 
 def test_logdet_identity():
@@ -97,9 +94,8 @@ def test_logdet_singular_flag():
 
 
 def test_eigvals_reject_nonsquare():
-    for eigvals in (eigvals_hermitian, eigvals_general):
-        with pytest.raises(DimensionError, match="^square matrix required, got 2x3$"):
-            eigvals(np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="^square matrix required, got 2x3$"):
+        eigenvalues(np.ones((2, 3)))
     with pytest.raises(DimensionError, match="^expected a 2-d array, got ndim=1$"):
         singular_values(np.ones(3))
 
@@ -112,8 +108,9 @@ OVERFLOWING = BandAPOperator({0: APFunction([(0.0, 1e308), (0.25, 1e308), (0.75,
 @pytest.mark.parametrize(
     "dense_path",
     [
-        lambda: eigvals_hermitian(NAN_MATRIX),
-        lambda: eigvals_general(NAN_MATRIX),
+        # checked before either eigenvalue path is chosen
+        lambda: eigenvalues(np.diag([1.0, np.nan])),
+        lambda: eigenvalues(NAN_MATRIX),
         lambda: singular_values(NAN_MATRIX),
         # spectral calculus calls numpy's eigh itself, past the kernels
         lambda: limit_prediction(OVERFLOWING, TestFunction.exp(), 8, 2),
@@ -127,27 +124,44 @@ def test_dense_paths_reject_nonfinite(dense_path):
 
 
 def test_eigvals_hermitian_examples():
-    assert np.allclose(eigvals_hermitian(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
-    tri = np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)
-    assert np.allclose(eigvals_hermitian(tri), [-math.sqrt(2), 0, math.sqrt(2)])
-    assert np.allclose(eigvals_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]])), [1, 3])
+    # Hermitian input takes the self-adjoint path: real, sorted ascending
+    for m, expected in (
+        (np.diag([3.0, 1.0, 2.0]), [1, 2, 3]),
+        (np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1), [-math.sqrt(2), 0, math.sqrt(2)]),
+        (np.array([[2.0, 1.0], [1.0, 2.0]]), [1, 3]),
+    ):
+        vals = eigenvalues(m)
+        assert vals.dtype == np.float64 and np.allclose(vals, expected)
 
 
 def test_eigvals_hermitian_rejects_asymmetric():
-    with pytest.raises(SymmetryError):
-        eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the nilpotent Jordan block is not Hermitian: the general path
+    vals = eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert vals.dtype == np.complex128 and np.array_equal(vals, [0, 0])
+
+
+def test_hermitian_test_is_relative_to_the_largest_entry():
+    # a nilpotent block of scale 1e-13 deviates by 1e-13 from its adjoint,
+    # within an absolute 1e-12 but not relative to its largest entry, so
+    # it takes the general path and not eigvalsh, which would read its lower
+    # triangle only and report +-1e-13
+    assert np.array_equal(eigenvalues([[0, 0], [1e-13, 0]]), [0, 0])
+    assert np.array_equal(eigenvalues(np.zeros((2, 2))), [0, 0])  # a zero matrix is Hermitian
+    big = np.array([[1e6, 1.0], [1.0 + 1e-7, 1e6]])  # deviation 1e-7 <= 1e-12 * 1e6
+    assert eigenvalues(big).dtype == np.float64
+    assert not numkernel._hermitian(np.array([[1.0, 1.0], [1.0 + 1e-11, 1.0]], dtype=complex))
 
 
 def test_eigvals_general_examples():
-    assert np.allclose(sorted(eigvals_general(np.array([[0.0, 1.0], [0.0, 0.0]]))), [0, 0])
-    vals = sorted(eigvals_general(np.array([[0.0, 1.0], [1.0, 0.0]])).real)
+    assert np.allclose(sorted(eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))), [0, 0])
+    vals = sorted(eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])).real)
     assert np.allclose(vals, [-1, 1])
 
 
 def test_eigvals_general_companion_golden():
     # companion matrix of z^2 - z - 1; roots from the quadratic formula
     comp = np.array([[1.0, 1.0], [1.0, 0.0]])
-    roots = sorted(eigvals_general(comp).real)
+    roots = sorted(eigenvalues(comp).real)
     expected = sorted([(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2])
     assert np.allclose(roots, expected, atol=1e-12)
 
@@ -180,7 +194,7 @@ def test_eigvals_sum_to_trace():
         n = int(rng.integers(2, 12))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (a + a.conj().T) / 2
-        w = eigvals_hermitian(h)
+        w = eigenvalues(h)
         norm = np.linalg.norm(h, 2)
         assert abs(w.sum() - np.trace(h).real) <= 1e-9 * n * max(1.0, norm)
 
@@ -190,7 +204,7 @@ def test_singular_values_match_gram_eigenvalues():
     for _ in range(10):
         a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         sv = singular_values(a)
-        gram = eigvals_hermitian(a.conj().T @ a)
+        gram = eigenvalues(a.conj().T @ a)
         assert np.allclose(sv, np.sqrt(np.maximum(gram[::-1], 0.0)), atol=1e-8)
 
 
@@ -212,10 +226,8 @@ def test_band_lu_pivots_exact_minor_ratios():
     rows = _dense_from_diagonals(diagonals, n)
     for d, v in diagonals.items():  # zero outside the valid column range
         diagonals[d] = [v[j] if 0 <= j + d < n else 0 for j in range(n)]
-    pivots, stop = band_lu_pivots(
-        {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}, n
-    )
-    assert stop == n and len(pivots) == n
+    pivots = band_lu({d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}, n).pivots
+    assert len(pivots) == n
     minors = [Fraction(1)] + [
         exact_det([[Fraction(x) for x in r[:k]] for r in rows[:k]]) for k in range(1, n + 1)
     ]
@@ -236,8 +248,8 @@ def test_band_lu_pivots_exact_minor_ratios():
 )
 def test_band_lu_pivots_stop(diagonals, n, stop):
     arrays = {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}
-    pivots, got = band_lu_pivots(arrays, n)
-    assert got == stop and len(pivots) == stop
+    pivots = band_lu(arrays, n).pivots
+    assert len(pivots) == stop
     dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
     for k in range(stop):
         ratio = dense_logdet(dense[: k + 1, : k + 1]).value / (
@@ -263,12 +275,12 @@ def _random_band(seed, n, p, q, diagonal, real=False):
 
 
 def assert_matches_dense_sections(diagonals, n, pivots):
-    """band_logdet of every leading section and the pivots of band_lu_pivots
+    """band_lu(...).logdet() of every leading section and the pass pivots
     against the dense LU of the sections; singular flags must agree."""
     dense = np.array(_dense_from_diagonals(diagonals, n), dtype=np.complex128)
     prev = LogDet(0.0, 1 + 0j)
     for k in range(1, n + 1):
-        ref, got = dense_logdet(dense[:k, :k]), band_logdet(diagonals, k)
+        ref, got = dense_logdet(dense[:k, :k]), band_lu(diagonals, k).logdet()
         assert got.singular_flag == ref.singular_flag, k
         if not ref.singular_flag:
             assert got.log_abs == pytest.approx(ref.log_abs, rel=1e-12, abs=1e-12)
@@ -284,8 +296,8 @@ def test_band_lu_pivots_keeps_complex_pivot_below_column_max():
     # keeps the pivot without a row swap, so the pass runs through
     diagonals = {0: [0.7 + 0.7j, 2], 1: [1.2, 0], -1: [0, 1]}
     arrays = {d: np.array(v, dtype=np.complex128) for d, v in diagonals.items()}
-    pivots, stop = band_lu_pivots(arrays, 2)
-    assert stop == 2
+    pivots = band_lu(arrays, 2).pivots
+    assert len(pivots) == 2
     a00 = 0.7 + 0.7j
     assert pivots[0] == a00
     assert pivots[1] == pytest.approx((a00 * 2 - 1.2 * 1) / a00, rel=1e-15)
@@ -296,8 +308,8 @@ def test_band_lu_pivots_blocked_lapack_route():
     # the reference ILAENV for xGBTRF)
     n, p, q = 160, 40, 66
     diagonals = _random_band(5, n, p, q, 2.0 * (p + q + 1))
-    pivots, stop = band_lu_pivots(diagonals, n)
-    assert stop == n
+    pivots = band_lu(diagonals, n).pivots
+    assert len(pivots) == n
     assert_matches_dense_sections(diagonals, n, pivots)
 
 
@@ -350,11 +362,11 @@ def _toeplitz_band(coeffs, n, lu=False):
 )
 def test_band_lu_pivots_matches_dense_sections(diagonals, n, stop, swapped):
     # the pass stops at LAPACK's first row swap or first zero pivot; the
-    # sizes past it take band_logdet, checked on every leading section.
+    # sizes past it take band_lu(...).logdet(), checked on every leading section.
     # ``swapped``: LAPACK swaps some row in factoring the n x n band.  Real
     # vectors are factored in real arithmetic; the pivots are complex either way
-    pivots, got = band_lu_pivots(diagonals, n)
-    assert got == stop and len(pivots) == stop and pivots.dtype == np.complex128
+    pivots = band_lu(diagonals, n).pivots
+    assert len(pivots) == stop and pivots.dtype == np.complex128
     lu, ipiv, _, _ = numkernel._band_lu(diagonals, n)
     assert lu.dtype == np.result_type(*diagonals.values())
     assert bool(np.any(ipiv != np.arange(n))) == bool(swapped)
@@ -382,11 +394,12 @@ def real_bands(draw):
 
 
 def _outcomes(diagonals, n):
-    """The bits of band_lu_pivots and band_logdet of every leading section."""
-    pivots, stop = band_lu_pivots(diagonals, n)
-    out = [pivots.dtype, pivots.tobytes(), stop]
+    """The bits of the pass pivots and of the log determinant of every
+    leading section."""
+    pivots = band_lu(diagonals, n).pivots
+    out = [pivots.dtype, pivots.tobytes(), len(pivots)]
     for k in range(1, n + 1):
-        ld = band_logdet(diagonals, k)
+        ld = band_lu(diagonals, k).logdet()
         out.append((np.float64(ld.log_abs).tobytes(), np.complex128(ld.phase).tobytes(), ld.singular_flag))
     return out
 
@@ -441,7 +454,7 @@ def test_real_band_route_against_complex_route(band):
     # A pivot below about 1e-308 overflows its reciprocal, and the factor
     # holds inf or NaN: the section is flagged singular.
     if not np.isfinite(lu).all():
-        assert band_logdet(diagonals, n).singular_flag
+        assert band_lu(diagonals, n).logdet().singular_flag
         return
     assert np.all(np.abs(lu[p + q + 1 :]) <= 1.0)
     product, moduli = _lu_product(lu, ipiv, p, q, n)
@@ -454,11 +467,12 @@ def test_real_band_route_against_complex_route(band):
 def test_nan_pivot_is_singular(dtype):
     # LAPACK scales the column below a pivot of 2.2e-309 by its reciprocal,
     # inf: 0 * inf is NaN, and the next pivot is NaN.  A NaN pivot fails the
-    # underflow test as band_lu_pivots reads it, not a NaN determinant
+    # underflow test as the pass pivots read it, not a NaN determinant
     diagonals = {0: np.array([0.0, 0.0], dtype=dtype), 1: np.array([2.22507386e-309, 0.0], dtype=dtype)}
     lu, _, p, q = numkernel._band_lu(diagonals, 2)
     assert math.isnan(abs(lu[p + q][1]))
-    assert band_lu_pivots(diagonals, 2)[1] == 0
-    ld = band_logdet(diagonals, 2)
+    factor = band_lu(diagonals, 2)
+    assert len(factor.pivots) == 0
+    ld = factor.logdet()
     assert ld.singular_flag and ld.log_abs == -math.inf and math.isnan(ld.smallest_pivot)
     assert str(SingularMatrixError("singular section", ld.smallest_pivot)).endswith("(smallest pivot nan)")

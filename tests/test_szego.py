@@ -1,8 +1,11 @@
 """Determinant ratios, distribution means, predictions, probes."""
 
 import cmath
+import json
 import math
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -15,7 +18,7 @@ from scipy.special import iv
 
 from szegolab.almostperiodic import APFunction, distinguished_sequence, eval_ap
 from szegolab import numkernel
-from szegolab.numkernel import LogDet, SingularMatrixError, band_lu_pivots, singular_values
+from szegolab.numkernel import LogDet, SingularMatrixError, band_lu, eigenvalues, singular_values
 from szegolab.operators import (
     BandAPOperator,
     almost_mathieu,
@@ -34,12 +37,9 @@ from szegolab.szego import (
     WindowError,
     cluster_partial_limits,
     det_ratio_sequence,
-    eigen_mean,
-    eigen_sample,
     folner_discrepancy,
     g_limit_constant,
     limit_prediction,
-    singular_mean,
     stability_probe,
     strong_szego_ratio,
     sweep,
@@ -64,7 +64,7 @@ def dense_logdet(a):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # SciPy warns on exactly zero pivots
         lu, piv = scipy.linalg.lu_factor(np.asarray(a))
-    return numkernel._logdet_from_lu(np.diagonal(lu), piv)
+    return numkernel.BandLU(np.diagonal(lu), piv).logdet()
 
 
 def block_periodic_operator():
@@ -180,7 +180,7 @@ def assert_matches_dense(rep, op, sizes, rel):
 
 def breakdown_step(op, n):
     band = as_band_operator(op)
-    return band_lu_pivots(band_diagonals(band, n), n)[1]
+    return len(band_lu(band_diagonals(band, n), n).pivots)
 
 
 _coefficient = st.one_of(
@@ -347,6 +347,40 @@ def test_g_limit_constant_singular_sections_and_domain():
             g_limit_constant(swap, m)
 
 
+GOLDEN_CONFIGS = json.loads((Path(__file__).parent / "golden" / "configs.json").read_text(encoding="utf-8"))
+
+
+def _golden_call(name):
+    cfg = GOLDEN_CONFIGS[name]
+    a = TrigPolynomial({int(k): complex(*v) for k, v in cfg["symbol"].items()})
+    run = det_ratio_sequence if cfg["experiment"] == "szego-ratio" else strong_szego_ratio
+    return lambda: run(a, cfg["n_range"])
+
+
+@pytest.mark.parametrize(
+    "call, factorizations",
+    [
+        # the pass swaps rows at step 2: one more LU, the (m-1)-section's
+        pytest.param(lambda: g_limit_constant(almost_mathieu(GOLDEN, 3.0), 40), 2, id="g_limit_constant-40"),
+        pytest.param(lambda: g_limit_constant(almost_mathieu(GOLDEN, 3.0), 2048), 2, id="g_limit_constant-2048"),
+        # the pass stops at step 0: one more LU per size below the largest
+        pytest.param(_golden_call("szego-ratio-swap"), 40, id="szego-ratio-swap"),
+        pytest.param(_golden_call("strong-szego-swap"), 5, id="strong-szego-swap"),
+        # every size within the pass
+        pytest.param(_golden_call("szego-ratio-real-lu"), 1, id="szego-ratio-real-lu"),
+        pytest.param(_golden_call("strong-szego-real-lu"), 1, id="strong-szego-real-lu"),
+        pytest.param(_golden_call("strong-szego"), 1, id="strong-szego"),
+    ],
+)
+def test_one_factorization_per_section(call, factorizations):
+    # the pass's factor of the largest section gives that section's
+    # determinant too, so no section is factored twice
+    with mock.patch.object(numkernel, "_band_lu", wraps=numkernel._band_lu) as band_lu_calls:
+        call()
+    sizes = [args[1] for args, _ in band_lu_calls.call_args_list]
+    assert len(sizes) == len(set(sizes)) == factorizations, sizes
+
+
 def test_sizes_must_be_integers():
     # a size is never rounded: 2.9 is not the section of size 2
     with pytest.raises(ValueError, match=r"^section sizes must be integers, got 2\.9$"):
@@ -443,24 +477,24 @@ def test_strong_szego_ratio_series_vs_determinant():
 
 def test_eigen_mean_identity_is_trace():
     sec = toeplitz_section(TWO_PLUS_COS, 9)
-    s = eigen_sample(sec)
-    mean = eigen_mean(s, TestFunction.identity())
+    s = eigenvalues(sec)
+    mean = np.mean(TestFunction.identity().apply(s))
     assert mean == pytest.approx(np.trace(sec) / 9, abs=1e-12)
 
 
 def test_eigen_mean_two_cos_square():
     a = TrigPolynomial({1: 1.0, -1: 1.0})
     for n in (4, 16, 64):
-        s = eigen_sample(toeplitz_section(a, n))
-        mean = eigen_mean(s, TestFunction.power(2))
+        s = eigenvalues(toeplitz_section(a, n))
+        mean = np.mean(TestFunction.power(2).apply(s))
         assert mean == pytest.approx(2 * (n - 1) / n, abs=1e-10)
 
 
 def test_eigen_mean_exp_quadrature_oracle():
     a = TrigPolynomial({1: 1.0, -1: 1.0})
     oracle = quad(lambda t: math.exp(2 * math.cos(t)), 0, 2 * math.pi)[0] / (2 * math.pi)
-    s = eigen_sample(toeplitz_section(a, 512))
-    mean = eigen_mean(s, TestFunction.exp())
+    s = eigenvalues(toeplitz_section(a, 512))
+    mean = np.mean(TestFunction.exp().apply(s))
     assert abs(mean - oracle) <= 0.01
 
 
@@ -471,8 +505,8 @@ def test_eigen_mean_polynomial_matches_trace_route():
         n = int(rng.integers(3, 12))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (a + a.conj().T) / 2
-        s = eigen_sample(h)
-        mean = eigen_mean(s, g)
+        s = eigenvalues(h)
+        mean = np.mean(g.apply(s))
         poly = 0.5 * np.eye(n) - h + 2.0 * h @ h + 0.25 * np.linalg.matrix_power(h, 3)
         assert mean == pytest.approx(np.trace(poly) / n, abs=1e-9)
 
@@ -485,7 +519,7 @@ def test_eigenvalue_hull_containment():
         theta = float(rng.uniform(0, 1))
         op = almost_mathieu(alpha, lam, theta)
         n = int(rng.integers(4, 40))
-        vals = eigen_sample(band_ap_section(op, n))
+        vals = eigenvalues(band_ap_section(op, n))
         assert np.all(vals >= -2 - lam - 1e-9)
         assert np.all(vals <= 2 + lam + 1e-9)
 
@@ -495,7 +529,7 @@ def test_singular_mean_shift_symbol():
     g = TestFunction.exp()
     for n in (3, 8, 20):
         s = singular_values(toeplitz_section(z, n))
-        mean = singular_mean(s, g)
+        mean = np.mean(g.apply(s)).real
         expected = ((n - 1) * math.e + 1.0) / n
         assert mean == pytest.approx(expected, abs=1e-12)
 
@@ -504,9 +538,9 @@ def test_singular_mean_one_plus_z():
     a = TrigPolynomial({0: 1.0, 1: 1.0})
     for n in (8, 32, 128):
         s = singular_values(toeplitz_section(a, n))
-        m2 = singular_mean(s, TestFunction.power(2))
+        m2 = np.mean(TestFunction.power(2).apply(s)).real
         assert m2 == pytest.approx((2 * n - 1) / n, abs=1e-10)
-        m4 = singular_mean(s, TestFunction.power(4))
+        m4 = np.mean(TestFunction.power(4).apply(s)).real
         assert m4 == pytest.approx(6 - 5 / n, abs=1e-9)
 
 
